@@ -238,6 +238,7 @@ type runState struct {
 	confirmed []bool     // pooled Confirmed backing (nil in label-only runs)
 	nbrLabel  [][2]int64 // per-arc neighbor labels, aligned with ra.relNbr
 	haveLabel []bool
+	start     []int32 // round-0 set: the seeds, then the reached nodes
 	main      mainProto
 	wave      waveProto
 }
@@ -248,6 +249,7 @@ func (rs *runState) ensure(n, arcs int) {
 		rs.res.Hops = make([]int, n)
 		rs.res.Parent = make([]int, n)
 		rs.confirmed = make([]bool, n)
+		rs.start = make([]int32, 0, n)
 	}
 	rs.res.Dist = rs.res.Dist[:n]
 	rs.res.Hops = rs.res.Hops[:n]
@@ -331,11 +333,13 @@ func runBF(nw *congest.Network, g *graph.Graph, init []int64, hops int, mode Mod
 	res.Root = -1
 	res.Mode = mode
 	res.Confirmed = nil
+	rs.start = rs.start[:0]
 	for v := 0; v < n; v++ {
 		res.Dist[v] = init[v]
 		res.Parent[v] = -1
 		if init[v] < graph.Inf {
 			res.Hops[v] = 0
+			rs.start = append(rs.start, int32(v))
 		} else {
 			res.Hops[v] = -1
 		}
@@ -343,8 +347,9 @@ func runBF(nw *congest.Network, g *graph.Graph, init []int64, hops int, mode Mod
 
 	rs.main = mainProto{res: res, ra: ra, hops: hops}
 	// The schedule takes hops+1 rounds: seeds send at round 0, labels at hop
-	// distance r settle at round r, and the final round only receives.
-	if err := nw.RunFor(&rs.main, hops+1); err != nil {
+	// distance r settle at round r, and the final round only receives. The
+	// run starts from the seeds and is message-driven after that.
+	if _, err := nw.RunFrom(&rs.main, rs.start, hops+1, true); err != nil {
 		return nil, fmt.Errorf("bford: %s-SSSP: %w", mode, err)
 	}
 	if !confirm {
@@ -371,8 +376,16 @@ func runBF(nw *congest.Network, g *graph.Graph, init []int64, hops int, mode Mod
 	// with ra.relNbr (the sender of a kindFinal/kindConfirm message always
 	// has an arc into the receiver: that is exactly who notify() reaches).
 	clear(rs.haveLabel)
-	rs.wave = waveProto{rs: rs, ra: ra, hops: hops}
-	if err := nw.RunFor(&rs.wave, hops+2); err != nil {
+	// The wave starts from the reached nodes, which announce their labels
+	// in round 0.
+	rs.start = rs.start[:0]
+	for v := 0; v < n; v++ {
+		if res.Hops[v] >= 0 {
+			rs.start = append(rs.start, int32(v))
+		}
+	}
+	rs.wave = waveProto{rs: rs, ra: ra}
+	if _, err := nw.RunFrom(&rs.wave, rs.start, hops+2, true); err != nil {
 		return nil, fmt.Errorf("bford: %s-SSSP confirmation wave: %w", mode, err)
 	}
 	for v := 0; v < n; v++ {
@@ -400,7 +413,8 @@ type mainProto struct {
 // Step implements congest.Proto: relax labels received this round (sent by
 // neighbors last round), then forward our label in the same round if it
 // improved, so each hop costs one round. Relaxation is order-independent;
-// parent tie-breaks are resolved explicitly by (dist, hops, id).
+// parent tie-breaks are resolved explicitly by (dist, hops, id). Only the
+// seeds act spontaneously (round 0), so every node returns true.
 func (p *mainProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
 	res, ra := p.res, p.ra
 	improved := round == 0 && res.Hops[v] == 0 // seeds announce at round 0
@@ -423,18 +437,19 @@ func (p *mainProto) Step(v, round int, in []congest.Message, send func(congest.M
 			send(congest.Message{To: int(u), Kind: kindLabel, A: res.Dist[v], B: int64(res.Hops[v])})
 		}
 	}
-	return round >= p.hops
+	return true
 }
 
 // waveProto is the tree-confirmation wave of runBF (see the comment in
 // runBF for the protocol's correctness argument).
 type waveProto struct {
-	rs   *runState
-	ra   *relAdj
-	hops int
+	rs *runState
+	ra *relAdj
 }
 
-// Step implements congest.Proto.
+// Step implements congest.Proto. Reached nodes announce in round 0 and
+// seeds confirm in round 1; every later confirmation answers a confirmation
+// received in the same round, so only the seeds stay live through round 1.
 func (p *waveProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
 	rs, ra := p.rs, p.ra
 	res := &rs.res
@@ -482,7 +497,7 @@ func (p *waveProto) Step(v, round int, in []congest.Message, send func(congest.M
 			send(congest.Message{To: int(u), Kind: kindConfirm})
 		}
 	}
-	return round >= p.hops+1
+	return round >= 1 || res.Hops[v] != 0
 }
 
 // better reports whether label (d1,h1) with parent p1 beats (d2,h2,p2)

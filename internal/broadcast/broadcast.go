@@ -184,14 +184,12 @@ type bcastState struct {
 	collected  []Item
 	gather     gatherProto
 
-	// Broadcast (flood) state: the per-node receive arena and views, plus
-	// the canonical-order result buffer (distinct from Gather's collected,
-	// whose contents are often this call's input).
-	recvd  [][]Item
-	flood  []Item
-	fwd    []int32
-	outBuf []Item
-	bcast  floodProto
+	// Broadcast (flood) state: per-node received and forwarded counts,
+	// plus the canonical-order result buffer (distinct from Gather's
+	// collected, whose contents are often this call's input).
+	got, fwd []int32
+	outBuf   []Item
+	bcast    floodProto
 
 	// GatherSum state: the flat n x m accumulator.
 	acc []int64
@@ -347,29 +345,15 @@ func Broadcast(nw *congest.Network, t *Tree, items []Item) ([]Item, error) {
 	n := nw.N()
 	st := getState(nw)
 	k := len(items)
-	// Every non-root node receives exactly k items; one arena sliced into
-	// capacity-capped per-node views keeps the flood's hot loop free of
-	// append regrowth (and of n separate allocations).
-	if cap(st.recvd) < n {
-		st.recvd = make([][]Item, n)
-	}
-	st.recvd = st.recvd[:n]
-	for v := range st.recvd {
-		st.recvd[v] = nil
-	}
-	if k > 0 {
-		st.flood = growItems(st.flood, n*k)
-		for v := 0; v < n; v++ {
-			if v != t.Root {
-				off := v * k
-				st.recvd[v] = st.flood[off : off : off+k]
-			}
-		}
-	}
+	// Every node receives the root's items in the root's order, so the
+	// items a node holds are always a prefix of the list: counting them is
+	// enough.
+	st.got = congest.Grow(st.got, n)
 	st.fwd = congest.Grow(st.fwd, n)
 
 	st.bcast = floodProto{nw: nw, t: t, st: st, items: items, k: k}
-	_, err := nw.Run(&st.bcast, t.Height+k+4+n)
+	st.bcast.start[0] = int32(t.Root)
+	_, err := nw.RunFrom(&st.bcast, st.bcast.start[:], t.Height+k+4+n, false)
 	st.bcast.items = nil
 	if err != nil {
 		return nil, fmt.Errorf("broadcast: broadcast: %w", err)
@@ -391,33 +375,29 @@ type floodProto struct {
 	st    *bcastState
 	items []Item
 	k     int
+	start [1]int32 // the round-0 set: the root
 }
 
-// Step implements congest.Proto.
+// Step implements congest.Proto. The root stays live until it has sent all
+// k items; any other node forwards what it receives and stays live only
+// while it is behind.
 func (p *floodProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
 	st, t := p.st, p.t
-	for _, m := range in {
-		if m.Kind != kindFlood {
-			continue
-		}
-		st.recvd[v] = append(st.recvd[v], Item{m.A, m.B, m.C})
-	}
-	var src []Item
+	st.got[v] += int32(len(in)) // every message of the flood is one item
+	have := st.got[v]
 	if v == t.Root {
-		src = p.items
-	} else {
-		src = st.recvd[v]
+		have = int32(p.k)
 	}
 	b := p.nw.Bandwidth
-	for b > 0 && int(st.fwd[v]) < len(src) {
-		it := src[st.fwd[v]]
+	for b > 0 && st.fwd[v] < have {
+		it := p.items[st.fwd[v]]
 		st.fwd[v]++
 		for _, c := range t.Children[v] {
 			send(congest.Message{To: c, Kind: kindFlood, A: it.A, B: it.B, C: it.C})
 		}
 		b--
 	}
-	return int(st.fwd[v]) >= p.k && (v == t.Root || len(st.recvd[v]) >= p.k)
+	return st.fwd[v] >= have
 }
 
 // AllToAll implements Lemma A.2 generalized to multiple items per node:

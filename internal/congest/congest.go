@@ -23,9 +23,10 @@
 // delivery moves double-buffered flat message arenas through a two-pass
 // counting sort keyed on receiver (zero allocations per message in steady
 // state), rounds step only the active nodes (non-terminated or with a
-// non-empty inbox), and both the step and delivery phases shard across a
-// worker pool when Parallel is set, with per-shard statistics merged at
-// round end so results are bit-identical to sequential execution.
+// non-empty inbox), a run may start from a sparse round-0 set (RunFrom), and
+// both the step and delivery phases shard across a worker pool when
+// Parallel is set, with per-shard statistics merged at round end so results
+// are bit-identical to sequential execution.
 package congest
 
 import (
@@ -93,8 +94,11 @@ func (nw *Network) EffectiveMinShardNodes() int {
 // (it is always woken by an incoming message, and skipped nodes never miss
 // one). A node that must act spontaneously at a future round — without
 // being triggered by a message — must keep returning false until that round
-// has passed. Every protocol in this repository already follows that
-// discipline; it is the natural reading of "returns true when terminated".
+// has passed, and may return true once its last spontaneous send is done.
+// RunFrom applies the same rule to round 0: a node left out of the round-0
+// set is treated as terminated with an empty inbox, so stepping it in round
+// 0 must send nothing and return true. Builds with -tags matcheck check
+// this (ErrRoundZero).
 //
 // Step for node v must only read and write state belonging to v (protocols
 // keep per-node state in slices indexed by node id); the engine may execute
@@ -164,9 +168,11 @@ type Network struct {
 	// OnRound, when set, is invoked after every simulated round with a
 	// monotonically increasing round sequence number and the number of
 	// messages delivered into that round's inboxes. The sequence number
-	// counts simulated rounds (it can differ slightly from Stats.Rounds,
-	// which follows the paper's charged schedules). It powers the -trace
-	// output of cmd/apsp; the hook must not call back into the network.
+	// counts simulated rounds, which can fall far below Stats.Rounds: the
+	// latter follows the paper's charged schedules, and a fixed-budget run
+	// (RunFor) is charged its whole budget even when every node has
+	// terminated early. It powers the -trace output of cmd/apsp; the hook
+	// must not call back into the network.
 	OnRound func(round int, delivered int)
 
 	roundSeq int // monotonic simulated-round counter for OnRound
@@ -441,6 +447,23 @@ func (e *ErrNotALink) Error() string {
 	return fmt.Sprintf("congest: node %d sent to %d at round %d but they share no link", e.From, e.To, e.Round)
 }
 
+// ErrRoundZero is returned, in builds with -tags matcheck only, when a node
+// left out of a run's round-0 set would have acted in round 0: stepped once
+// with an empty inbox, it sent a message (Sent) or did not terminate.
+type ErrRoundZero struct {
+	Node int
+	Sent bool
+}
+
+// Error describes how the left-out node broke the round-0 rule.
+func (e *ErrRoundZero) Error() string {
+	what := "stayed live"
+	if e.Sent {
+		what = "sent a message"
+	}
+	return fmt.Sprintf("congest: node %d is not in the round-0 set but %s in round 0", e.Node, what)
+}
+
 // shard is one worker's slice of the engine state. Senders are partitioned
 // across shards in contiguous id ranges, so everything written here during
 // a round is owned by exactly one goroutine.
@@ -480,9 +503,10 @@ type engine struct {
 	n       int
 	workers int
 
-	done   []bool
+	done   []bool  // set by each step, read only for nodes stepped this round: never reset
 	active []int32 // sorted ids stepped this round
 	next   []int32 // active list under construction for next round
+	all    []int32 // 0..n-1: the round-0 set of Run and RunFor
 
 	// Inbox views into inArena: node v's inbox this round is
 	// inArena[inStart[v]:inEnd[v]], valid iff inStamp[v] == stamp.
@@ -502,6 +526,9 @@ type engine struct {
 	touched []int32 // deduplicated receivers this round, in shard order
 
 	capped cappedProto // reusable RunFor wrapper (avoids one alloc per run)
+
+	guardSent bool          // matcheck round-0 guard: the stepped node sent
+	guardSend func(Message) // bound once; records a send in guardSent
 }
 
 func (e *engine) ensure(n, links, workers int) {
@@ -519,6 +546,7 @@ func (e *engine) ensure(n, links, workers int) {
 		e.touched = make([]int32, 0, n)
 		e.shards = nil
 		e.stamp = 0
+		e.guardSend = func(Message) { e.guardSent = true }
 	}
 	if len(e.shards) < workers {
 		e.shards = append(e.shards, make([]shard, workers-len(e.shards))...)
@@ -549,13 +577,52 @@ func (e *engine) ensure(n, links, workers int) {
 // concurrently on the same Network or reentrantly from an OnRound hook or a
 // protocol Step. Build one Network per goroutine for concurrent experiments.
 func (nw *Network) Run(p Proto, maxRounds int) (int, error) {
-	return nw.run(p, maxRounds, -1)
+	return nw.RunFrom(p, nw.allNodes(), maxRounds, false)
+}
+
+// allNodes returns 0..n-1, the round-0 set of Run and RunFor.
+func (nw *Network) allNodes() []int32 {
+	e := &nw.eng
+	if len(e.all) != nw.G.N {
+		e.all = make([]int32, nw.G.N)
+		for v := range e.all {
+			e.all[v] = int32(v)
+		}
+	}
+	return e.all
+}
+
+// RunFrom is the engine's entry point; Run and RunFor are RunFrom from
+// every node. start is the round-0 set, as strictly ascending node ids: only
+// these nodes step in round 0. Every other node starts as terminated with an
+// empty inbox and first steps when mail reaches it, the rule the engine
+// applies to every node after round 0 (see Proto). For a protocol that keeps
+// that rule the run delivers the same messages and adds the same Stats as a
+// start from every node, while its cost follows the nodes that act; only an
+// empty round-0 set differs, simulating no round at all. With fixed false
+// the run goes on until global termination or maxRounds rounds and charges
+// the rounds it simulated (Run); with fixed true it charges exactly
+// maxRounds rounds (RunFor). It returns the rounds charged.
+func (nw *Network) RunFrom(p Proto, start []int32, maxRounds int, fixed bool) (int, error) {
+	if !fixed {
+		return nw.run(p, start, maxRounds, -1)
+	}
+	before := nw.Stats.Rounds
+	c := &nw.eng.capped
+	c.p, c.budget = p, maxRounds
+	_, err := nw.run(c, start, maxRounds+1, maxRounds-1)
+	c.p = nil // drop the protocol reference once the run is over
+	if err != nil {
+		return 0, err
+	}
+	nw.Stats.Rounds = before + maxRounds
+	return maxRounds, nil
 }
 
 // run is the engine proper. Sends made in round dropRound are validated but
 // neither delivered nor counted (RunFor's final-round drop); -1 disables
 // dropping. A Network supports one run at a time.
-func (nw *Network) run(p Proto, maxRounds, dropRound int) (int, error) {
+func (nw *Network) run(p Proto, start []int32, maxRounds, dropRound int) (int, error) {
 	n := nw.G.N
 	workers := 1
 	if nw.Parallel {
@@ -570,12 +637,18 @@ func (nw *Network) run(p Proto, maxRounds, dropRound int) (int, error) {
 	e := &nw.eng
 	e.ensure(n, len(nw.nbrs), workers)
 	e.stamp++ // invalidate inbox views from any previous run
-	for v := range e.done {
-		e.done[v] = false
+	last := int32(-1)
+	for _, v := range start {
+		if v <= last || int(v) >= n {
+			return 0, fmt.Errorf("congest: round-0 set must be ascending node ids below %d", n)
+		}
+		last = v
 	}
-	e.active = e.active[:0]
-	for v := 0; v < n; v++ {
-		e.active = append(e.active, int32(v))
+	e.active = append(e.active[:0], start...)
+	if checkRoundZero && len(start) < n {
+		if err := e.guardRoundZero(p, start); err != nil {
+			return 0, err
+		}
 	}
 
 	minShard := nw.MinShardNodes
@@ -742,6 +815,25 @@ func (nw *Network) run(p Proto, maxRounds, dropRound int) (int, error) {
 	return rounds, fmt.Errorf("congest: protocol did not terminate within %d rounds", maxRounds)
 }
 
+// guardRoundZero steps every node left out of the round-0 set once, in
+// round 0 with an empty inbox, and fails the run if one of them sends or
+// stays live: such a node would have acted in a start from every node, so
+// leaving it out would change the run. Only -tags matcheck builds call it.
+func (e *engine) guardRoundZero(p Proto, start []int32) error {
+	j := 0
+	for v := 0; v < e.n; v++ {
+		if j < len(start) && int(start[j]) == v {
+			j++
+			continue
+		}
+		e.guardSent = false
+		if done := p.Step(v, 0, nil, e.guardSend); !done || e.guardSent {
+			return &ErrRoundZero{Node: v, Sent: e.guardSent}
+		}
+	}
+	return nil
+}
+
 // mergeDedup merges the two sorted runs buf[:mid] and buf[mid:] into out
 // (which must be empty with adequate capacity), dropping duplicates.
 func mergeDedup(buf []int32, mid int, out []int32) []int32 {
@@ -860,16 +952,8 @@ func placeShard(e *engine, sh *shard) {
 // neither delivered nor counted in Stats — but exactly k rounds are charged
 // either way, matching the fixed schedules in the paper.
 func (nw *Network) RunFor(p Proto, k int) error {
-	before := nw.Stats.Rounds
-	c := &nw.eng.capped
-	c.p, c.budget = p, k
-	_, err := nw.run(c, k+1, k-1)
-	c.p = nil // drop the protocol reference once the run is over
-	if err != nil {
-		return err
-	}
-	nw.Stats.Rounds = before + k
-	return nil
+	_, err := nw.RunFrom(p, nw.allNodes(), k, true)
+	return err
 }
 
 type cappedProto struct {

@@ -30,7 +30,7 @@ import (
 // schedules); WallMS and Allocs are host-side observations.
 type StageTiming struct {
 	Name   string  // stage name as it appears in EXPERIMENTS.json rows
-	Rounds int     // simulated CONGEST rounds charged by the stage
+	Rounds int     // CONGEST rounds charged by the stage
 	WallMS float64 // host wall-clock spent in the stage
 	Allocs uint64  // heap allocations performed during the stage
 	// Exec is the execution-mode decision trace: "seq" or "sharded" — per

@@ -15,6 +15,7 @@ package csssp
 
 import (
 	"fmt"
+	"slices"
 
 	"congestapsp/internal/bford"
 	"congestapsp/internal/congest"
@@ -272,6 +273,21 @@ func (c *Collection) ChildIDs(i, v int) []int32 {
 	return c.chIds[i][off[v]:off[v+1]]
 }
 
+// appendMembers appends the nodes of tree i as built (Depth >= 0) to dst,
+// ascending, removed nodes included: the round-0 set of the per-tree
+// protocols, since a node outside it never acts in them. It scans the depth
+// row rather than reading a stored list, which would add up to n int32s
+// per tree to every collection a run builds.
+func (c *Collection) appendMembers(dst []int32, i int) []int32 {
+	dst = slices.Grow(dst, len(c.Depth[i]))
+	for v, d := range c.Depth[i] {
+		if d >= 0 {
+			dst = append(dst, int32(v))
+		}
+	}
+	return dst
+}
+
 // Children materializes the child lists of tree i, respecting removals. It
 // allocates per call; protocol hot paths use ChildIDs plus a Removed check
 // instead.
@@ -365,43 +381,22 @@ func (c *Collection) PathVertices(i, leaf int) []int {
 // The per-tree floods are independent (tree i's flood reads and writes only
 // Removed[i]), so they dispatch across the work-stealing worker clones when
 // nw.Parallel is set; the merged stats are exact commutative sums, so they
-// match the sequential schedule bit for bit.
+// match the sequential schedule bit for bit. Each flood starts from the
+// tree's members.
 func (c *Collection) RemoveSubtrees(nw *congest.Network, inZ []bool, excludeRoots bool) error {
 	return nw.ShardRuns(len(c.Sources), func(w *congest.Network, i int) error {
-		// Snapshot the pre-flood (removal-filtered) child lists into the
-		// worker's arena: the flood marks removals while it runs, but — like
-		// the materialized lists it replaces — must keep flooding over the
-		// tree as it stood when the flood started.
-		sc := w.Scratch()
-		n := c.G.N
-		off := sc.Int32s(n + 1)
-		for v := 0; v < n; v++ {
-			if c.InTree(i, v) {
-				if p := c.Parent[i][v]; p >= 0 {
-					off[p+1]++
+		p := congest.ScratchState(w.Scratch(), removeKey{}, func() *removeProto { return new(removeProto) })
+		*p = removeProto{c: c, i: i, root: c.Sources[i], inZ: inZ, excludeRoots: excludeRoots,
+			gone: w.Scratch().Bools(c.G.N), start: c.appendMembers(p.start[:0], i)}
+		_, err := w.RunFrom(p, p.start, c.H+1, true)
+		if err == nil {
+			for _, v := range p.start {
+				if p.gone[v] {
+					c.Removed[i][v] = true
 				}
 			}
 		}
-		for v := 0; v < n; v++ {
-			off[v+1] += off[v]
-		}
-		ids := sc.Int32s(int(off[n]))
-		fill := sc.Int32s(n)
-		copy(fill, off[:n])
-		for v := 0; v < n; v++ {
-			if c.InTree(i, v) {
-				if p := c.Parent[i][v]; p >= 0 {
-					ids[fill[p]] = int32(v)
-					fill[p]++
-				}
-			}
-		}
-		p := congest.ScratchState(sc, removeKey{}, func() *removeProto { return new(removeProto) })
-		p.c, p.i, p.root = c, i, c.Sources[i]
-		p.inZ, p.excludeRoots = inZ, excludeRoots
-		p.off, p.ids = off, ids
-		err := w.RunFor(p, c.H+1)
-		p.c, p.inZ, p.off, p.ids = nil, nil, nil, nil
+		p.c, p.inZ, p.gone = nil, nil, nil
 		if err != nil {
 			return fmt.Errorf("csssp: remove-subtrees tree %d: %w", i, err)
 		}
@@ -415,37 +410,45 @@ type removeKey struct{}
 
 // removeProto is the Remove-Subtrees flood as a reusable per-network
 // protocol (pooled via congest.ScratchState), so the per-commit floods of
-// the blocker construction allocate nothing in steady state.
+// the blocker construction allocate nothing in steady state. The flood
+// records the nodes it removes in gone and RemoveSubtrees applies them to
+// Removed[i] when it ends, so while it runs Removed[i] still describes the
+// tree as it stood when the flood started — the tree the flood walks.
 type removeProto struct {
 	c            *Collection
 	i, root      int
 	inZ          []bool
 	excludeRoots bool
-	off, ids     []int32 // pre-flood child CSR snapshot
+	gone         []bool
+	start        []int32 // the round-0 set: the tree's members
 }
 
-// Step implements congest.Proto.
+// Step implements congest.Proto. Only round 0 acts spontaneously; after it
+// the flood is message-driven, so every node returns true.
 func (p *removeProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
-	c, i := p.c, p.i
 	if round == 0 {
-		if p.inZ[v] && c.InTree(i, v) && !(p.excludeRoots && v == p.root) {
-			c.Removed[i][v] = true
-			for _, w := range p.ids[p.off[v]:p.off[v+1]] {
-				send(congest.Message{To: int(w), Kind: kindRemove})
-			}
+		if p.inZ[v] && p.c.InTree(p.i, v) && !(p.excludeRoots && v == p.root) {
+			p.remove(v, send)
 		}
-		return !p.inZ[v]
+		return true
 	}
 	for _, m := range in {
-		if m.Kind != kindRemove || c.Removed[i][v] {
-			continue
-		}
-		c.Removed[i][v] = true
-		for _, w := range p.ids[p.off[v]:p.off[v+1]] {
-			send(congest.Message{To: int(w), Kind: kindRemove})
+		if m.Kind == kindRemove && !p.gone[v] {
+			p.remove(v, send)
 		}
 	}
 	return true
+}
+
+// remove takes v out of the tree and floods the notice to its children in
+// the pre-flood tree.
+func (p *removeProto) remove(v int, send func(congest.Message)) {
+	p.gone[v] = true
+	for _, w := range p.c.ChildIDs(p.i, v) {
+		if !p.c.Removed[p.i][w] {
+			send(congest.Message{To: int(w), Kind: kindRemove})
+		}
+	}
 }
 
 // UpcastSum runs the Compute-Count convergecast of Algorithm 14
@@ -465,22 +468,26 @@ func (c *Collection) UpcastSum(nw *congest.Network, i int, init []int64) ([]int6
 // UpcastSumInto is UpcastSum writing the per-node sums into acc (length n),
 // so callers that loop over trees — the blocker score recomputations run
 // one upcast per tree per commit — reuse their own storage instead of
-// allocating a fresh vector per tree. init and acc may be arena-backed.
+// allocating a fresh vector per tree. init and acc may be arena-backed. The
+// convergecast starts from the tree's members.
 func (c *Collection) UpcastSumInto(nw *congest.Network, i int, init, acc []int64) error {
 	n := c.G.N
 	if len(acc) != n {
 		return fmt.Errorf("csssp: upcast tree %d: acc length %d != n %d", i, len(acc), n)
 	}
-	for v := 0; v < n; v++ {
-		if c.InTree(i, v) {
-			acc[v] = init[v]
-		} else {
-			acc[v] = 0
-		}
-	}
 	p := congest.ScratchState(nw.Scratch(), upcastKey{}, func() *upcastProto { return new(upcastProto) })
 	p.c, p.i, p.acc = c, i, acc
-	err := nw.RunFor(p, c.H+1)
+	p.start = slices.Grow(p.start[:0], n)
+	for v, d := range c.Depth[i] {
+		acc[v] = 0
+		if d >= 0 {
+			p.start = append(p.start, int32(v))
+			if !c.Removed[i][v] {
+				acc[v] = init[v]
+			}
+		}
+	}
+	_, err := nw.RunFrom(p, p.start, c.H+1, true)
 	p.c, p.acc = nil, nil
 	if err != nil {
 		return fmt.Errorf("csssp: upcast tree %d: %w", i, err)
@@ -495,12 +502,15 @@ type upcastKey struct{}
 // upcastProto is the Compute-Count convergecast as a reusable per-network
 // protocol (pooled via congest.ScratchState).
 type upcastProto struct {
-	c   *Collection
-	i   int
-	acc []int64
+	c     *Collection
+	i     int
+	acc   []int64
+	start []int32 // the round-0 set: the tree's members
 }
 
-// Step implements congest.Proto.
+// Step implements congest.Proto. A member at depth d sends at round H-d,
+// when the sums of its children (sent at round H-d-1) have all arrived, and
+// stays live only until then.
 func (p *upcastProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
 	c, i, h := p.c, p.i, p.c.H
 	for _, m := range in {
@@ -508,12 +518,14 @@ func (p *upcastProto) Step(v, round int, in []congest.Message, send func(congest
 			p.acc[v] += m.A
 		}
 	}
-	if c.InTree(i, v) {
-		if d := c.Depth[i][v]; d > 0 && round == h-d {
-			send(congest.Message{To: c.Parent[i][v], Kind: kindCount, A: p.acc[v]})
-		}
+	if !c.InTree(i, v) {
+		return true
 	}
-	return round >= h
+	d := c.Depth[i][v]
+	if d > 0 && round == h-d {
+		send(congest.Message{To: c.Parent[i][v], Kind: kindCount, A: p.acc[v]})
+	}
+	return round >= h-d
 }
 
 // ResetRemovals restores every tree to its as-built state (all removal

@@ -161,8 +161,10 @@ type Options struct {
 	// SkipLastHops disables the final last-edge resolution pass.
 	SkipLastHops bool
 	// OnRound, when set, is invoked after every simulated CONGEST round
-	// with the cumulative round index and the number of messages delivered
-	// that round (tracing/profiling hook).
+	// with the run's simulated-round sequence number (0, 1, 2, ...) and the
+	// number of messages delivered that round (tracing/profiling hook).
+	// Simulated rounds can fall far below Stats.Rounds: fixed schedules are
+	// charged in full even when every node has terminated early.
 	OnRound func(round, delivered int)
 	// Sources, when non-nil, restricts the output to shortest paths FROM
 	// these sources (partial APSP): Dist rows for other vertices are nil,
@@ -176,7 +178,7 @@ type Options struct {
 type StepRounds = core.StepRounds
 
 // StageTiming is the per-stage cost record of the staged pipeline
-// executor: the stage name, the simulated rounds it charged
+// executor: the stage name, the CONGEST rounds it charged
 // (deterministic), and the host wall-clock and heap allocations it
 // consumed.
 type StageTiming = core.StageTiming
