@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"syscall"
 	"testing"
 
 	"congestapsp/internal/bford"
@@ -568,11 +567,7 @@ func updatableRunner(g *apsp.Graph, opt apsp.Options) (*apsp.Runner, apsp.EdgeUp
 // worker fleet) is built and warmed outside the timer, so the measured
 // iterations are pure re-runs — the steady state a session serving
 // repeated traffic on one graph lives in. Compare against the cold
-// BenchmarkAPSPPipeline rows at the same n for the cold-start cost. The
-// mode axis covers the planner: the discarded warm-up run doubles as its
-// calibration run, so the measured planner iterations execute the
-// cost-model plan — on a multi-core host the acceptance bar is planner ≤
-// best of {seq, sharded} at the same n.
+// BenchmarkAPSPPipeline rows at the same n for the cold-start cost.
 func BenchmarkAPSPPipelineWarm(b *testing.B) {
 	for _, n := range []int{128, 256, 512} {
 		g := apsp.RandomGraph(apsp.GenOptions{N: n, Directed: true, Seed: int64(n), MaxWeight: 50}, 4*n)
@@ -582,7 +577,6 @@ func BenchmarkAPSPPipelineWarm(b *testing.B) {
 		}{
 			{"seq", apsp.Options{SkipLastHops: true}},
 			{"sharded", apsp.Options{SkipLastHops: true, Parallel: true}},
-			{"planner", apsp.Options{SkipLastHops: true, Planner: true}},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", m.name, n), func(b *testing.B) {
 				r, err := apsp.NewRunner(g)
@@ -605,55 +599,5 @@ func BenchmarkAPSPPipelineWarm(b *testing.B) {
 				b.ReportMetric(rounds, "rounds")
 			})
 		}
-	}
-}
-
-// BenchmarkAPSPPipelineTiled is the budgeted counterpart of the warm seq
-// rows: the same graph computed with a MemoryBudget at a quarter of the
-// flat distance matrix's footprint, forcing the tiled spillable backend
-// (LRU-resident row tiles, CRC-framed spill file). Alongside wall and
-// allocs it reports the process peak RSS — the quantity the budget caps —
-// so BENCH_apsp.json records what tiling costs and what it saves.
-func BenchmarkAPSPPipelineTiled(b *testing.B) {
-	for _, n := range []int{256, 512} {
-		g := apsp.RandomGraph(apsp.GenOptions{N: n, Directed: true, Seed: int64(n), MaxWeight: 50}, 4*n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r, err := apsp.NewRunner(g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opt := apsp.Options{
-				SkipLastHops: true,
-				MemoryBudget: int64(n) * int64(n) * 8 / 4,
-				SpillDir:     b.TempDir(),
-			}
-			warm, err := r.Run(opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !warm.Budgeted() {
-				b.Fatal("budget did not select the tiled backend")
-			}
-			warm.Release()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var rounds float64
-			for i := 0; i < b.N; i++ {
-				res, err := r.Run(opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds = float64(res.Stats.Rounds)
-				if err := res.Release(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(rounds, "rounds")
-			var ru syscall.Rusage
-			if syscall.Getrusage(syscall.RUSAGE_SELF, &ru) == nil {
-				b.ReportMetric(float64(ru.Maxrss), "peak-rss-kb")
-			}
-		})
 	}
 }

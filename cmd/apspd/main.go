@@ -41,7 +41,6 @@ func main() {
 		maxBatch = flag.Int("max-batch", 4096, "max pairs/updates per request")
 		maxN     = flag.Int("max-n", 4096, "max vertices per loaded graph")
 		parallel = flag.Bool("parallel", false, "run pooled computations on the parallel execution mode")
-		planner  = flag.Bool("planner", false, "pick seq vs sharded per pipeline stage from the execution planner's cost model (overrides -parallel per stage)")
 		maxBytes = flag.Int64("max-bytes", 0, "approximate pool byte budget: evict warm Runners beyond it (0 = entry-count LRU only)")
 		dataDir  = flag.String("data-dir", "", "durability root: journal + checkpoint graphs here, recover on boot (empty = in-memory only)")
 		fsync    = flag.String("fsync", "always", "journal sync policy: always (sync before ack) or interval (timer-batched)")
@@ -56,7 +55,6 @@ func main() {
 		MaxBatch:  *maxBatch,
 		MaxGraphN: *maxN,
 		Parallel:  *parallel,
-		Planner:   *planner,
 		MaxBytes:  *maxBytes,
 	})
 

@@ -42,7 +42,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"congestapsp/internal/graph"
@@ -57,11 +56,10 @@ func main() {
 		sizesFlag      = flag.String("sizes", "64,128", "comma-separated vertex counts (ignored for explicit scenario names)")
 		seedsFlag      = flag.String("seeds", "1", "comma-separated generator seeds (ignored for explicit scenario names)")
 		algorithmsFlag = flag.String("algorithms", "det43,det32,rand43,bcast6", "comma-separated algorithm profiles")
-		execFlag       = flag.String("exec", "seq,sharded", "execution modes: seq, sharded (source-sharded worker pool), planner (per-stage seq-vs-sharded from the cost model)")
+		execFlag       = flag.String("exec", "seq,sharded", "execution modes: seq, sharded (source-sharded worker pool)")
 		check          = flag.Bool("check", false, "validate every distance matrix against the Floyd-Warshall oracle")
-		checkSamples   = flag.Int("check-samples", 0, "with -check, validate this many sampled source rows against on-demand Dijkstra instead of the full Floyd-Warshall matrix (the O(n²)-memory oracle big-n budgeted runs cannot afford)")
-		memBudget      = flag.Int64("memory-budget", 0, "resident-byte budget for result matrices: runs whose flat Dist(+LastHop) footprint exceeds it use the tiled spillable backend (0 = always flat)")
-		skipLastHops   = flag.Bool("skip-lasthops", false, "skip the stage-8 last-edge pass (distances only); big-n budgeted runs use this to drop both the n² last-hop table and stage 8's L·n neighbor-distance working set")
+		checkSamples   = flag.Int("check-samples", 0, "with -check, validate this many sampled source rows against on-demand Dijkstra instead of the full Floyd-Warshall matrix (the O(n²)-memory oracle big-n runs cannot afford)")
+		skipLastHops   = flag.Bool("skip-lasthops", false, "skip the stage-8 last-edge pass (distances only); big-n runs use this to drop both the n² last-hop table and stage 8's L·n neighbor-distance working set")
 		jsonPath       = flag.String("json", "EXPERIMENTS.json", "JSON output path (empty to skip)")
 		csvPath        = flag.String("csv", "", "CSV output path (empty to skip)")
 		quiet          = flag.Bool("q", false, "suppress per-cell progress on stderr")
@@ -150,7 +148,7 @@ func main() {
 		}
 		for _, mode := range execModes {
 			wctx, cancel := cellCtx()
-			warm, err := runner.RunContext(wctx, cellOptions(algorithms[0], mode, sc.Seed, *memBudget, *skipLastHops))
+			_, err := runner.RunContext(wctx, cellOptions(algorithms[0], mode, sc.Seed, *skipLastHops))
 			cancel()
 			switch {
 			case ctx.Err() != nil:
@@ -160,15 +158,13 @@ func main() {
 				// would too, but let the per-cell path report each skip.
 			case err != nil:
 				log.Fatal(err)
-			default:
-				warm.Release()
 			}
 		}
 		for _, alg := range algorithms {
 			byMode := make(map[string]row, len(execModes))
 			for _, mode := range execModes {
 				wctx, cancel := cellCtx()
-				r, err := runCell(wctx, sc, runner, alg, mode, *memBudget, *skipLastHops, oracle)
+				r, err := runCell(wctx, sc, runner, alg, mode, *skipLastHops, oracle)
 				cancel()
 				if err != nil {
 					if ctx.Err() != nil {
@@ -191,9 +187,9 @@ func main() {
 				}
 			}
 			// Every execution mode must be bit-identical on every distributed
-			// column (DESIGN.md §2.5; the planner only re-routes host work).
-			// Whenever the sweep ran more than one mode, enforce it pairwise
-			// against the first mode that produced a row.
+			// column (DESIGN.md §2.5). Whenever the sweep ran more than one
+			// mode, enforce it pairwise against the first mode that produced
+			// a row.
 			refMode := ""
 			for _, mode := range execModes {
 				r, ok := byMode[mode]
@@ -236,29 +232,23 @@ type row struct {
 	Allocs            uint64     `json:"allocs"`
 	AllocBytes        uint64     `json:"alloc_bytes"`
 	Checked           bool       `json:"checked"`
-	Budgeted          bool       `json:"budgeted,omitempty"`
-	PeakRSSKB         int64      `json:"peak_rss_kb,omitempty"`
 	Stages            []stageCol `json:"stages"`
 }
 
 // stageCol is one executed pipeline stage within a row: rounds are
-// deterministic (a distributed column), wall-clock is host cost, exec is
-// the seq-vs-sharded decision the stage ran under.
+// deterministic (a distributed column), wall-clock is host cost.
 type stageCol struct {
 	Name   string  `json:"name"`
 	Rounds int     `json:"rounds"`
 	WallMS float64 `json:"wall_ms"`
-	Exec   string  `json:"exec,omitempty"`
 }
 
 // cellOptions maps one sweep cell onto run options (shared by the warm-up
-// and recorded cells so both exercise the same backend and exec mode).
-func cellOptions(alg apsp.Algorithm, mode string, seed, memBudget int64, skipLastHops bool) apsp.Options {
+// and recorded cells so both exercise the same exec mode).
+func cellOptions(alg apsp.Algorithm, mode string, seed int64, skipLastHops bool) apsp.Options {
 	return apsp.Options{
 		Algorithm:    alg,
 		Parallel:     mode == "sharded",
-		Planner:      mode == "planner",
-		MemoryBudget: memBudget,
 		SkipLastHops: skipLastHops,
 		Seed:         seed,
 	}
@@ -267,11 +257,11 @@ func cellOptions(alg apsp.Algorithm, mode string, seed, memBudget int64, skipLas
 // runCell executes one sweep cell on the scenario's warm Runner under the
 // cell's context (deadline and SIGINT) and, when oracle is non-nil,
 // validates the distances against it.
-func runCell(ctx context.Context, sc apsp.Scenario, runner *apsp.Runner, alg apsp.Algorithm, mode string, memBudget int64, skipLastHops bool, oracle func(*apsp.Result) error) (row, error) {
+func runCell(ctx context.Context, sc apsp.Scenario, runner *apsp.Runner, alg apsp.Algorithm, mode string, skipLastHops bool, oracle func(*apsp.Result) error) (row, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	res, err := runner.RunContext(ctx, cellOptions(alg, mode, sc.Seed, memBudget, skipLastHops))
+	res, err := runner.RunContext(ctx, cellOptions(alg, mode, sc.Seed, skipLastHops))
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {
@@ -287,9 +277,9 @@ func runCell(ctx context.Context, sc apsp.Scenario, runner *apsp.Runner, alg aps
 	s := res.Stats
 	stages := make([]stageCol, len(s.Stages))
 	for i, st := range s.Stages {
-		stages[i] = stageCol{Name: st.Name, Rounds: st.Rounds, WallMS: st.WallMS, Exec: st.Exec}
+		stages[i] = stageCol{Name: st.Name, Rounds: st.Rounds, WallMS: st.WallMS}
 	}
-	r := row{
+	return row{
 		Scenario:          sc.Name(),
 		Family:            sc.Family,
 		N:                 s.N,
@@ -307,28 +297,8 @@ func runCell(ctx context.Context, sc apsp.Scenario, runner *apsp.Runner, alg aps
 		Allocs:            after.Mallocs - before.Mallocs,
 		AllocBytes:        after.TotalAlloc - before.TotalAlloc,
 		Checked:           checked,
-		Budgeted:          res.Budgeted(),
 		Stages:            stages,
-	}
-	if r.Budgeted {
-		// Record the process peak RSS for budgeted cells: the scaling claim
-		// is precisely that this stays under the flat matrices' footprint.
-		r.PeakRSSKB = peakRSSKB()
-	}
-	if err := res.Release(); err != nil {
-		return row{}, fmt.Errorf("release: %w", err)
-	}
-	return r, nil
-}
-
-// peakRSSKB reads the process's high-water resident set via getrusage
-// (kilobytes on Linux).
-func peakRSSKB() int64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
-	}
-	return int64(ru.Maxrss)
+	}, nil
 }
 
 // diffDistributedColumns compares the columns that must not depend on the
@@ -368,10 +338,9 @@ func diffDistributedColumns(seq, sharded row) error {
 // full Floyd-Warshall matrix (exact, all pairs, all cells). With samples >
 // 0 it instead draws that many sources (deterministically from the
 // scenario seed) and validates their full rows against on-demand Dijkstra
-// — O(samples · m log n) time and O(n) oracle memory, which is what lets a
-// budgeted n=4096 run oracle-check at all where the O(n²) Floyd-Warshall
-// tables would dwarf the memory budget under test. Results are read
-// through the accessor surface so both the flat and tiled backends check.
+// — O(samples · m log n) time and O(n) oracle memory, which is what lets an
+// n=4096 run oracle-check at all without a second set of O(n²)
+// Floyd-Warshall tables.
 func oracleFor(g *apsp.Graph, samples int, seed int64) func(*apsp.Result) error {
 	og := graph.New(g.N(), g.Directed())
 	g.Edges(func(u, v int, w int64) { og.MustAddEdge(u, v, w) })
@@ -380,7 +349,7 @@ func oracleFor(g *apsp.Graph, samples int, seed int64) func(*apsp.Result) error 
 		return func(res *apsp.Result) error {
 			for x := range oracle {
 				for t := range oracle[x] {
-					if got := res.DistAt(x, t); got != oracle[x][t] {
+					if got := res.Dist[x][t]; got != oracle[x][t] {
 						return fmt.Errorf("distance mismatch at (%d,%d): got %d, oracle %d",
 							x, t, got, oracle[x][t])
 					}
@@ -403,7 +372,7 @@ func oracleFor(g *apsp.Graph, samples int, seed int64) func(*apsp.Result) error 
 				rows[src] = want
 			}
 			for t, w := range want {
-				if got := res.DistAt(src, t); got != w {
+				if got := res.Dist[src][t]; got != w {
 					return fmt.Errorf("distance mismatch at sampled (%d,%d): got %d, Dijkstra %d",
 						src, t, got, w)
 				}
@@ -468,8 +437,8 @@ func parseAlgorithms(s string) ([]apsp.Algorithm, error) {
 func parseExecModes(s string) ([]string, error) {
 	var out []string
 	for _, tok := range splitList(s) {
-		if tok != "seq" && tok != "sharded" && tok != "planner" {
-			return nil, fmt.Errorf("unknown exec mode %q (want seq|sharded|planner)", tok)
+		if tok != "seq" && tok != "sharded" {
+			return nil, fmt.Errorf("unknown exec mode %q (want seq|sharded)", tok)
 		}
 		out = append(out, tok)
 	}

@@ -32,13 +32,15 @@ type stageRounds struct {
 }
 
 // TestCommittedExperimentsOracle makes the committed EXPERIMENTS.json a
-// standing oracle: every n=64 sequential row is re-run through one warm
-// apsp.Runner per scenario with the row's algorithm and seed, and the
-// paper's measures — h, |Q|, rounds, messages, words, max node congestion
-// and each stage's rounds — must equal the committed values exactly. A
-// change that moves any of them must regenerate the file (scripts/bench.sh)
-// and explain why.
+// standing oracle: every n=64 row is re-run through one warm apsp.Runner
+// per scenario with the row's algorithm, seed and exec mode (sharded rows
+// with Parallel on, under forceWorkers so the worker fleet really runs),
+// and the paper's measures — h, |Q|, rounds, messages, words, max node
+// congestion and each stage's rounds — must equal the committed values
+// exactly. A change that moves any of them must regenerate the file
+// (scripts/bench.sh) and explain why.
 func TestCommittedExperimentsOracle(t *testing.T) {
+	defer forceWorkers(t)()
 	raw, err := os.ReadFile("EXPERIMENTS.json")
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +54,7 @@ func TestCommittedExperimentsOracle(t *testing.T) {
 	runners := map[string]*apsp.Runner{}
 	checked := 0
 	for _, want := range doc.Rows {
-		if want.N != 64 || want.Exec != "seq" {
+		if want.N != 64 {
 			continue
 		}
 		r := runners[want.Scenario]
@@ -74,9 +76,9 @@ func TestCommittedExperimentsOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Run(apsp.Options{Algorithm: alg, Seed: want.Seed})
+		res, err := r.Run(apsp.Options{Algorithm: alg, Seed: want.Seed, Parallel: want.Exec == "sharded"})
 		if err != nil {
-			t.Fatalf("%s %s: %v", want.Scenario, want.Algorithm, err)
+			t.Fatalf("%s %s %s: %v", want.Scenario, want.Algorithm, want.Exec, err)
 		}
 		s := res.Stats
 		got := want
@@ -87,12 +89,12 @@ func TestCommittedExperimentsOracle(t *testing.T) {
 			got.Stages = append(got.Stages, stageRounds{st.Name, st.Rounds})
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s %s:\n got       %+v\n committed %+v", want.Scenario, want.Algorithm, got, want)
+			t.Errorf("%s %s %s:\n got       %+v\n committed %+v", want.Scenario, want.Algorithm, want.Exec, got, want)
 		}
 		checked++
 	}
-	// 10 scenario families x 4 algorithm profiles.
-	if checked != 40 {
-		t.Errorf("checked %d committed n=64 seq rows, want 40", checked)
+	// 10 scenario families x 4 algorithm profiles x {seq, sharded}.
+	if checked != 80 {
+		t.Errorf("checked %d committed n=64 rows, want 80", checked)
 	}
 }

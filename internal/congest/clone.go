@@ -186,25 +186,6 @@ func (s *Stats) Add(o *Stats) {
 // ShardRuns call (Steps 3 and 7 of the pipeline, the q-sink SSSP pairs, the
 // per-commit blocker upcasts all share one fleet), so their engines and
 // scratch arenas stay warm: a steady-state sharded stage allocates nothing.
-// ArenaFootprint returns the high-water byte footprint of this network's
-// scratch arena plus those of its cached worker-clone fleet. Arenas are
-// grow-only, so the value is monotone; the serving layer folds it into the
-// approximate per-entry byte accounting of the warm-Runner pool.
-func (nw *Network) ArenaFootprint() int64 {
-	total := nw.scratch.Footprint()
-	for _, cl := range nw.fleet {
-		total += cl.scratch.Footprint()
-	}
-	return total
-}
-
-// HostWorkers is the cap on concurrent sub-run workers on this host
-// (GOMAXPROCS, the same bound ShardRuns applies before clamping to the
-// sub-run count). The execution planner gates every sharded decision on
-// HostWorkers() > 1, which is what makes it degenerate to all-seq on a
-// single-core host.
-func HostWorkers() int { return runtime.GOMAXPROCS(0) }
-
 func (nw *Network) ShardRuns(count int, fn func(w *Network, i int) error) error {
 	workers := 1
 	if nw.Parallel && nw.OnRound == nil {
@@ -295,6 +276,18 @@ func (nw *Network) ShardRuns(count int, fn func(w *Network, i int) error) error 
 		return nil
 	}
 	return nw.retrySequential(retry, fn)
+}
+
+// ArenaFootprint returns the high-water byte footprint of this network's
+// scratch arena plus those of its cached worker-clone fleet. Arenas are
+// grow-only, so the value is monotone; the serving layer folds it into the
+// approximate per-entry byte accounting of the warm-Runner pool.
+func (nw *Network) ArenaFootprint() int64 {
+	total := nw.scratch.Footprint()
+	for _, cl := range nw.fleet {
+		total += cl.scratch.Footprint()
+	}
+	return total
 }
 
 // subFailure records one panicked sub-run awaiting sequential retry.

@@ -67,17 +67,6 @@ func (m Message) cost() int {
 // sharding starts paying off around 512 active nodes per round.
 const defaultMinShardNodes = 512
 
-// EffectiveMinShardNodes reports the in-round sharding threshold this
-// network applies: the configured MinShardNodes or the engine default. It
-// is the planner hook core's per-stage cost model uses to predict whether a
-// single-protocol stage (Steps 4 and 8) would ever enter the sharded path.
-func (nw *Network) EffectiveMinShardNodes() int {
-	if nw.MinShardNodes > 0 {
-		return nw.MinShardNodes
-	}
-	return defaultMinShardNodes
-}
-
 // Proto is a distributed protocol expressed as a per-node step function.
 //
 // Step is invoked once per node per round, in increasing round order. in

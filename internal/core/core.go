@@ -81,26 +81,6 @@ type Options struct {
 	// (congest.Network.MinShardNodes; 0 = the engine default). Tests set 1
 	// to force every round through the sharded path.
 	MinShardNodes int
-	// Planner enables the adaptive per-stage execution planner (plan.go):
-	// each pipeline stage picks seq vs sharded from a deterministic cost
-	// model seeded by the session's calibration record, instead of the one
-	// global Parallel bool (which the planner overrides when set). The first
-	// run of a configuration on a cold session is an all-sequential
-	// calibration run. On single-core hosts the planner degenerates to
-	// all-seq. The decision trace lands in Result.Stages[i].Exec.
-	Planner bool
-	// MemoryBudget, when > 0, bounds the resident bytes of the run's result
-	// matrices: when the flat Dist(+LastHop) footprint exceeds it, the run
-	// stores them in the tiled spillable backend (internal/mat, DESIGN.md
-	// §13) and the Result exposes them through DistM/LastHopM instead of the
-	// dense slices. 0 keeps the zero-cost flat default. Budgeted runs are
-	// never snapshot-eligible (the snapshot would defeat the budget), so a
-	// following ApplyUpdates run recomputes cold. Partial runs (Sources set)
-	// always stay flat — their footprint is already |Sources| rows.
-	MemoryBudget int64
-	// SpillDir is where tiled matrices place their spill files ("" =
-	// os.TempDir()). Only consulted when MemoryBudget engages.
-	SpillDir string
 	// RetrySequential opts into graceful degradation on worker panics: a
 	// ShardRuns sub-run that panics is rewound and re-executed sequentially
 	// on a fresh clone after the fleet drains, and a fully-recovered run's
@@ -159,74 +139,14 @@ type Stats struct {
 // caller-owned — it stays valid after later runs on the same Session.
 type Result struct {
 	// Dist[x][t] = delta(x, t); graph.Inf when t is unreachable from x.
-	// Nil on a budgeted (tiled) run — read through DistM or DistAt instead.
 	Dist [][]int64
 	// LastHop[x][t] is the predecessor of t on a shortest x->t path (-1
-	// for t == x, unreachable pairs, or when SkipLastEdges was set). Nil on
-	// a budgeted run that resolved last edges — read through LastHopM.
+	// for t == x, unreachable pairs, or when SkipLastEdges was set).
 	LastHop [][]int
-	// DistM / LastHopM are set only on budgeted (tiled) runs, which are
-	// always full APSP: row index = source id. They hold spill files until
-	// Release is called.
-	DistM    mat.Int64M
-	LastHopM mat.IntM
-	Stats    Stats
+	Stats   Stats
 	// Stages is the per-stage cost breakdown recorded by the staged
 	// pipeline executor, in execution order (skipped stages are absent).
 	Stages []StageTiming
-}
-
-// DistAt returns delta(x, t) regardless of backend: the dense surface when
-// present, the tiled matrix otherwise.
-func (r *Result) DistAt(x, t int) int64 {
-	if r.Dist != nil {
-		return r.Dist[x][t]
-	}
-	return r.DistM.At(x, t)
-}
-
-// LastHopAt returns the x->t predecessor regardless of backend (-1 when
-// last edges were skipped).
-func (r *Result) LastHopAt(x, t int) int {
-	if r.LastHop != nil {
-		return r.LastHop[x][t]
-	}
-	if r.LastHopM != nil {
-		return r.LastHopM.At(x, t)
-	}
-	return -1
-}
-
-// Release frees the spill files a budgeted run's matrices hold; it is a
-// no-op for flat results. The Result's matrices must not be used after.
-func (r *Result) Release() error {
-	var err error
-	if r.DistM != nil {
-		err = r.DistM.Release()
-	}
-	if r.LastHopM != nil {
-		if e := r.LastHopM.Release(); err == nil {
-			err = e
-		}
-	}
-	return err
-}
-
-// tiledBudget resolves whether a run must honor a memory budget with tiled
-// matrices: returns the budget when the flat result footprint exceeds it,
-// 0 otherwise (flat storage). Partial runs always stay flat.
-func tiledBudget(opt Options, n int) int64 {
-	if opt.MemoryBudget <= 0 || opt.Sources != nil {
-		return 0
-	}
-	foot := int64(n) * int64(n) * 8
-	if !opt.SkipLastEdges {
-		foot *= 2
-	}
-	if foot <= opt.MemoryBudget {
-		return 0
-	}
-	return opt.MemoryBudget
 }
 
 // Run executes the selected APSP variant on g with a one-shot session.
@@ -288,21 +208,9 @@ func validateSources(sources []int, n int) ([]int, error) {
 // resolveLastEdges runs the final neighbor exchange: node u streams its
 // distance column delta(., u) to every out-neighbor, one source per round;
 // each t combines the received columns with its incident edge weights.
-// Distances are read and predecessors written through the backend-agnostic
-// matrix surfaces: when both are flat (the default) the accessors collapse
-// to direct dense indexing; a tiled run pays the per-access lock. Stage 8
-// only runs full APSP (Sources implies SkipLastEdges), so distM rows are
-// source-indexed.
-func resolveLastEdges(nw *congest.Network, g *graph.Graph, distM mat.Int64M, lhM mat.IntM) error {
+func resolveLastEdges(nw *congest.Network, g *graph.Graph, dist [][]int64) ([][]int, error) {
 	n := g.N
-	distAt := distM.At
-	if dense := distM.Dense(); dense != nil {
-		distAt = func(x, t int) int64 { return dense[x][t] }
-	}
-	setLH := lhM.Set
-	if lh := lhM.Dense(); lh != nil {
-		setLH = func(x, t, v int) { lh[x][t] = v }
-	}
+	lh := mat.NewIntFilled(n, n, -1).RowViews()
 	// Per-link state is indexed by (node, link index) through one flat
 	// offset table, so the whole pass costs a handful of allocations
 	// instead of one per node and per link.
@@ -359,7 +267,7 @@ func resolveLastEdges(nw *congest.Network, g *graph.Graph, distM mat.Int64M, lhM
 	settle := func(t, x int, pred int) {
 		settled[t][x] = true
 		if pred >= 0 {
-			setLH(x, t, pred)
+			lh[x][t] = pred
 		}
 		queue[t] = append(queue[t], int32(x))
 	}
@@ -384,7 +292,7 @@ func resolveLastEdges(nw *congest.Network, g *graph.Graph, distM mat.Int64M, lhM
 			if settled[t][x] {
 				continue
 			}
-			dxt := distAt(x, t)
+			dxt := dist[x][t]
 			if dxt >= graph.Inf {
 				continue
 			}
@@ -413,7 +321,7 @@ func resolveLastEdges(nw *congest.Network, g *graph.Graph, distM mat.Int64M, lhM
 		if x := lastCol; x >= 0 {
 			if t == x {
 				settle(t, x, -1)
-			} else if dxt := distAt(x, t); dxt < graph.Inf {
+			} else if dxt := dist[x][t]; dxt < graph.Inf {
 				best := -1
 				for i, u := range nw.Neighbors(t) {
 					w := wmin[base+i]
@@ -437,7 +345,7 @@ func resolveLastEdges(nw *congest.Network, g *graph.Graph, distM mat.Int64M, lhM
 		budgetWords := nw.Bandwidth
 		if round < n && budgetWords > 0 {
 			x := round
-			if dxt := distAt(x, t); dxt < graph.Inf {
+			if dxt := dist[x][t]; dxt < graph.Inf {
 				for _, nb := range nw.Neighbors(t) {
 					send(congest.Message{To: nb, Kind: kindCol, A: int64(x), B: dxt})
 				}
@@ -455,7 +363,7 @@ func resolveLastEdges(nw *congest.Network, g *graph.Graph, distM mat.Int64M, lhM
 	})
 	budget := 8*n + 64
 	if _, err := nw.Run(p, budget); err != nil {
-		return err
+		return nil, err
 	}
-	return nil
+	return lh, nil
 }

@@ -33,9 +33,6 @@ type StageTiming struct {
 	Rounds int     // CONGEST rounds charged by the stage
 	WallMS float64 // host wall-clock spent in the stage
 	Allocs uint64  // heap allocations performed during the stage
-	// Exec is the execution-mode decision trace: "seq" or "sharded" — per
-	// stage under the planner, uniform under the legacy Parallel bool.
-	Exec string
 }
 
 // stage is one declarative entry of the executor: a named unit of
@@ -88,14 +85,7 @@ type pipeline struct {
 	delta        *mat.Matrix       // Step 5: n x |Q|, the exact delta(x, c) known at x
 	qres         *qsink.Result     // Step 6: q-sink delivery output
 	step7Sources []int             // Step 7: validated, deduplicated source list
-	distM        mat.Int64M        // Step 7: one row per requested source (flat or tiled)
-	lastM        mat.IntM          // Step 8: last-hop table (nil when skipped/restored)
-
-	// plan, when non-nil, is the planner's per-stage seq-vs-sharded decision
-	// vector; it overrides opt.Parallel stage by stage. budget > 0 selects
-	// the tiled spillable matrix backend for the result matrices.
-	plan   *ExecPlan
-	budget int64
+	distM        *mat.Matrix       // Step 7: one row per requested source
 
 	// inc, when non-nil, is the damage-scoped plan of an incremental run
 	// (the first Run after Session.ApplyUpdates with a valid snapshot):
@@ -124,24 +114,9 @@ func (p *pipeline) execute() error {
 		metrics.Read(sample[:])
 		return sample[0].Value.Uint64()
 	}
-	for idx, st := range pipelineStages {
+	for _, st := range pipelineStages {
 		if st.skip != nil && st.skip(p) {
 			continue
-		}
-		// Execution-mode decision: the planner's per-stage vector when a
-		// plan is armed, the legacy global Parallel bool otherwise. The
-		// engine consults nw.Parallel at both dispatch levels (ShardRuns and
-		// in-round sharding), so flipping it at the stage boundary is the
-		// entire hook — seq and sharded are bit-identical in every
-		// distributed column, which is what makes this safe.
-		sharded := p.opt.Parallel
-		if p.plan != nil {
-			sharded = p.plan.Sharded[idx]
-		}
-		p.nw.Parallel = sharded
-		exec := execSeq
-		if sharded {
-			exec = execSharded
 		}
 		// Stage boundary: the second cancellation observation point (the
 		// first is the engine's round loop). Both are one nil-check when no
@@ -165,7 +140,6 @@ func (p *pipeline) execute() error {
 				Rounds: rounds,
 				WallMS: float64(wall.Microseconds()) / 1000,
 				Allocs: allocs() - allocs0,
-				Exec:   exec,
 			})
 			if isContextErr(err) {
 				return p.interrupted(st.name, err)
@@ -184,7 +158,6 @@ func (p *pipeline) execute() error {
 			Rounds: rounds,
 			WallMS: float64(wall.Microseconds()) / 1000,
 			Allocs: allocs() - allocs0,
-			Exec:   exec,
 		})
 	}
 	return nil
@@ -547,7 +520,7 @@ func (p *pipeline) stageExtend() error {
 	if ip := p.inc; ip != nil && !ip.cascade {
 		return p.stageExtendIncremental(ip)
 	}
-	p.distM = p.newDistM(len(p.step7Sources))
+	p.distM = mat.New(len(p.step7Sources), p.n)
 	err := p.nw.ShardRuns(len(p.step7Sources), func(w *congest.Network, k int) error {
 		x := p.step7Sources[k] // Step 1 built one tree per node, indexed by id
 		// The seed vector comes from the worker's scratch arena (reset per
@@ -564,7 +537,7 @@ func (p *pipeline) stageExtend() error {
 		if err != nil {
 			return err
 		}
-		p.distM.SetRow(k, res.Dist)
+		copy(p.distM.Row(k), res.Dist)
 		return nil
 	})
 	if err != nil {
@@ -574,56 +547,15 @@ func (p *pipeline) stageExtend() error {
 	return nil
 }
 
-// publishDist assembles the Result's distance surface. Flat backend: the
-// public [][]int64 contract — rows are zero-copy views of the flat matrix,
-// nil for sources Step 7 did not run. Tiled backend: the matrix itself is
-// the surface (budgeted runs are always full APSP, so row index = source).
+// publishDist assembles the Result's public [][]int64 distance surface:
+// rows are zero-copy views of the flat matrix, nil for sources Step 7 did
+// not run.
 func (p *pipeline) publishDist() {
-	if fm, ok := p.distM.(*mat.Matrix); ok {
-		dist := make([][]int64, p.n)
-		for k, x := range p.step7Sources {
-			dist[x] = fm.Row(k)
-		}
-		p.out.Dist = dist
-		return
+	dist := make([][]int64, p.n)
+	for k, x := range p.step7Sources {
+		dist[x] = p.distM.Row(k)
 	}
-	p.out.DistM = p.distM
-}
-
-// newDistM allocates Step 7's result matrix in the run's selected backend;
-// a budgeted run splits the budget evenly with the last-hop table when
-// stage 8 will run.
-func (p *pipeline) newDistM(rows int) mat.Int64M {
-	if p.budget > 0 {
-		b := p.budget
-		if !p.opt.SkipLastEdges {
-			b /= 2
-		}
-		return mat.NewTiledInt64(rows, p.n, 0, mat.TileConfig{Budget: b, Dir: p.opt.SpillDir})
-	}
-	return mat.New(rows, p.n)
-}
-
-// newLastM allocates the stage-8 last-hop table in the selected backend.
-func (p *pipeline) newLastM() mat.IntM {
-	if p.budget > 0 {
-		return mat.NewTiledInt(p.n, p.n, -1, mat.TileConfig{Budget: p.budget / 2, Dir: p.opt.SpillDir})
-	}
-	return mat.NewIntFilled(p.n, p.n, -1)
-}
-
-// releaseTiled frees any spill files a failed budgeted run left behind
-// (successful runs hand ownership to the caller via Result.Release).
-func (p *pipeline) releaseTiled() {
-	if p.budget == 0 {
-		return
-	}
-	if p.distM != nil {
-		p.distM.Release()
-	}
-	if p.lastM != nil {
-		p.lastM.Release()
-	}
+	p.out.Dist = dist
 }
 
 // stageExtendIncremental re-extends only the dirty sources. An eligible
@@ -632,15 +564,13 @@ func (p *pipeline) releaseTiled() {
 // reused rows charge the recorded remainder.
 func (p *pipeline) stageExtendIncremental(ip *incPlan) error {
 	n := p.n
-	// Incremental runs are never budgeted (tiled runs skip snapshot
-	// capture), so the matrix is always flat here.
 	p.distM = mat.New(n, n)
 	var dirty []int
 	for x := 0; x < n; x++ {
 		if ip.dirty7[x] {
 			dirty = append(dirty, x)
 		} else {
-			p.distM.SetRow(x, ip.snap.distFlat[x*n:(x+1)*n])
+			copy(p.distM.Row(x), ip.snap.distFlat[x*n:(x+1)*n])
 		}
 	}
 	err := p.nw.ShardRuns(len(dirty), func(w *congest.Network, k int) error {
@@ -656,7 +586,7 @@ func (p *pipeline) stageExtendIncremental(ip *incPlan) error {
 		if err != nil {
 			return err
 		}
-		p.distM.SetRow(x, res.Dist)
+		copy(p.distM.Row(x), res.Dist)
 		return nil
 	})
 	if err != nil {
@@ -690,14 +620,10 @@ func (p *pipeline) stageLastEdges() error {
 		p.nw.ChargeRounds(ip.snap.rounds("step8-lastedge"))
 		return nil
 	}
-	p.lastM = p.newLastM()
-	if err := resolveLastEdges(p.nw, p.g, p.distM, p.lastM); err != nil {
+	lh, err := resolveLastEdges(p.nw, p.g, p.out.Dist)
+	if err != nil {
 		return err
 	}
-	if fm, ok := p.lastM.(*mat.Int); ok {
-		p.out.LastHop = fm.RowViews()
-	} else {
-		p.out.LastHopM = p.lastM
-	}
+	p.out.LastHop = lh
 	return nil
 }

@@ -56,9 +56,6 @@ type Session struct {
 	// and topology changes drop it. wave is the replay scratch.
 	hops *hopTables
 	wave waveScratch
-	// cal seeds the execution planner's cost model (plan.go): the
-	// deterministic per-stage counts of the last successful full run.
-	cal calibration
 }
 
 // NewSession builds the warm network for g. The graph may be empty.
@@ -155,20 +152,9 @@ func (s *Session) RunContext(ctx context.Context, opt Options) (*Result, error) 
 		st:  Stats{N: n, M: s.g.M(), H: h},
 	}
 	key := snapKeyOf(opt, h)
-	// Memory budget: when the flat result footprint would exceed it the run
-	// selects the tiled spillable matrix backend.
-	p.budget = tiledBudget(opt, n)
-	// Planner: resolve this run's per-stage execution plan from the
-	// session's calibration record. On a 1-core host this is a single
-	// integer compare resolving to all-seq.
-	if opt.Planner {
-		p.plan = s.planFor(key, n, opt)
-	}
-	// Snapshot eligibility: full-APSP, non-budgeted runs only. Partial runs
-	// neither arm nor consume snapshots (and leave an armed one untouched
-	// and valid); budgeted runs skip capture because the n x n snapshot
-	// copies would defeat the very budget that selected tiling.
-	eligible := opt.Sources == nil && p.budget == 0
+	// Snapshot eligibility: full-APSP runs only. Partial runs neither arm
+	// nor consume snapshots (and leave an armed one untouched and valid).
+	eligible := opt.Sources == nil
 	if s.pendingUpdates {
 		// One-shot gate: this run reflects the updates whether it reuses
 		// snapshot state or recomputes; either way the next plain re-run
@@ -189,10 +175,8 @@ func (s *Session) RunContext(ctx context.Context, opt Options) (*Result, error) 
 	}
 	res, err := p.run()
 	if err != nil {
-		p.releaseTiled()
 		return nil, err
 	}
-	s.recordCalibration(key, p)
 	if eligible {
 		s.capture(p, key)
 	}

@@ -289,11 +289,9 @@ func (s *Session) capture(p *pipeline, key snapKey) {
 		sn.distFlat = make([]int64, n*n)
 	}
 	sn.distFlat = sn.distFlat[:n*n]
-	// Output copies go through the backend-agnostic row accessor; eligible
-	// runs are full APSP on the flat backend (budgeted runs never capture),
-	// so row index == source id and CopyRow is a straight memmove.
+	// Eligible runs are full APSP, so row index == source id.
 	for x := 0; x < n; x++ {
-		p.distM.CopyRow(sn.distFlat[x*n:(x+1)*n], x)
+		copy(sn.distFlat[x*n:(x+1)*n], p.distM.Row(x))
 	}
 	sn.haveLast = p.out.LastHop != nil
 	sn.lastFlat = sn.lastFlat[:0]

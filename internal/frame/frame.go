@@ -1,7 +1,6 @@
-// Package frame is the length-prefixed, checksummed record codec shared by
-// the serving layer's write-ahead journal / checkpoint snapshots
-// (internal/serve via internal/graphio, DESIGN.md §12) and the tiled
-// matrix backend's spill files (internal/mat, DESIGN.md §13). A frame is:
+// Package frame is the length-prefixed, checksummed record codec under the
+// serving layer's write-ahead journal and checkpoint snapshots
+// (internal/serve, DESIGN.md §12). A frame is:
 //
 //	[4B big-endian payload length][4B big-endian CRC32C(payload)][payload]
 //
@@ -13,10 +12,6 @@
 // the cap, a payload cut short by the crash, or a checksum mismatch.
 // Appends are a single contiguous write, so a crashed writer can tear at
 // most the final frame.
-//
-// The package sits below both graphio and mat on purpose: graphio depends
-// on graph, graph's oracles depend on mat, and mat's spill path needs the
-// codec — only a leaf package serves all three without a cycle.
 package frame
 
 import (

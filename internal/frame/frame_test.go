@@ -1,4 +1,4 @@
-package graphio
+package frame
 
 import (
 	"bytes"
@@ -18,64 +18,64 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf []byte
 	for _, p := range payloads {
 		var err error
-		if buf, err = AppendFrame(buf, p); err != nil {
+		if buf, err = Append(buf, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	off := 0
 	for i, want := range payloads {
-		got, n, err := NextFrame(buf[off:])
+		got, n, err := Next(buf[off:])
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frame %d: payload mismatch (%d vs %d bytes)", i, len(got), len(want))
 		}
-		if n != frameHeaderSize+len(want) {
-			t.Fatalf("frame %d: consumed %d, want %d", i, n, frameHeaderSize+len(want))
+		if n != HeaderSize+len(want) {
+			t.Fatalf("frame %d: consumed %d, want %d", i, n, HeaderSize+len(want))
 		}
 		off += n
 	}
-	if _, _, err := NextFrame(buf[off:]); !errors.Is(err, io.EOF) {
+	if _, _, err := Next(buf[off:]); !errors.Is(err, io.EOF) {
 		t.Fatalf("clean end: got %v, want io.EOF", err)
 	}
 }
 
 func TestFrameOversizedPayloadRejected(t *testing.T) {
-	big := make([]byte, MaxFramePayload+1)
-	if _, err := AppendFrame(nil, big); err == nil {
+	big := make([]byte, MaxPayload+1)
+	if _, err := Append(nil, big); err == nil {
 		t.Fatal("AppendFrame accepted an over-cap payload")
 	}
 }
 
 // TestFrameTornVariants checks that every way a crash can damage the final
 // frame — truncation at any byte boundary, a flipped payload bit, an
-// implausible length word — reads back as ErrTornFrame, never a bogus
+// implausible length word — reads back as ErrTorn, never a bogus
 // payload and never a panic.
 func TestFrameTornVariants(t *testing.T) {
-	frame, err := AppendFrame(nil, []byte("journal record"))
+	buf, err := Append(nil, []byte("journal record"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 1; cut < len(frame); cut++ {
-		if _, _, err := NextFrame(frame[:cut]); !errors.Is(err, ErrTornFrame) {
-			t.Fatalf("truncation at %d: got %v, want ErrTornFrame", cut, err)
+	for cut := 1; cut < len(buf); cut++ {
+		if _, _, err := Next(buf[:cut]); !errors.Is(err, ErrTorn) {
+			t.Fatalf("truncation at %d: got %v, want ErrTorn", cut, err)
 		}
 	}
-	for i := range frame {
-		corrupt := bytes.Clone(frame)
+	for i := range buf {
+		corrupt := bytes.Clone(buf)
 		corrupt[i] ^= 0x01
-		payload, _, err := NextFrame(corrupt)
+		payload, _, err := Next(corrupt)
 		if err == nil && !bytes.Equal(payload, []byte("journal record")) {
 			t.Fatalf("bit flip at %d: accepted altered payload %q", i, payload)
 		}
-		if err != nil && !errors.Is(err, ErrTornFrame) {
-			t.Fatalf("bit flip at %d: got %v, want ErrTornFrame", i, err)
+		if err != nil && !errors.Is(err, ErrTorn) {
+			t.Fatalf("bit flip at %d: got %v, want ErrTorn", i, err)
 		}
 	}
-	var huge [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(huge[0:4], MaxFramePayload+1)
-	if _, _, err := NextFrame(huge[:]); !errors.Is(err, ErrTornFrame) {
-		t.Fatalf("over-cap length: got %v, want ErrTornFrame", err)
+	var huge [HeaderSize]byte
+	binary.BigEndian.PutUint32(huge[0:4], MaxPayload+1)
+	if _, _, err := Next(huge[:]); !errors.Is(err, ErrTorn) {
+		t.Fatalf("over-cap length: got %v, want ErrTorn", err)
 	}
 }

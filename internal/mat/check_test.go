@@ -37,24 +37,3 @@ func TestBoundsChecksPanic(t *testing.T) {
 		t.Fatal("checked Set/At round trip failed")
 	}
 }
-
-func TestTiledBoundsChecksPanic(t *testing.T) {
-	td := NewTiledInt64(4, 3, 0, TileConfig{TileRows: 2, MaxResident: 2, Dir: t.TempDir()})
-	defer td.Release()
-	mustPanic(t, "tiled At col", func() { td.At(0, 3) })
-	mustPanic(t, "tiled At row", func() { td.At(4, 0) })
-	mustPanic(t, "tiled Set negative", func() { td.Set(-1, 0, 9) })
-	mustPanic(t, "tiled SetRow", func() { td.SetRow(4, make([]int64, 3)) })
-	mustPanic(t, "tiled CopyRow", func() { td.CopyRow(make([]int64, 3), -1) })
-
-	ti := NewTiledInt(4, 3, 0, TileConfig{TileRows: 2, MaxResident: 2, Dir: t.TempDir()})
-	defer ti.Release()
-	mustPanic(t, "tiled Int At", func() { ti.At(1, 3) })
-	mustPanic(t, "tiled Int Set", func() { ti.Set(4, 0, 9) })
-
-	// In-bounds accesses still work in checked builds.
-	td.Set(3, 2, 5)
-	if td.At(3, 2) != 5 {
-		t.Fatal("checked tiled Set/At round trip failed")
-	}
-}

@@ -115,25 +115,6 @@ func (m *Matrix) RowViews() [][]int64 {
 	return out
 }
 
-// SetRow copies src into row i (src must be exactly one row long).
-func (m *Matrix) SetRow(i int, src []int64) {
-	copy(m.Row(i), src)
-}
-
-// CopyRow copies row i into dst (dst must be exactly one row long).
-func (m *Matrix) CopyRow(dst []int64, i int) {
-	copy(dst, m.Row(i))
-}
-
-// Dense returns the zero-copy [][]int64 surface: the flat backend always
-// materializes (it IS the dense storage), so callers on the fast path can
-// index rows directly instead of going through the interface.
-func (m *Matrix) Dense() [][]int64 { return m.RowViews() }
-
-// Release is a no-op on the flat backend (it holds no external resources);
-// it exists so *Matrix satisfies Int64M.
-func (m *Matrix) Release() error { return nil }
-
 // Int is a flat row-major rows x cols matrix of int (last-hop and parent
 // tables).
 type Int struct {
@@ -193,19 +174,3 @@ func (m *Int) RowViews() [][]int {
 	}
 	return out
 }
-
-// SetRow copies src into row i (src must be exactly one row long).
-func (m *Int) SetRow(i int, src []int) {
-	copy(m.Row(i), src)
-}
-
-// CopyRow copies row i into dst (dst must be exactly one row long).
-func (m *Int) CopyRow(dst []int, i int) {
-	copy(dst, m.Row(i))
-}
-
-// Dense returns the zero-copy [][]int surface (see Matrix.Dense).
-func (m *Int) Dense() [][]int { return m.RowViews() }
-
-// Release is a no-op on the flat backend; it exists so *Int satisfies IntM.
-func (m *Int) Release() error { return nil }

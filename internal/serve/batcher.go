@@ -252,7 +252,6 @@ func (e *entry) serveQueries(run []*request) {
 		ctx, cancel := mergedContext(group)
 		opts := group[0].opts
 		opts.Parallel = e.pool.parallel
-		opts.Planner = e.pool.planner
 		res, err := e.runner.RunContext(ctx, opts)
 		cancel()
 		e.pool.met.Add("apspd_runs_total", 1)
@@ -365,17 +364,13 @@ func (e *entry) serveBlockers(run []*request) {
 	}
 }
 
-// recordRun folds a run's per-stage cost into the stage metrics, including
-// the execution planner's seq-vs-sharded decision trace.
+// recordRun folds a run's per-stage cost into the stage metrics.
 func (e *entry) recordRun(res *apsp.Result) {
 	met := e.pool.met
 	for _, st := range res.Stats.Stages {
 		met.Add(fmt.Sprintf("apspd_stage_rounds_total{stage=%q}", st.Name), int64(st.Rounds))
 		met.AddFloat(fmt.Sprintf("apspd_stage_wall_seconds_total{stage=%q}", st.Name), st.WallMS/1000)
 		met.Add(fmt.Sprintf("apspd_stage_allocs_total{stage=%q}", st.Name), int64(st.Allocs))
-		if st.Exec != "" {
-			met.Add(fmt.Sprintf("apspd_stage_exec_total{stage=%q,exec=%q}", st.Name, st.Exec), 1)
-		}
 	}
 }
 

@@ -308,7 +308,7 @@ func TestBatcherBlameSplit(t *testing.T) {
 	g.AddEdge(0, 1, 5)
 	g.AddEdge(1, 2, 7)
 	g.AddEdge(2, 3, 9)
-	p := NewPool(2, 16, 0, false, false, NewMetrics())
+	p := NewPool(2, 16, 0, false, NewMetrics())
 	key, _, err := p.Load(g)
 	if err != nil {
 		t.Fatal(err)

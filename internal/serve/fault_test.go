@@ -82,7 +82,7 @@ func TestServeFaultBlamesOnlyItsCallers(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		g.AddEdge(i, (i+1)%8, int64(i+1))
 	}
-	p := NewPool(2, 16, 0, false, false, NewMetrics())
+	p := NewPool(2, 16, 0, false, NewMetrics())
 	key, _, err := p.Load(g)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
-	"congestapsp/internal/graphio"
+	"congestapsp/internal/frame"
 	"congestapsp/pkg/apsp"
 )
 
@@ -96,7 +96,7 @@ func fuzzJournalImage(f *testing.F) []byte {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if buf, err = graphio.AppendFrame(buf, payload); err != nil {
+		if buf, err = frame.Append(buf, payload); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"congestapsp/internal/frame"
 	"congestapsp/internal/graphio"
 	"congestapsp/pkg/apsp"
 )
@@ -19,7 +20,7 @@ import (
 // a per-graph append-only write-ahead journal of accepted mutations plus
 // periodic checkpoint snapshots, laid out under one data directory:
 //
-//	<data-dir>/<key>/journal.wal      framed journal records (graphio frames)
+//	<data-dir>/<key>/journal.wal      framed journal records (internal/frame)
 //	<data-dir>/<key>/checkpoint.ckpt  meta frame + gob graph snapshot frame
 //
 // <key> is the pool's content-addressed handle (the 16-hex load-time
@@ -432,7 +433,7 @@ func (j *Journal) append(rec *journalRecord) error {
 	if err != nil {
 		return fmt.Errorf("serve: journal %s: %w", j.key, err)
 	}
-	frame, err := graphio.AppendFrame(nil, payload)
+	buf, err := frame.Append(nil, payload)
 	if err != nil {
 		return fmt.Errorf("serve: journal %s: %w", j.key, err)
 	}
@@ -442,15 +443,15 @@ func (j *Journal) append(rec *journalRecord) error {
 		return fmt.Errorf("serve: journal %s: closed", j.key)
 	}
 	if rec.Kind == recordKindUpdate && j.store.crashArmed("mid-record") {
-		j.f.Write(frame[:len(frame)/2])
+		j.f.Write(buf[:len(buf)/2])
 		j.store.die()
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(buf); err != nil {
 		j.store.met.Add("apspd_journal_errors_total", 1)
 		return fmt.Errorf("serve: journal %s: append: %w", j.key, err)
 	}
 	j.store.met.Add(fmt.Sprintf("apspd_journal_appends_total{kind=%q}", rec.Kind), 1)
-	j.store.met.Add("apspd_journal_bytes_total", int64(len(frame)))
+	j.store.met.Add("apspd_journal_bytes_total", int64(len(buf)))
 	if rec.Kind == recordKindUpdate && j.store.crashArmed("post-record") {
 		j.store.die()
 	}
@@ -572,11 +573,11 @@ func (s *Store) writeCheckpoint(key string, g *apsp.Graph, version uint64) error
 	if err := apsp.WriteGraph(&gob, g, apsp.FormatGob); err != nil {
 		return err
 	}
-	buf, err := graphio.AppendFrame(nil, meta)
+	buf, err := frame.Append(nil, meta)
 	if err != nil {
 		return err
 	}
-	if buf, err = graphio.AppendFrame(buf, gob.Bytes()); err != nil {
+	if buf, err = frame.Append(buf, gob.Bytes()); err != nil {
 		return err
 	}
 	dir := filepath.Join(s.dir, key)
@@ -606,7 +607,7 @@ func (s *Store) readCheckpoint(key string) (*apsp.Graph, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	metaRaw, n, err := graphio.NextFrame(data)
+	metaRaw, n, err := frame.Next(data)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: checkpoint %s: meta frame: %w", key, err)
 	}
@@ -617,7 +618,7 @@ func (s *Store) readCheckpoint(key string) (*apsp.Graph, uint64, error) {
 	if meta.Key != key {
 		return nil, 0, fmt.Errorf("serve: checkpoint %s: names lineage %s", key, meta.Key)
 	}
-	snap, n2, err := graphio.NextFrame(data[n:])
+	snap, n2, err := frame.Next(data[n:])
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: checkpoint %s: snapshot frame: %w", key, err)
 	}

@@ -120,7 +120,6 @@ var familyHelp = map[string]string{
 	"apspd_stage_rounds_total":        "simulated CONGEST rounds charged, by pipeline stage",
 	"apspd_stage_wall_seconds_total":  "host wall-clock spent, by pipeline stage",
 	"apspd_stage_allocs_total":        "heap allocations performed, by pipeline stage",
-	"apspd_stage_exec_total":          "per-stage execution decisions (seq vs sharded), by pipeline stage",
 }
 
 // WriteText renders the registry in Prometheus text exposition format,

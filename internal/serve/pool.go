@@ -44,7 +44,6 @@ type Pool struct {
 	maxQueue int
 	maxBytes int64
 	parallel bool
-	planner  bool
 	clock    uint64
 	entries  map[string]*entry
 	met      *Metrics
@@ -57,12 +56,12 @@ type Pool struct {
 }
 
 // NewPool builds a pool holding at most max warm Runners, each with a
-// batch queue capped at maxQueue requests. parallel and planner select the
-// execution mode of every pooled run (results are bit-identical in any
-// mode; planner resolves seq-vs-sharded per pipeline stage). maxBytes, when
-// positive, is a second eviction budget over the pool's approximate byte
-// footprint (entry.approxBytes) enforced alongside the entry-count LRU.
-func NewPool(max, maxQueue int, maxBytes int64, parallel, planner bool, met *Metrics) *Pool {
+// batch queue capped at maxQueue requests. parallel selects the execution
+// mode of every pooled run (results are bit-identical either way).
+// maxBytes, when positive, is a second eviction budget over the pool's
+// approximate byte footprint (entry.approxBytes) enforced alongside the
+// entry-count LRU.
+func NewPool(max, maxQueue int, maxBytes int64, parallel bool, met *Metrics) *Pool {
 	if max < 1 {
 		max = 1
 	}
@@ -74,7 +73,6 @@ func NewPool(max, maxQueue int, maxBytes int64, parallel, planner bool, met *Met
 		maxQueue: maxQueue,
 		maxBytes: maxBytes,
 		parallel: parallel,
-		planner:  planner,
 		entries:  make(map[string]*entry),
 		met:      met,
 	}

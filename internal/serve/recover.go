@@ -8,7 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"congestapsp/internal/graphio"
+	"congestapsp/internal/frame"
 	"congestapsp/pkg/apsp"
 )
 
@@ -35,7 +35,7 @@ import (
 func decodeJournalBytes(data []byte) (recs []*journalRecord, goodLen int, torn bool, err error) {
 	off := 0
 	for {
-		payload, n, ferr := graphio.NextFrame(data[off:])
+		payload, n, ferr := frame.Next(data[off:])
 		if errors.Is(ferr, io.EOF) {
 			return recs, off, false, nil
 		}

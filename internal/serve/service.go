@@ -30,10 +30,6 @@ type Config struct {
 	// Parallel runs pooled computations on the worker-pool execution mode
 	// (bit-identical results; a throughput knob only).
 	Parallel bool
-	// Planner resolves seq-vs-sharded per pipeline stage from the core
-	// execution planner's cost model instead of the global Parallel flag
-	// (bit-identical results; decisions land in apspd_stage_exec_total).
-	Planner bool
 	// MaxBytes, when > 0, is a second pool-eviction budget over the
 	// approximate per-entry byte footprint (n² result matrices + warm-arena
 	// high water), enforced alongside the PoolSize entry-count LRU and
@@ -89,7 +85,7 @@ func New(cfg Config) *Service {
 	met := NewMetrics()
 	s := &Service{
 		cfg:  cfg,
-		pool: NewPool(cfg.PoolSize, cfg.MaxQueue, cfg.MaxBytes, cfg.Parallel, cfg.Planner, met),
+		pool: NewPool(cfg.PoolSize, cfg.MaxQueue, cfg.MaxBytes, cfg.Parallel, met),
 		met:  met,
 		mux:  http.NewServeMux(),
 	}
@@ -508,15 +504,11 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		HopParam:  res.Stats.H,
 		Blocker:   res.Stats.BlockerSetSize,
 	}
-	// All reads go through the Result accessors, never res.Dist directly:
-	// a budgeted run stores its matrices in the tiled spillable backend and
-	// leaves the flat slices nil.
-	n := res.Stats.N
 	switch {
 	case len(q.Pairs) > 0:
 		resp.Dist = make([]int64, len(q.Pairs))
 		for i, p := range q.Pairs {
-			resp.Dist[i] = wireDist(res.DistAt(p[0], p[1]))
+			resp.Dist[i] = wireDist(res.Dist[p[0]][p[1]])
 		}
 		if q.Paths {
 			resp.Paths = make([][]int, len(q.Pairs))
@@ -525,20 +517,18 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	case q.Source != nil:
-		resp.Row = make([]int64, n)
-		res.CopyDistRow(resp.Row, *q.Source)
-		for i, d := range resp.Row {
+		row := res.Dist[*q.Source]
+		resp.Row = make([]int64, len(row))
+		for i, d := range row {
 			resp.Row[i] = wireDist(d)
 		}
 	default:
-		resp.Matrix = make([][]int64, n)
-		for x := range resp.Matrix {
-			row := make([]int64, n)
-			res.CopyDistRow(row, x)
+		resp.Matrix = make([][]int64, len(res.Dist))
+		for x, row := range res.Dist {
+			resp.Matrix[x] = make([]int64, len(row))
 			for i, d := range row {
-				row[i] = wireDist(d)
+				resp.Matrix[x][i] = wireDist(d)
 			}
-			resp.Matrix[x] = row
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

@@ -130,25 +130,6 @@ type Options struct {
 	// Parallel executes node steps on a worker pool; results are
 	// bit-identical to sequential execution.
 	Parallel bool
-	// Planner enables the adaptive per-stage execution planner: each
-	// pipeline stage picks sequential or sharded execution from a
-	// deterministic cost model seeded by the stage's captured round and
-	// sub-run counts (overriding Parallel stage by stage). The first run of
-	// a configuration on a cold Runner calibrates all-sequentially; on
-	// single-core hosts every plan degenerates to all-seq. The decision
-	// trace is recorded per stage in Stats.Stages[i].Exec. Results are
-	// bit-identical regardless of plan.
-	Planner bool
-	// MemoryBudget, when > 0, bounds the resident bytes of the result
-	// matrices: a run whose flat Dist(+LastHop) footprint exceeds it stores
-	// them in the tiled spillable backend and returns a Result with nil
-	// Dist/LastHop slices — read through DistAt/LastHopAt (or CopyDistRow)
-	// and call Release when done. 0 (default) keeps flat in-memory
-	// matrices. Budgeted runs are never snapshot-eligible, so ApplyUpdates
-	// after one recomputes cold. Partial runs (Sources) always stay flat.
-	MemoryBudget int64
-	// SpillDir is where budgeted runs place spill files ("" = os.TempDir()).
-	SpillDir string
 	// RetrySequential opts into graceful degradation under Parallel: a
 	// worker sub-run that panics is re-executed sequentially on a fresh
 	// clone after the fleet drains, and a fully-recovered run's results and
@@ -205,60 +186,12 @@ type Stats struct {
 // Result holds the APSP output.
 type Result struct {
 	// Dist[x][t] is the exact shortest-path distance from x to t (Inf if
-	// unreachable). Nil on a budgeted (tiled) run — use DistAt/CopyDistRow.
+	// unreachable).
 	Dist [][]int64
 	// LastHop[x][t] is the predecessor of t on a shortest x->t path (-1
-	// on the diagonal, for unreachable pairs, or with SkipLastHops). Nil on
-	// a budgeted run — use LastHopAt.
+	// on the diagonal, for unreachable pairs, or with SkipLastHops).
 	LastHop [][]int
 	Stats   Stats
-
-	// res is the underlying core result; budgeted runs answer DistAt /
-	// LastHopAt / CopyDistRow through its tiled matrices.
-	res *core.Result
-}
-
-// Budgeted reports whether the result's matrices live in the tiled
-// spillable backend (Options.MemoryBudget engaged): Dist/LastHop are nil
-// and the accessor methods are the only read path.
-func (r *Result) Budgeted() bool { return r.Dist == nil && r.res != nil && r.res.DistM != nil }
-
-// DistAt returns the exact x->t distance regardless of backend.
-func (r *Result) DistAt(x, t int) int64 {
-	if r.Dist != nil {
-		return r.Dist[x][t]
-	}
-	return r.res.DistM.At(x, t)
-}
-
-// LastHopAt returns the x->t predecessor regardless of backend (-1 when
-// last-hop resolution was skipped).
-func (r *Result) LastHopAt(x, t int) int {
-	if r.LastHop != nil {
-		return r.LastHop[x][t]
-	}
-	if r.res != nil {
-		return r.res.LastHopAt(x, t)
-	}
-	return -1
-}
-
-// CopyDistRow copies row x of the distance matrix into dst (length n).
-func (r *Result) CopyDistRow(dst []int64, x int) {
-	if r.Dist != nil {
-		copy(dst, r.Dist[x])
-		return
-	}
-	r.res.DistM.CopyRow(dst, x)
-}
-
-// Release frees the spill files a budgeted result holds; no-op for
-// in-memory results. The result's matrices must not be read afterward.
-func (r *Result) Release() error {
-	if r.res == nil {
-		return nil
-	}
-	return r.res.Release()
 }
 
 // Run computes exact all-pairs shortest paths on g with the selected
@@ -289,9 +222,6 @@ func coreOptions(opt Options) core.Options {
 		H:               opt.HopParam,
 		Bandwidth:       opt.Bandwidth,
 		Parallel:        opt.Parallel,
-		Planner:         opt.Planner,
-		MemoryBudget:    opt.MemoryBudget,
-		SpillDir:        opt.SpillDir,
 		RetrySequential: opt.RetrySequential,
 		Seed:            opt.Seed,
 		SkipLastEdges:   opt.SkipLastHops,
@@ -306,7 +236,6 @@ func fromCore(res *core.Result) *Result {
 	return &Result{
 		Dist:    res.Dist,
 		LastHop: res.LastHop,
-		res:     res,
 		Stats: Stats{
 			N: res.Stats.N, M: res.Stats.M, H: res.Stats.H,
 			BlockerSetSize:    res.Stats.QSize,
@@ -328,26 +257,17 @@ func fromCore(res *core.Result) *Result {
 // range, or when the result carries no data for x (partial-APSP runs with
 // Options.Sources leave Dist/LastHop rows nil for non-sources).
 func (r *Result) Path(x, t int) []int {
-	n := r.Stats.N
-	if x < 0 || x >= n || t < 0 || t >= n {
+	if x < 0 || x >= len(r.Dist) || t < 0 || t >= len(r.Dist) {
 		return nil
 	}
-	if r.Dist != nil {
-		// Flat backend: partial-APSP runs leave non-source rows nil.
-		if r.LastHop == nil || r.Dist[x] == nil || r.LastHop[x] == nil {
-			return nil
-		}
-	} else if !r.Budgeted() || r.res.LastHopM == nil {
-		return nil
-	}
-	if r.DistAt(x, t) >= Inf {
+	if r.LastHop == nil || r.Dist[x] == nil || r.LastHop[x] == nil || r.Dist[x][t] >= Inf {
 		return nil
 	}
 	var rev []int
 	for cur := t; cur != x; {
 		rev = append(rev, cur)
-		cur = r.LastHopAt(x, cur)
-		if cur < 0 || len(rev) > n {
+		cur = r.LastHop[x][cur]
+		if cur < 0 || len(rev) > len(r.Dist) {
 			return nil // defensive: broken predecessor chain
 		}
 	}

@@ -6,14 +6,11 @@
 #   BENCH_apsp.json    full-pipeline apsp.Run wall-clock + allocs at
 #                      n in {128, 256, 512}, sequential vs source-sharded,
 #                      plus the warm apsp.Runner re-run rows
-#                      (BenchmarkAPSPPipelineWarm, seq/sharded/planner —
-#                      the warm-up run doubles as planner calibration) for
-#                      the cold-vs-warm session comparison, and the
-#                      budgeted rows (BenchmarkAPSPPipelineTiled) whose
-#                      peak_rss_kb column records what the tiled spillable
-#                      backend caps
-#   BENCH_stages.json  per-stage seq-vs-sharded-vs-planner wall of one
-#                      det43 n=256 sweep per GOMAXPROCS in {1, 2, 4}
+#                      (BenchmarkAPSPPipelineWarm, seq/sharded) for the
+#                      cold-vs-warm session comparison; its gomaxprocs
+#                      field is the -cpu scripts/check_allocs.sh gates at
+#   BENCH_stages.json  per-stage seq-vs-sharded wall of one det43 n=256
+#                      sweep per GOMAXPROCS in {1, 2, 4}
 #                      (sections above the host's core count are skipped,
 #                      so a 1-core host records only its own section)
 #   BENCH_update.json  incremental-update throughput (BenchmarkAPSPUpdate):
@@ -67,17 +64,15 @@ emit_json() { # emit_json suite benchtime raw_file out_file
     /^Benchmark/ {
       name = $1
       sub(/-[0-9]+$/, "", name) # strip -GOMAXPROCS suffix
-      ns = ""; allocs = ""; rss = ""
+      ns = ""; allocs = ""
       for (i = 2; i <= NF; i++) {
-        if ($(i) == "ns/op")       ns = $(i - 1)
-        if ($(i) == "allocs/op")   allocs = $(i - 1)
-        if ($(i) == "peak-rss-kb") rss = $(i - 1)
+        if ($(i) == "ns/op")     ns = $(i - 1)
+        if ($(i) == "allocs/op") allocs = $(i - 1)
       }
       if (ns != "") {
         if (count++) printf ",\n"
         printf "    {\"name\": \"%s\", \"ns_per_op\": %s", name, ns
         if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-        if (rss != "")    printf ", \"peak_rss_kb\": %s", rss
         printf "}"
       }
     }
@@ -112,11 +107,11 @@ emit_json apsp 1x "$RAW" BENCH_apsp.json
 report_deltas "$OLD" BENCH_apsp.json
 
 # Per-stage wall at several worker counts (BENCH_stages.json): one det43
-# sweep of random-n256-s1 per GOMAXPROCS in {1, 2, 4}, seq vs sharded vs
-# planner, with the staged executor's per-stage wall and exec decision on
-# every row. Sections above the host's core count are skipped — the
-# sharded/planner walls only mean something when the workers exist — so the
-# artifact honestly records what this host could measure.
+# sweep of random-n256-s1 per GOMAXPROCS in {1, 2, 4}, seq vs sharded,
+# with the staged executor's per-stage wall on every row. Sections above
+# the host's core count are skipped — the sharded walls only mean something
+# when the workers exist — so the artifact honestly records what this host
+# could measure.
 {
   printf '{\n  "suite": "stages",\n  "cores": %s,\n  "sections": [\n' "$CORES"
   FIRST=1
@@ -125,7 +120,7 @@ report_deltas "$OLD" BENCH_apsp.json
       continue
     fi
     GOMAXPROCS=$P go run ./cmd/experiment -scenarios random-n256-s1 \
-      -algorithms det43 -exec seq,sharded,planner -json "$RAW.stage" -q >/dev/null
+      -algorithms det43 -exec seq,sharded -json "$RAW.stage" -q >/dev/null
     [ "$FIRST" -eq 1 ] || printf ',\n'
     FIRST=0
     printf '    {"gomaxprocs": %s, "sweep":\n' "$P"

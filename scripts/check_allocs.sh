@@ -8,6 +8,10 @@
 # gated here (shared CI runners are too noisy); allocation counts are
 # deterministic, so a tight threshold is safe.
 #
+# Sharded allocation counts depend on the worker count (each worker owns a
+# clone of the network), so the benchmark runs at the GOMAXPROCS recorded
+# in the baseline's "gomaxprocs" field, whatever the host's core count.
+#
 # Usage (from the repo root):
 #
 #   scripts/check_allocs.sh [bench_regex] [baseline_json] [threshold_pct]
@@ -24,10 +28,15 @@ if [ ! -f "$BASELINE" ]; then
   echo "check_allocs: baseline $BASELINE not found" >&2
   exit 1
 fi
+CPU="$(jq -r '.gomaxprocs // empty' "$BASELINE")"
+if [ -z "$CPU" ]; then
+  echo "check_allocs: baseline $BASELINE records no gomaxprocs" >&2
+  exit 1
+fi
 
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
-go test -run '^$' -bench "$REGEX" -benchtime=1x -benchmem -timeout 30m . | tee "$RAW"
+go test -run '^$' -bench "$REGEX" -benchtime=1x -benchmem -cpu "$CPU" -timeout 30m . | tee "$RAW"
 
 fail=0
 while read -r name allocs; do
