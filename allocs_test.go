@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"congestapsp/internal/bford"
+	"congestapsp/internal/broadcast"
 	"congestapsp/internal/congest"
 	"congestapsp/internal/graph"
 	"congestapsp/internal/qsink"
@@ -51,6 +52,64 @@ func TestBfordWarmNetworkAllocs(t *testing.T) {
 			}
 		}); got > 0 {
 			t.Errorf("%s: %v allocs per warm re-run, want 0", name, got)
+		}
+	}
+}
+
+// TestBroadcastWarmNetworkAllocs: the charged broadcast primitives are
+// allocation-free on a warm Network. Their schedules, item counts and
+// result buffers (the sorted union, the sorted copy, the sums) are pooled,
+// and so, in -tags matcheck builds, are the guard's reference network and
+// recording buffers.
+func TestBroadcastWarmNetworkAllocs(t *testing.T) {
+	g := benchGraph(64)
+	nw, err := congest.NewNetwork(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := broadcast.BuildBFS(nw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := make([][]broadcast.Item, g.N)
+	cnt := make([]int32, g.N)
+	vec := make([][]int64, g.N)
+	for v := range perNode {
+		for j := 0; j < v%3; j++ {
+			perNode[v] = append(perNode[v], broadcast.Item{A: int64(v), B: int64(j)})
+		}
+		cnt[v] = int32(len(perNode[v]))
+		vec[v] = []int64{int64(v), 1, int64(v % 5)}
+	}
+	items := perNode[g.N-1]
+	var sums []int64
+	for name, call := range map[string]func() error{
+		"Gather": func() error {
+			_, err := broadcast.Gather(nw, tree, perNode)
+			return err
+		},
+		"Broadcast": func() error {
+			_, err := broadcast.Broadcast(nw, tree, items)
+			return err
+		},
+		"BroadcastCount": func() error { return broadcast.BroadcastCount(nw, tree, 1) },
+		"AllToAll": func() error {
+			_, err := broadcast.AllToAll(nw, tree, perNode)
+			return err
+		},
+		"AllToAllCount": func() error { return broadcast.AllToAllCount(nw, tree, cnt) },
+		"GatherSum": func() error {
+			var err error
+			sums, err = broadcast.GatherSum(nw, tree, vec, sums)
+			return err
+		},
+	} {
+		if got := testing.AllocsPerRun(5, func() {
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 0 {
+			t.Errorf("%s: %v allocs per warm call, want 0", name, got)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"congestapsp/internal/bford"
 	"congestapsp/internal/blocker"
+	"congestapsp/internal/broadcast"
 	"congestapsp/internal/congest"
 	"congestapsp/internal/core"
 	"congestapsp/internal/csssp"
@@ -325,6 +326,33 @@ func BenchmarkDistributedBellmanFord(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkAllToAll measures one charged all-to-all broadcast (Lemma A.2)
+// over the BFS tree of a 256-node ring, one item per node, bandwidth 1: the
+// gather replay and the closed-form flood, including the host-side sort of
+// the union.
+func BenchmarkAllToAll(b *testing.B) {
+	g := graph.Ring(graph.GenConfig{N: 256, Seed: 1, MaxWeight: 9})
+	nw, err := congest.NewNetwork(g, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := broadcast.BuildBFS(nw, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perNode := make([][]broadcast.Item, g.N)
+	for v := range perNode {
+		perNode[v] = []broadcast.Item{{A: int64(v), B: int64(v % 7)}}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := broadcast.AllToAll(nw, tree, perNode); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

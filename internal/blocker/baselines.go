@@ -49,17 +49,16 @@ func computeGreedy(nw *congest.Network, coll *csssp.Collection) (*Result, error)
 		}
 	}
 	inQ := make([]bool, n)
+	cnt := make([]int32, n)
 	var q []int
 	stats := Stats{}
 	for countFullPaths(coll) > 0 {
-		// Broadcast scores, pick the max (ties to the smaller id).
-		perNode := make([][]broadcast.Item, n)
+		// Broadcast (id, score) items, pick the max (ties to the smaller
+		// id).
 		for v := 0; v < n; v++ {
-			if score[v] > 0 {
-				perNode[v] = []broadcast.Item{{A: int64(v), B: score[v]}}
-			}
+			cnt[v] = b2i(score[v] > 0)
 		}
-		if _, err := broadcast.AllToAll(nw, tree, perNode); err != nil {
+		if err := broadcast.AllToAllCount(nw, tree, cnt); err != nil {
 			return nil, err
 		}
 		best, bestVal := -1, int64(0)
@@ -127,19 +126,17 @@ func computeRandomSample(nw *congest.Network, coll *csssp.Collection, par Params
 		}
 	}
 	// Members broadcast their ids (O(n)).
-	items := make([][]broadcast.Item, n)
+	cnt := make([]int32, n)
 	for v := 0; v < n; v++ {
-		if inQ[v] {
-			items[v] = []broadcast.Item{{A: int64(v)}}
-		}
+		cnt[v] = b2i(inQ[v])
 	}
-	if _, err := broadcast.AllToAll(nw, tree, items); err != nil {
+	if err := broadcast.AllToAllCount(nw, tree, cnt); err != nil {
 		return nil, err
 	}
 	// Coverage check: Compute-Pi downcast per tree with V_i := Q; leaves
-	// with beta == 0 are uncovered and patch themselves in.
-	var patched [][]broadcast.Item
-	patched = make([][]broadcast.Item, n)
+	// with beta == 0 are uncovered, patch themselves in and broadcast
+	// their ids.
+	clear(cnt)
 	stats := Stats{}
 	for i := range coll.Sources {
 		beta, err := computePijDowncast(nw, coll, i, inQ)
@@ -149,12 +146,12 @@ func computeRandomSample(nw *congest.Network, coll *csssp.Collection, par Params
 		for v := 0; v < n; v++ {
 			if coll.InTree(i, v) && coll.Depth[i][v] == coll.H && beta[v] == 0 && !inQ[v] {
 				inQ[v] = true
-				patched[v] = []broadcast.Item{{A: int64(v)}}
+				cnt[v] = 1
 				stats.FallbackSteps++
 			}
 		}
 	}
-	if _, err := broadcast.AllToAll(nw, tree, patched); err != nil {
+	if err := broadcast.AllToAllCount(nw, tree, cnt); err != nil {
 		return nil, err
 	}
 	var q []int

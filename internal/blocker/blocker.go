@@ -152,18 +152,19 @@ type state struct {
 	stats    Stats
 
 	// Pooled work buffers (see ensure/reinit).
-	leafBetaBuf []int64            // flat backing of leafBeta
-	counts      []int64            // trees x n upcast results (one shared matrix)
-	countUsed   []bool             // per-tree: counts row was filled this pass
-	pijLeafBuf  []bool             // flat backing of pijLeaf
-	pijLeaf     [][]bool           // row views, rebuilt per ensure
-	scoreij     []int64            // per-step coverage scores
-	inZ         []bool             // commit scratch
-	items       [][]broadcast.Item // per-node broadcast item spine
-	itemBuf     []broadcast.Item   // flat arena carved into items
-	nuBuf       []int64            // 2 x n x m good-set aggregation backing
-	nuPi, nuPij [][]int64          // row views into nuBuf
-	members     []int              // selected good-set members
+	leafBetaBuf []int64   // flat backing of leafBeta
+	counts      []int64   // trees x n upcast results (one shared matrix)
+	countUsed   []bool    // per-tree: counts row was filled this pass
+	pijLeafBuf  []bool    // flat backing of pijLeaf
+	pijLeaf     [][]bool  // row views, rebuilt per ensure
+	scoreij     []int64   // per-step coverage scores
+	inZ         []bool    // commit scratch
+	cnt         []int32   // per-node item counts of a broadcast
+	nuBuf       []int64   // 2 x n x m good-set aggregation backing
+	nuPi, nuPij [][]int64 // row views into nuBuf
+	totPi       []int64   // aggregated nuPi (or the randomized check's pair)
+	totPij      []int64   // aggregated nuPij
+	members     []int     // selected good-set members
 }
 
 // reinit points the pooled state at a new (collection, params) pair and
@@ -181,6 +182,7 @@ func (st *state) reinit(nw *congest.Network, coll *csssp.Collection, par Params)
 	st.inQ = congest.Grow(st.inQ, n)
 	st.scoreij = congest.Grow(st.scoreij, n)
 	st.inZ = congest.Grow(st.inZ, n)
+	st.cnt = congest.Grow(st.cnt, n)
 	st.q = st.q[:0]
 
 	st.counts = congest.Grow(st.counts, trees*n)
@@ -203,10 +205,6 @@ func (st *state) reinit(nw *congest.Network, coll *csssp.Collection, par Params)
 	}
 	st.ancOff = st.ancOff[:trees]
 	st.ancIds = st.ancIds[:trees]
-	if cap(st.items) < n {
-		st.items = make([][]broadcast.Item, n)
-	}
-	st.items = st.items[:n]
 }
 
 // countsRow returns row i of the pooled trees x n upcast matrix.
@@ -221,24 +219,22 @@ func (st *state) ancRow(i, v int) []int32 {
 	return st.ancIds[i][off[v]:off[v+1]]
 }
 
-// singleItems populates the pooled per-node item lists with at most one
-// item per node: fill returns the item for v and whether v contributes.
-// The returned spine is valid until the next items-buffer use.
-func (st *state) singleItems(fill func(v int) (broadcast.Item, bool)) [][]broadcast.Item {
-	n := st.n
-	if cap(st.itemBuf) < n {
-		st.itemBuf = make([]broadcast.Item, n)
+// broadcastPositive charges the all-to-all broadcast of one (id, value)
+// item from every node whose value in vals is positive: O(n) rounds
+// (Lemma A.2).
+func (st *state) broadcastPositive(vals []int64) error {
+	for v, x := range vals {
+		st.cnt[v] = b2i(x > 0)
 	}
-	buf := st.itemBuf[:n]
-	for v := 0; v < n; v++ {
-		if it, ok := fill(v); ok {
-			buf[v] = it
-			st.items[v] = buf[v : v+1 : v+1]
-		} else {
-			st.items[v] = nil
-		}
+	return broadcast.AllToAllCount(st.nw, st.tree, st.cnt)
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int32 {
+	if b {
+		return 1
 	}
-	return st.items
+	return 0
 }
 
 func computeSetCover(nw *congest.Network, coll *csssp.Collection, par Params) (*Result, error) {
@@ -410,23 +406,15 @@ func (st *state) recomputeScores() error {
 			}
 		}
 	}
-	// All-to-all broadcast of (id, score) items: O(n) rounds (Lemma A.2).
-	perNode := st.singleItems(func(v int) (broadcast.Item, bool) {
-		return broadcast.Item{A: int64(v), B: score[v]}, score[v] > 0
-	})
-	if _, err := broadcast.AllToAll(st.nw, st.tree, perNode); err != nil {
-		return err
-	}
-	return nil
+	// All-to-all broadcast of (id, score) items.
+	return st.broadcastPositive(score)
 }
 
 // refreshBetas recomputes leafBeta (the |V_i ∩ path| counts) with the
 // Compute-Pij downcast per tree, then shares the per-leaf values by one
 // all-to-all broadcast so every node can evaluate any |P_ij| locally.
 func (st *state) refreshBetas() error {
-	// Per-tree downcasts, source-sharded (index i owns leafBeta[i]); the
-	// broadcast item lists are then assembled sequentially in tree order so
-	// each leaf's item sequence matches the sequential schedule exactly.
+	// Per-tree downcasts, source-sharded (index i owns leafBeta[i]).
 	err := st.nw.ShardRuns(st.coll.NumTrees(), func(w *congest.Network, i int) error {
 		beta := w.Scratch().Int64s(st.n)
 		if err := computePijDowncastInto(w, st.coll, i, st.inVi, beta); err != nil {
@@ -444,46 +432,19 @@ func (st *state) refreshBetas() error {
 	if err != nil {
 		return err
 	}
-	// Per-leaf betas: at most one item per (leaf, tree) pair with a V_i
-	// node; the all-to-all is O(n + K) rounds for K items (Lemma A.2).
-	// Count, carve from the pooled arena, then fill in tree order (the
-	// per-leaf item sequence matches the sequential append schedule).
-	cnt := st.scoreij // borrow: rewritten by the next computeScoreij anyway
+	// Per-leaf betas: one (leaf, tree, beta) item per pair with a V_i node
+	// on its path; the all-to-all is O(n + K) rounds for K items (Lemma
+	// A.2).
+	cnt := st.cnt
 	clear(cnt)
-	total := 0
 	for i := range st.coll.Sources {
 		for _, v := range st.coll.HLeaves(i) {
 			if st.leafBeta[i][v] > 0 {
 				cnt[v]++
-				total++
 			}
 		}
 	}
-	if cap(st.itemBuf) < total {
-		st.itemBuf = make([]broadcast.Item, total)
-	}
-	buf := st.itemBuf[:total]
-	off := 0
-	for v := 0; v < st.n; v++ {
-		if cnt[v] > 0 {
-			end := off + int(cnt[v])
-			st.items[v] = buf[off:off:end]
-			off = end
-		} else {
-			st.items[v] = nil
-		}
-	}
-	for i := range st.coll.Sources {
-		for _, v := range st.coll.HLeaves(i) {
-			if b := st.leafBeta[i][v]; b > 0 {
-				st.items[v] = append(st.items[v], broadcast.Item{A: int64(v), B: int64(i), C: b})
-			}
-		}
-	}
-	if _, err := broadcast.AllToAll(st.nw, st.tree, st.items); err != nil {
-		return err
-	}
-	return nil
+	return broadcast.AllToAllCount(st.nw, st.tree, cnt)
 }
 
 // pijLeaves returns the indicator of alive full-length paths with at least
@@ -546,10 +507,7 @@ func (st *state) computeScoreij(pijLeaf [][]bool) ([]int64, error) {
 			}
 		}
 	}
-	perNode := st.singleItems(func(v int) (broadcast.Item, bool) {
-		return broadcast.Item{A: int64(v), B: scoreij[v]}, scoreij[v] > 0
-	})
-	if _, err := broadcast.AllToAll(st.nw, st.tree, perNode); err != nil {
+	if err := st.broadcastPositive(scoreij); err != nil {
 		return nil, err
 	}
 	return scoreij, nil

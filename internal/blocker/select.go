@@ -96,14 +96,16 @@ func (st *state) selectGoodSet(stage, phase int, stageHi float64, pijLeaf [][]bo
 			}
 		}
 	}
-	totPi, err := broadcast.GatherSum(st.nw, st.tree, st.nuPi)
+	totPi, err := broadcast.GatherSum(st.nw, st.tree, st.nuPi, st.totPi)
 	if err != nil {
 		return nil, err
 	}
-	totPij, err := broadcast.GatherSum(st.nw, st.tree, st.nuPij)
+	st.totPi = totPi
+	totPij, err := broadcast.GatherSum(st.nw, st.tree, st.nuPij, st.totPij)
 	if err != nil {
 		return nil, err
 	}
+	st.totPij = totPij
 
 	// Step 4: the leader picks the first sample point that is good. |A_mu|
 	// is global knowledge (V_i and the sample space are shared), so only
@@ -119,7 +121,8 @@ func (st *state) selectGoodSet(stage, phase int, stageHi float64, pijLeaf [][]bo
 		}
 	}
 	st.stats.PointsScanned += int64(m)
-	if _, err := broadcast.Broadcast(st.nw, st.tree, []broadcast.Item{{A: int64(goodMu)}}); err != nil {
+	// Step 5: the leader broadcasts goodMu, one item.
+	if err := broadcast.BroadcastCount(st.nw, st.tree, 1); err != nil {
 		return nil, err
 	}
 	if goodMu < 0 {
@@ -152,10 +155,10 @@ func (st *state) selectGoodSetRandomized(space *pairwise.AffineSpace, stageHi fl
 		for _, v := range members {
 			inA[v] = true
 		}
-		items := st.singleItems(func(v int) (broadcast.Item, bool) {
-			return broadcast.Item{A: int64(v)}, inA[v]
-		})
-		if _, err := broadcast.AllToAll(st.nw, st.tree, items); err != nil {
+		for v := range st.cnt {
+			st.cnt[v] = b2i(inA[v])
+		}
+		if err := broadcast.AllToAllCount(st.nw, st.tree, st.cnt); err != nil {
 			return nil, err
 		}
 		// Goodness check: per-leaf coverage counts aggregated to the leader
@@ -203,16 +206,14 @@ func (st *state) selectGoodSetRandomized(space *pairwise.AffineSpace, stageHi fl
 				}
 			}
 		}
-		tot, err := broadcast.GatherSum(st.nw, st.tree, cov)
+		tot, err := broadcast.GatherSum(st.nw, st.tree, cov, st.totPi)
 		if err != nil {
 			return nil, err
 		}
+		st.totPi = tot
 		good := st.isGood(len(members), tot[0], tot[1], stageHi, pijSize)
-		verdict := int64(0)
-		if good {
-			verdict = 1
-		}
-		if _, err := broadcast.Broadcast(st.nw, st.tree, []broadcast.Item{{A: verdict}}); err != nil {
+		// The leader broadcasts the verdict, one item.
+		if err := broadcast.BroadcastCount(st.nw, st.tree, 1); err != nil {
 			return nil, err
 		}
 		if good {

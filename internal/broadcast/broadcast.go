@@ -8,14 +8,27 @@
 // Both are realized by pipelining items over a BFS spanning tree of the
 // communication graph: a convergecast ("gather") moves items to the root in
 // O(depth + K) rounds and a pipelined flood ("broadcast") moves them from
-// the root to everyone in O(depth + K) rounds, where K is the total number
-// of items. The package also exposes the BFS-tree construction itself
-// (flooding, O(diameter) rounds), which Step 2 of Algorithm 7 uses.
+// the root to everyone in Height + ceil(K/bandwidth) rounds, where K is the
+// total number of items. GatherSum aggregates per-node vectors at the root
+// on a fixed schedule (Algorithms 11 and 12).
+//
+// The schedules of these primitives depend on the tree, the per-node item
+// counts and the bandwidth, never on item values, so they are charged
+// rather than simulated: each round's deliveries are computed over plain
+// integers and fed to congest.ChargeSchedule, which replays the engine's
+// per-round hooks. What a caller reads back, the sorted union of the
+// inputs or the element-wise sum, is computed on the host. The engine
+// protocols remain as the reference (reference.go); builds with -tags
+// matcheck check every charged call against them.
+//
+// The package also exposes the BFS-tree construction itself (flooding,
+// O(diameter) rounds), which is simulated.
 package broadcast
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"congestapsp/internal/congest"
 )
@@ -42,6 +55,7 @@ const (
 	kindBFSExplore uint8 = iota + 1
 	kindGather
 	kindFlood
+	kindSum
 )
 
 // BuildBFS constructs a BFS spanning tree rooted at root by distributed
@@ -167,33 +181,18 @@ func (p *bfsProto) Step(v, round int, in []congest.Message, send func(congest.Me
 
 // bcastKey keys the pooled per-network state of this package's primitives
 // in the network's scratch registry. The pipeline runs thousands of
-// gathers, floods and aggregation waves per Network; pooling their queue
-// arenas and protocol objects makes a steady-state call allocation-free.
+// gathers, floods and aggregations per Network; pooling their schedules and
+// result buffers makes a steady-state call allocation-free.
 type bcastKey struct{}
 
 type bcastState struct {
-	// Gather state: per-node totals, depth-descending order (counting sort
-	// buckets), FIFO queue views carved from one grow-only item arena, and
-	// the result buffer.
-	totalBelow []int32
-	bucket     []int32
-	order      []int32
-	queue      [][]Item
-	arena      []Item
-	head, sent []int32
-	collected  []Item
-	gather     gatherProto
-
-	// Broadcast (flood) state: per-node received and forwarded counts,
-	// plus the canonical-order result buffer (distinct from Gather's
-	// collected, whose contents are often this call's input).
-	got, fwd []int32
-	outBuf   []Item
-	bcast    floodProto
-
-	// GatherSum state: the flat n x m accumulator.
-	acc []int64
-	sum sumProto
+	cnt    []int32 // per-node item counts of the current call
+	depths []int32 // depths[d]: nodes at depth 1..d of the current tree
+	gather gatherSchedule
+	flood  floodSchedule
+	sum    sumSchedule
+	union  []Item // the sorted union returned by Gather and AllToAll
+	outBuf []Item // Broadcast's sorted copy (its input is often union)
 
 	// BuildBFS state: the pooled tree (returned by pointer) and its
 	// construction scratch.
@@ -202,19 +201,13 @@ type bcastState struct {
 	childArena []int
 	childFill  []int32
 	bfs        bfsProto
+
+	ref   refState // the reference protocols (reference.go)
+	check refCheck // the matcheck guard (guard.go)
 }
 
 func getState(nw *congest.Network) *bcastState {
 	return congest.ScratchState(nw.Scratch(), bcastKey{}, func() *bcastState { return new(bcastState) })
-}
-
-// growItems returns buf with length exactly n, reallocating only when the
-// capacity has never been this large before.
-func growItems(buf []Item, n int) []Item {
-	if cap(buf) < n {
-		return make([]Item, n)
-	}
-	return buf[:n]
 }
 
 // Gather convergecasts all items to the tree root, pipelined at the
@@ -222,195 +215,266 @@ func growItems(buf []Item, n int) []Item {
 // returned slice is the collection now known at the root, sorted
 // canonically; it aliases pooled per-network storage and is valid until
 // the next broadcast-package call on the same Network (callers consume it
-// immediately). Rounds consumed: O(height + K/bandwidth), K total items.
+// immediately). Every non-root node forwards up to bandwidth queued items
+// per round, so the K items below the root arrive within Height +
+// ceil(K/bandwidth) rounds; the run takes at least one round.
 func Gather(nw *congest.Network, t *Tree, perNode [][]Item) ([]Item, error) {
-	n := nw.N()
 	st := getState(nw)
-	// Compute per-node totals bottom-up (local knowledge in a real system
-	// would be a convergecast of counts; the schedule below does not depend
-	// on these values, they only drive the done flags and presize the
-	// queues — every item passing through v is known up front, so the hot
-	// loop never regrows a queue). Nodes are ordered by decreasing depth
-	// with a pooled counting sort.
-	st.bucket = congest.Grow(st.bucket, t.Height+2)
-	bucket := st.bucket
-	for v := 0; v < n; v++ {
-		bucket[t.Height-t.Depth[v]+1]++
-	}
-	for d := 1; d < len(bucket); d++ {
-		bucket[d] += bucket[d-1]
-	}
-	st.order = congest.Grow(st.order, n)
-	order := st.order
-	for v := 0; v < n; v++ {
-		d := t.Height - t.Depth[v]
-		order[bucket[d]] = int32(v)
-		bucket[d]++
-	}
-	st.totalBelow = congest.Grow(st.totalBelow, n)
-	totalBelow := st.totalBelow
-	for _, v32 := range order {
-		v := int(v32)
-		totalBelow[v] += int32(len(perNode[v]))
-		if v != t.Root {
-			totalBelow[t.Parent[v]] += totalBelow[v]
-		}
-	}
-	// Carve the per-node FIFO queues out of one pooled arena; capacities
-	// are exact, so the hot loop never regrows a queue.
-	arenaLen := 0
-	for v := 0; v < n; v++ {
-		if v != t.Root {
-			arenaLen += int(totalBelow[v])
-		}
-	}
-	st.arena = growItems(st.arena, arenaLen)
-	if cap(st.queue) < n {
-		st.queue = make([][]Item, n)
-	}
-	st.queue = st.queue[:n]
-	off := 0
-	for v := 0; v < n; v++ {
-		st.queue[v] = nil
-		if v != t.Root && totalBelow[v] > 0 {
-			end := off + int(totalBelow[v])
-			st.queue[v] = append(st.arena[off:off:end], perNode[v]...)
-			off = end
-		}
-	}
-	st.head = congest.Grow(st.head, n)
-	st.sent = congest.Grow(st.sent, n)
-	total := int(totalBelow[t.Root])
-	if cap(st.collected) < total {
-		st.collected = make([]Item, 0, total)
-	}
-	st.collected = st.collected[:0]
-
-	st.gather = gatherProto{nw: nw, t: t, st: st, rootOwn: len(perNode[t.Root])}
-	budget := t.Height + total + 4
-	_, err := nw.Run(&st.gather, budget+n)
+	err := charged(nw, "gather", func() error {
+		return chargeGather(nw, t, st.countItems(perNode))
+	}, func(c *congest.Network) error {
+		_, err := gatherRef(c, t, perNode)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("broadcast: gather: %w", err)
+		return nil, err
 	}
-	st.collected = append(st.collected, perNode[t.Root]...)
-	sortItems(st.collected)
-	return st.collected, nil
+	return st.unionOf(perNode), nil
 }
 
-// gatherProto is the pipelined convergecast of Gather as a reusable
-// protocol object.
-type gatherProto struct {
-	nw      *congest.Network
-	t       *Tree
-	st      *bcastState
-	rootOwn int
-}
-
-// Step implements congest.Proto.
-func (p *gatherProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
-	st, t := p.st, p.t
-	for _, m := range in {
-		if m.Kind != kindGather {
-			continue
-		}
-		it := Item{m.A, m.B, m.C}
-		if v == t.Root {
-			st.collected = append(st.collected, it)
-		} else {
-			st.queue[v] = append(st.queue[v], it)
-		}
-	}
-	if v == t.Root {
-		// The root's own items never travel; it waits only for the
-		// strict-descendant items.
-		return len(st.collected) >= int(st.totalBelow[v])-p.rootOwn
-	}
-	b := p.nw.Bandwidth
-	for b > 0 && int(st.head[v]) < len(st.queue[v]) {
-		it := st.queue[v][st.head[v]]
-		st.head[v]++
-		send(congest.Message{To: t.Parent[v], Kind: kindGather, A: it.A, B: it.B, C: it.C})
-		st.sent[v]++
-		b--
-	}
-	return st.sent[v] >= st.totalBelow[v]
-}
-
-// Broadcast floods the root's items to every node, pipelined. After it
-// returns, every node knows all items (Lemma A.1: O(n + k) rounds; with the
-// BFS tree it is O(height + k) here). The items are returned in canonical
-// order as the view every node now holds; like Gather's result, the slice
-// aliases pooled per-network storage valid until the next broadcast call.
+// Broadcast floods the root's items to every node, pipelined: the root
+// sends min(bandwidth, items left) items to each child per round and every
+// other node forwards what it receives the next round, so the flood takes
+// Height + ceil(k/bandwidth) rounds for k items, or 1 round when k = 0
+// (Lemma A.1). The items are returned in canonical order as the view every
+// node now holds; like Gather's result, the slice aliases pooled
+// per-network storage valid until the next broadcast call.
 func Broadcast(nw *congest.Network, t *Tree, items []Item) ([]Item, error) {
-	n := nw.N()
-	st := getState(nw)
-	k := len(items)
-	// Every node receives the root's items in the root's order, so the
-	// items a node holds are always a prefix of the list: counting them is
-	// enough.
-	st.got = congest.Grow(st.got, n)
-	st.fwd = congest.Grow(st.fwd, n)
-
-	st.bcast = floodProto{nw: nw, t: t, st: st, items: items, k: k}
-	st.bcast.start[0] = int32(t.Root)
-	_, err := nw.RunFrom(&st.bcast, st.bcast.start[:], t.Height+k+4+n, false)
-	st.bcast.items = nil
+	err := charged(nw, "broadcast", func() error {
+		return chargeFlood(nw, t, len(items))
+	}, func(c *congest.Network) error {
+		return floodRef(c, t, items)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("broadcast: broadcast: %w", err)
+		return nil, err
 	}
-	if cap(st.outBuf) < k {
-		st.outBuf = make([]Item, 0, k)
-	}
-	out := append(st.outBuf[:0], items...)
-	st.outBuf = out
-	sortItems(out)
-	return out, nil
+	st := getState(nw)
+	st.outBuf = append(st.outBuf[:0], items...)
+	sortItems(st.outBuf)
+	return st.outBuf, nil
 }
 
-// floodProto is the pipelined flood of Broadcast as a reusable protocol
-// object.
-type floodProto struct {
-	nw    *congest.Network
-	t     *Tree
-	st    *bcastState
-	items []Item
-	k     int
-	start [1]int32 // the round-0 set: the root
-}
-
-// Step implements congest.Proto. The root stays live until it has sent all
-// k items; any other node forwards what it receives and stays live only
-// while it is behind.
-func (p *floodProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
-	st, t := p.st, p.t
-	st.got[v] += int32(len(in)) // every message of the flood is one item
-	have := st.got[v]
-	if v == t.Root {
-		have = int32(p.k)
-	}
-	b := p.nw.Bandwidth
-	for b > 0 && st.fwd[v] < have {
-		it := p.items[st.fwd[v]]
-		st.fwd[v]++
-		for _, c := range t.Children[v] {
-			send(congest.Message{To: c, Kind: kindFlood, A: it.A, B: it.B, C: it.C})
-		}
-		b--
-	}
-	return st.fwd[v] >= have
+// BroadcastCount is Broadcast for a caller that needs no result: it
+// charges the flood of k items from the root.
+func BroadcastCount(nw *congest.Network, t *Tree, k int) error {
+	return charged(nw, "broadcast", func() error {
+		return chargeFlood(nw, t, k)
+	}, func(c *congest.Network) error {
+		return floodRef(c, t, getState(nw).check.blankRow(k))
+	})
 }
 
 // AllToAll implements Lemma A.2 generalized to multiple items per node:
 // every node contributes perNode[v] and afterwards every node knows the
-// union. Rounds: O(height + K/bandwidth) for gather plus the same for the
-// downward flood, i.e. O(n + K) in the worst case, matching O(n) for one
-// item per node.
+// union. It is a Gather followed by a Broadcast of the K gathered items, so
+// the flood alone takes Height + ceil(K/bandwidth) rounds, O(n + K) in the
+// worst case and O(n) for one item per node. The returned union is sorted
+// canonically and pooled like Gather's.
 func AllToAll(nw *congest.Network, t *Tree, perNode [][]Item) ([]Item, error) {
-	up, err := Gather(nw, t, perNode)
-	if err != nil {
+	st := getState(nw)
+	if err := allToAll(nw, t, st.countItems(perNode), perNode); err != nil {
 		return nil, err
 	}
-	return Broadcast(nw, t, up)
+	return st.unionOf(perNode), nil
+}
+
+// AllToAllCount is AllToAll for a caller that needs no result: cnt[v] is
+// the number of items node v contributes.
+func AllToAllCount(nw *congest.Network, t *Tree, cnt []int32) error {
+	return allToAll(nw, t, cnt, nil)
+}
+
+// allToAll charges the gather of cnt and the flood of its total. The
+// reference run moves perNode, or blank items when perNode is nil.
+func allToAll(nw *congest.Network, t *Tree, cnt []int32, perNode [][]Item) error {
+	return charged(nw, "all-to-all", func() error {
+		if err := chargeGather(nw, t, cnt); err != nil {
+			return err
+		}
+		k := 0
+		for _, c := range cnt {
+			k += int(c)
+		}
+		return chargeFlood(nw, t, k)
+	}, func(c *congest.Network) error {
+		if perNode == nil {
+			perNode = getState(nw).check.blankItems(cnt)
+		}
+		up, err := gatherRef(c, t, perNode)
+		if err != nil {
+			return err
+		}
+		return floodRef(c, t, up)
+	})
+}
+
+// countItems returns the pooled per-node item counts of perNode.
+func (st *bcastState) countItems(perNode [][]Item) []int32 {
+	st.cnt = congest.Grow(st.cnt, len(perNode))
+	for v, items := range perNode {
+		st.cnt[v] = int32(len(items))
+	}
+	return st.cnt
+}
+
+// unionOf returns the items of perNode in canonical order (pooled).
+func (st *bcastState) unionOf(perNode [][]Item) []Item {
+	st.union = st.union[:0]
+	for _, items := range perNode {
+		st.union = append(st.union, items...)
+	}
+	sortItems(st.union)
+	return st.union
+}
+
+// depthCounts returns, pooled, the number of nodes at depths 1..d of t
+// for d = 0..Height: depths[hi]-depths[lo-1] counts the nodes with depth in
+// [lo, hi] for 1 <= lo.
+func (st *bcastState) depthCounts(t *Tree) []int32 {
+	st.depths = congest.Grow(st.depths, t.Height+1)
+	for _, d := range t.Depth {
+		if d > 0 {
+			st.depths[d]++
+		}
+	}
+	for d := 1; d <= t.Height; d++ {
+		st.depths[d] += st.depths[d-1]
+	}
+	return st.depths
+}
+
+// gatherSchedule replays the pipelined convergecast of Gather over
+// integers. Every non-root node queues its own items and those its
+// children send; each round it sends the first min(bandwidth, queued) of
+// them to its parent, which receives them the next round. Only the nodes
+// with items queued or arriving are visited, so a round costs what it
+// delivers, not n.
+type gatherSchedule struct {
+	t       *Tree
+	b       int32
+	queued  []int32 // items waiting at v
+	arrive  []int32 // items v receives next round
+	cur     []int32 // nodes with items queued or arriving this round
+	next    []int32
+	mark    []uint64 // mark[v] == stamp: v is already on next
+	stamp   uint64
+	wordsBy []int64 // the network's WordsByNode
+}
+
+// Round implements congest.Schedule.
+func (s *gatherSchedule) Round(int) (int64, bool) {
+	// Items sent last round join their receivers' queues first.
+	for _, v := range s.cur {
+		s.queued[v] += s.arrive[v]
+		s.arrive[v] = 0
+	}
+	s.stamp++
+	s.next = s.next[:0]
+	var sent int64
+	for _, v := range s.cur {
+		if int(v) == s.t.Root {
+			s.queued[v] = 0 // the root keeps what it collects
+			continue
+		}
+		k := min(s.b, s.queued[v])
+		s.queued[v] -= k
+		s.wordsBy[v] += int64(k)
+		sent += int64(k)
+		p := int32(s.t.Parent[v])
+		s.arrive[p] += k
+		s.push(p)
+		if s.queued[v] > 0 {
+			s.push(v)
+		}
+	}
+	s.cur, s.next = s.next, s.cur
+	return sent, len(s.cur) > 0
+}
+
+func (s *gatherSchedule) push(v int32) {
+	if s.mark[v] != s.stamp {
+		s.mark[v] = s.stamp
+		s.next = append(s.next, v)
+	}
+}
+
+// chargeGather charges the convergecast of cnt[v] items from every node v.
+// The run starts from every node and ends in the round the root receives
+// the last item, or after round 0 when no item is below the root.
+func chargeGather(nw *congest.Network, t *Tree, cnt []int32) error {
+	n := nw.N()
+	s := &getState(nw).gather
+	s.t, s.b, s.wordsBy = t, int32(nw.Bandwidth), nw.Stats.WordsByNode
+	s.queued = congest.Grow(s.queued, n)
+	s.arrive = congest.Grow(s.arrive, n)
+	if len(s.mark) < n {
+		s.mark = make([]uint64, n)
+	}
+	s.cur = s.cur[:0]
+	for v, c := range cnt {
+		if c > 0 && v != t.Root {
+			s.queued[v] = c
+			s.cur = append(s.cur, int32(v))
+		}
+	}
+	_, err := nw.ChargeSchedule(s)
+	s.t, s.wordsBy = nil, nil
+	if err != nil {
+		return fmt.Errorf("broadcast: gather: %w", err)
+	}
+	return nil
+}
+
+// floodSchedule is the pipelined flood of Broadcast in closed form. The
+// root sends chunk j of its k items, min(b, k-j*b) of them, to each child
+// in round j, and a node at depth d forwards chunk j in round d+j. So round
+// r delivers the sum over depths d of chunk(r-d) times the number of nodes
+// at depth d+1.
+type floodSchedule struct {
+	k, b, height, rounds int
+	depths               []int32
+}
+
+// Round implements congest.Schedule.
+func (s *floodSchedule) Round(r int) (int64, bool) {
+	// Chunks 0..full-1 carry b items each and chunk full the other k mod
+	// b, so the depths that forward a full chunk in round r are counted
+	// at once.
+	full := s.k / s.b
+	lo, hi := max(0, r-full+1), min(s.height-1, r)
+	var sent int64
+	if lo <= hi {
+		sent = int64(s.b) * int64(s.depths[hi+1]-s.depths[lo])
+	}
+	if d := r - full; d >= 0 && d < s.height {
+		sent += int64(s.k%s.b) * int64(s.depths[d+1]-s.depths[d])
+	}
+	return sent, r+1 < s.rounds
+}
+
+// chargeFlood charges the flood of k items from the root. Node v sends
+// each item it has to each of its children; after an interruption a node
+// at depth d has sent the chunks of the rounds from d up to the last
+// completed one.
+func chargeFlood(nw *congest.Network, t *Tree, k int) error {
+	st := getState(nw)
+	s := &st.flood
+	b := nw.Bandwidth
+	*s = floodSchedule{k: k, b: b, height: t.Height, rounds: 1, depths: st.depthCounts(t)}
+	if k > 0 {
+		s.rounds = t.Height + (k+b-1)/b
+	}
+	done, err := nw.ChargeSchedule(s)
+	for v, ch := range t.Children {
+		if len(ch) > 0 {
+			sent := min(k, b*max(0, done-t.Depth[v]))
+			nw.Stats.WordsByNode[v] += int64(sent) * int64(len(ch))
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("broadcast: broadcast: %w", err)
+	}
+	return nil
 }
 
 // CarveItems builds per-node item lists with exact capacities carved from
@@ -436,13 +500,13 @@ func CarveItems(cnt []int32) [][]Item {
 }
 
 func sortItems(items []Item) {
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].A != items[j].A {
-			return items[i].A < items[j].A
+	slices.SortFunc(items, func(x, y Item) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
 		}
-		if items[i].B != items[j].B {
-			return items[i].B < items[j].B
+		if c := cmp.Compare(x.B, y.B); c != 0 {
+			return c
 		}
-		return items[i].C < items[j].C
+		return cmp.Compare(x.C, y.C)
 	})
 }

@@ -12,72 +12,77 @@ import (
 // knows the element-wise sum over all nodes. Slot mu flows up the tree on a
 // fixed schedule — a node at depth d forwards slot mu at round
 // (height - d) + mu, having received its children's slot-mu partial sums in
-// the same round — so the whole aggregation completes in height + m + 1
-// rounds (Lemmas A.13/A.14: O(n) rounds for m = O(n)).
-func GatherSum(nw *congest.Network, t *Tree, vec [][]int64) ([]int64, error) {
+// the same round — so the whole aggregation takes height + m + 1 rounds
+// (Lemmas A.13/A.14: O(n) rounds for m = O(n)) and every non-root node sends
+// m messages. Vectors shorter than the longest are padded with zeros.
+//
+// The schedule is charged and the sum computed on the host. The result is
+// written to dst, grown when too short, and returned; with no values at all
+// (m = 0) no round is charged and the result is empty.
+func GatherSum(nw *congest.Network, t *Tree, vec [][]int64, dst []int64) ([]int64, error) {
 	n := nw.N()
 	if len(vec) != n {
 		return nil, fmt.Errorf("broadcast: GatherSum: %d vectors for %d nodes", len(vec), n)
 	}
 	m := 0
 	for v := range vec {
-		if len(vec[v]) > m {
-			m = len(vec[v])
-		}
+		m = max(m, len(vec[v]))
 	}
+	dst = congest.Grow(dst, m)
 	if m == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	// acc row v accumulates v's own values plus received partial sums; the
-	// rows live in one pooled flat arena (n*m can be large — the good-set
-	// search aggregates one slot per sample point — so reallocating it per
-	// call was a top allocation site).
-	st := getState(nw)
-	if cap(st.acc) < n*m {
-		st.acc = make([]int64, n*m)
-	}
-	st.acc = st.acc[:n*m]
-	clear(st.acc)
-	for v := 0; v < n; v++ {
-		copy(st.acc[v*m:(v+1)*m], vec[v])
-	}
-	st.sum = sumProto{t: t, acc: st.acc, m: m}
-	err := nw.RunFor(&st.sum, t.Height+m+1)
-	st.sum.acc = nil
+	err := charged(nw, "gather-sum", func() error {
+		return chargeSum(nw, t, m)
+	}, func(c *congest.Network) error {
+		_, err := sumRef(c, t, vec, m)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("broadcast: GatherSum: %w", err)
+		return nil, err
 	}
-	// The root row is copied out: callers aggregate twice back to back (the
-	// nu_Pi / nu_Pij pair) and read both results together, so the returned
-	// slice must survive the next GatherSum on the same network.
-	out := make([]int64, m)
-	copy(out, st.acc[t.Root*m:(t.Root+1)*m])
-	return out, nil
-}
-
-const kindSum uint8 = 13
-
-// sumProto is the fixed-schedule aggregation of GatherSum as a reusable
-// protocol object: slot mu of node v lives at acc[v*m+mu].
-type sumProto struct {
-	t   *Tree
-	acc []int64
-	m   int
-}
-
-// Step implements congest.Proto.
-func (p *sumProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
-	t, m, h := p.t, p.m, p.t.Height
-	for _, msg := range in {
-		if msg.Kind == kindSum {
-			p.acc[v*m+int(msg.A)] += msg.B
+	for v := range vec {
+		for mu, x := range vec[v] {
+			dst[mu] += x
 		}
 	}
-	if v != t.Root {
-		mu := round - (h - t.Depth[v])
-		if mu >= 0 && mu < m {
-			send(congest.Message{To: t.Parent[v], Kind: kindSum, A: int64(mu), B: p.acc[v*m+mu]})
+	return dst, nil
+}
+
+// sumSchedule is the fixed schedule of GatherSum: a non-root node at depth
+// d sends slot mu in round (height - d) + mu, so round r delivers one
+// message from each node with depth in [height-r, height-r+m-1].
+type sumSchedule struct {
+	m, height int
+	depths    []int32
+}
+
+// Round implements congest.Schedule.
+func (s *sumSchedule) Round(r int) (int64, bool) {
+	lo, hi := max(1, s.height-r), min(s.height, s.height-r+s.m-1)
+	var sent int64
+	if lo <= hi {
+		sent = int64(s.depths[hi] - s.depths[lo-1])
+	}
+	return sent, r < s.height+s.m
+}
+
+// chargeSum charges the aggregation of m slots. After an interruption a
+// non-root node at depth d has sent the slots of the rounds from height-d
+// up to the last completed one.
+func chargeSum(nw *congest.Network, t *Tree, m int) error {
+	st := getState(nw)
+	s := &st.sum
+	*s = sumSchedule{m: m, height: t.Height, depths: st.depthCounts(t)}
+	done, err := nw.ChargeSchedule(s)
+	for v, d := range t.Depth {
+		if v != t.Root {
+			sent := min(m, max(0, done-(t.Height-d)))
+			nw.Stats.WordsByNode[v] += int64(sent)
 		}
 	}
-	return round >= h+m
+	if err != nil {
+		return fmt.Errorf("broadcast: GatherSum: %w", err)
+	}
+	return nil
 }

@@ -23,7 +23,7 @@ func TestGatherSumCorrectTotals(t *testing.T) {
 			want[mu] += vec[v][mu]
 		}
 	}
-	got, err := GatherSum(nw, tr, vec)
+	got, err := GatherSum(nw, tr, vec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestGatherSumPipelinedRounds(t *testing.T) {
 			vec[v][mu] = 1
 		}
 	}
-	got, err := GatherSum(nw, tr, vec)
+	got, err := GatherSum(nw, tr, vec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestGatherSumUnevenVectors(t *testing.T) {
 	vec := make([][]int64, g.N)
 	vec[0] = []int64{1, 2, 3}
 	vec[3] = []int64{10}
-	got, err := GatherSum(nw, tr, vec)
+	got, err := GatherSum(nw, tr, vec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestGatherSumEmptyAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, err := GatherSum(nw, tr, make([][]int64, g.N)); err != nil || out != nil {
+	if out, err := GatherSum(nw, tr, make([][]int64, g.N), nil); err != nil || out != nil {
 		t.Errorf("empty vectors: %v, %v", out, err)
 	}
-	if _, err := GatherSum(nw, tr, make([][]int64, 2)); err == nil {
+	if _, err := GatherSum(nw, tr, make([][]int64, 2), nil); err == nil {
 		t.Error("wrong vector count accepted")
 	}
 }
@@ -123,7 +123,7 @@ func TestGatherSumStarShape(t *testing.T) {
 			vec[v][mu] = int64(v)
 		}
 	}
-	got, err := GatherSum(nw, tr, vec)
+	got, err := GatherSum(nw, tr, vec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func (m Message) cost() int {
 
 // defaultMinShardNodes is the default in-round sharding threshold: stepping
 // a node costs tens to hundreds of nanoseconds (more when the round also
-// delivers a message per node, as the pipelined broadcasts do) while
+// delivers a message per node, as pipelined protocols do) while
 // dispatching a round to the worker pool costs a few microseconds, so
 // sharding starts paying off around 512 active nodes per round.
 const defaultMinShardNodes = 512
@@ -154,14 +154,15 @@ type Network struct {
 	// the sharded path.
 	MinShardNodes int
 
-	// OnRound, when set, is invoked after every simulated round with a
-	// monotonically increasing round sequence number and the number of
-	// messages delivered into that round's inboxes. The sequence number
-	// counts simulated rounds, which can fall far below Stats.Rounds: the
-	// latter follows the paper's charged schedules, and a fixed-budget run
-	// (RunFor) is charged its whole budget even when every node has
-	// terminated early. It powers the -trace output of cmd/apsp; the hook
-	// must not call back into the network.
+	// OnRound, when set, is invoked after every simulated round, and every
+	// round ChargeSchedule replays, with a monotonically increasing round
+	// sequence number and the number of messages delivered into that
+	// round's inboxes. The sequence number counts simulated rounds, which
+	// can fall far below Stats.Rounds: the latter follows the paper's
+	// charged schedules, and a fixed-budget run (RunFor) is charged its
+	// whole budget even when every node has terminated early. It powers the
+	// -trace output of cmd/apsp; the hook must not call back into the
+	// network.
 	OnRound func(round int, delivered int)
 
 	roundSeq int // monotonic simulated-round counter for OnRound
@@ -409,6 +410,51 @@ func (nw *Network) SetBandwidth(b int) error {
 // a composed schedule (see DESIGN.md); use sparingly and document each call
 // site.
 func (nw *Network) ChargeRounds(k int) { nw.Stats.Rounds += k }
+
+// Schedule is the round-by-round delivery count of a protocol run that
+// follows from the shape of its input alone (a tree, per-node item counts,
+// the bandwidth) and never from payload values. Every message it counts is
+// one word.
+type Schedule interface {
+	// Round reports how many messages round r sends, to be read in round
+	// r+1, and whether round r+1 takes place.
+	Round(r int) (delivered int64, more bool)
+}
+
+// ChargeSchedule charges a protocol run from its schedule instead of
+// simulating it. Each round does what the engine does around the step: the
+// context check, the fault injector's FireRound, the Rounds, Messages and
+// Words counters, then OnRound, so hooks, fault rules and traces see the
+// round stream a simulated run would give. WordsByNode is the caller's to
+// charge, since only it knows who sent. It returns the rounds charged; an
+// interrupted schedule returns the rounds it completed, as run does. Only a
+// payload-oblivious schedule with a reference protocol checked against it
+// may be charged this way (see DESIGN.md §3).
+func (nw *Network) ChargeSchedule(s Schedule) (int, error) {
+	for r := 0; ; r++ {
+		if nw.ctx != nil {
+			if err := nw.ctx.Err(); err != nil {
+				return r, err
+			}
+		}
+		if nw.fault != nil {
+			if err := nw.fault.FireRound(nw.subrun, r); err != nil {
+				return r, err
+			}
+		}
+		delivered, more := s.Round(r)
+		nw.Stats.Rounds++
+		nw.Stats.Messages += delivered
+		nw.Stats.Words += delivered
+		if nw.OnRound != nil {
+			nw.OnRound(nw.roundSeq, int(delivered))
+		}
+		nw.roundSeq++
+		if !more {
+			return r + 1, nil
+		}
+	}
+}
 
 // ErrBandwidth is returned (wrapped) when a protocol exceeds the per-link
 // bandwidth in some round.

@@ -38,8 +38,9 @@ func fp(res *Result) fingerprint {
 }
 
 // TestFaultMatrix sweeps injected faults — a forced sub-run error, a
-// sub-run panic, a per-round delay under a context deadline, a pre-canceled
-// context, and a panic recovered by RetrySequential — across all 4 profiles
+// sub-run panic, a per-round delay under a context deadline (in step 1, and
+// once in a charged broadcast of step 2), a pre-canceled context, and a
+// panic recovered by RetrySequential — across all 4 profiles
 // x both exec modes. Every cell asserts the expected typed error with its
 // stage tag, and that the SAME session's next clean run is bit-identical
 // (rounds/messages/words/|Q|/h and distances) to an uninjected cold run:
@@ -136,6 +137,31 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("cancellation took %v, want well under 2s", elapsed)
 			}
 		}},
+		{name: "delay-deadline-step2", inject: func(t *testing.T, s *Session, opt Options) {
+			// Round 20 of step 2 is first reached in the downward flood of
+			// its first all-to-all broadcast, whose rounds are charged
+			// rather than simulated. The deadline passes during the one
+			// delay there, and the run must stop at the next round.
+			inj := faultinject.New(1, faultinject.Rule{
+				Hook: faultinject.HookRound, Stage: "step2-blocker",
+				Round: 20, SubRun: -1, Once: true,
+				Kind: faultinject.Delay, Delay: 500 * time.Millisecond,
+			})
+			s.SetFaultInjector(inj)
+			ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+			defer cancel()
+			_, err := s.RunContext(ctx, opt)
+			var ie *InterruptError
+			if !errors.As(err, &ie) || !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("got %T (%v), want *InterruptError past its deadline", err, err)
+			}
+			if want := step2DelayRounds[opt.Variant]; ie.Stage != "step2-blocker" || ie.CompletedRounds != want {
+				t.Fatalf("interrupted in %s after %d rounds, want step2-blocker after %d", ie.Stage, ie.CompletedRounds, want)
+			}
+			if inj.Fired() != 1 {
+				t.Fatalf("rule fired %d times, want 1", inj.Fired())
+			}
+		}},
 		{name: "pre-canceled", inject: func(t *testing.T, s *Session, opt Options) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -211,6 +237,11 @@ func TestFaultMatrix(t *testing.T) {
 		}
 	}
 }
+
+// step2DelayRounds is, per profile, the round count at which the
+// delay-deadline-step2 cell interrupts the fault-matrix graph: the rounds
+// before step 2's first all-to-all, plus its gather and 21 flood rounds.
+var step2DelayRounds = map[Variant]int{Det43: 847, Det32: 986, Rand43: 566, BroadcastStep6: 847}
 
 func boolName(b bool) string {
 	if b {

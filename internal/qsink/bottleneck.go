@@ -49,22 +49,19 @@ func computeBottlenecks(nw *congest.Network, cq *csssp.Collection, tree *broadca
 	// each tree — which every post-pick local size recomputation walks — is
 	// computed once and shared across elimination rounds.
 	var orders [][]int32
-	itemBuf := make([]broadcast.Item, n)
-	items := make([][]broadcast.Item, n)
+	cnt := make([]int32, n)
 
 	// Steps 3-6: eliminate until no node exceeds the bound.
 	for {
-		// Step 4: broadcast the load values (only overloaded nodes need to
-		// speak; O(n) rounds either way).
+		// Step 4: broadcast the (id, load) values (only overloaded nodes
+		// need to speak; O(n) rounds either way).
 		for v := 0; v < n; v++ {
+			cnt[v] = 0
 			if total[v] > bound {
-				itemBuf[v] = broadcast.Item{A: int64(v), B: total[v]}
-				items[v] = itemBuf[v : v+1 : v+1]
-			} else {
-				items[v] = nil
+				cnt[v] = 1
 			}
 		}
-		if _, err := broadcast.AllToAll(nw, tree, items); err != nil {
+		if err := broadcast.AllToAllCount(nw, tree, cnt); err != nil {
 			return nil, 0, 0, err
 		}
 		best, bestVal := -1, bound

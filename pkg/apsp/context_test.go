@@ -79,6 +79,62 @@ func TestRunContextCancelMidStageRunnerReusable(t *testing.T) {
 	}
 }
 
+// TestRunContextCancelInChargedBroadcast cancels from OnRound inside the
+// downward flood of step 2's first all-to-all broadcast, whose rounds are
+// charged rather than simulated. The run must stop at the next round, as a
+// simulated protocol would: the error names step2-blocker and the
+// completed rounds equal the recorded values. The same Runner's next clean
+// run must be bit-identical to a cold run. An OnRound hook keeps sharded
+// sub-runs serial, so both exec modes cancel at the same round.
+func TestRunContextCancelInChargedBroadcast(t *testing.T) {
+	forceWorkers(t)
+	g := RandomGraph(GenOptions{N: 28, Seed: 9, MaxWeight: 20}, 4*28)
+	cases := []struct {
+		algo      Algorithm
+		parallel  bool
+		at        int // OnRound sequence number that cancels
+		completed int
+	}{
+		{Deterministic43, false, 720, 831},
+		{Deterministic43, true, 720, 831},
+		{Deterministic32, false, 664, 971},
+		{Deterministic32, true, 664, 971},
+		{Randomized43, false, 467, 550},
+		{Randomized43, true, 467, 550},
+		{BroadcastStep6, false, 720, 831},
+		{BroadcastStep6, true, 720, 831},
+	}
+	for _, tc := range cases {
+		opt := Options{Algorithm: tc.algo, Parallel: tc.parallel, Seed: 5}
+		cold, err := Run(g, opt)
+		if err != nil {
+			t.Fatalf("%v parallel=%v: cold run: %v", tc.algo, tc.parallel, err)
+		}
+		r, err := NewRunner(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err = r.RunContext(ctx, cancelAfterRounds(opt, tc.at, cancel))
+		cancel()
+		var ie *InterruptError
+		if !errors.As(err, &ie) || !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%v parallel=%v: got %v, want a canceled *InterruptError", tc.algo, tc.parallel, err)
+		}
+		if ie.Stage != "step2-blocker" || ie.CompletedRounds != tc.completed {
+			t.Errorf("%v parallel=%v: interrupted in %s after %d rounds, want step2-blocker after %d",
+				tc.algo, tc.parallel, ie.Stage, ie.CompletedRounds, tc.completed)
+		}
+		warm, err := r.Run(opt)
+		if err != nil {
+			t.Fatalf("%v parallel=%v: clean run after cancel: %v", tc.algo, tc.parallel, err)
+		}
+		if !reflect.DeepEqual(warm.Dist, cold.Dist) || !reflect.DeepEqual(stripHostCost(warm.Stats), stripHostCost(cold.Stats)) {
+			t.Fatalf("%v parallel=%v: post-cancel run diverges from cold run", tc.algo, tc.parallel)
+		}
+	}
+}
+
 // TestRunContextDeadline pins the deadline path end to end: an
 // already-expired deadline fails with ErrDeadlineExceeded before any round
 // executes, and the Runner stays usable.

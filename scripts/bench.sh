@@ -2,7 +2,10 @@
 # bench.sh — run the perf-trajectory benchmarks and emit machine-readable
 # JSON consumed by CI dashboards and PR descriptions:
 #
-#   BENCH_engine.json  engine-critical microbenchmarks (ns/op, allocs/op)
+#   BENCH_engine.json  engine-critical microbenchmarks (ns/op, allocs/op),
+#                      including the charged all-to-all broadcast, one
+#                      section per GOMAXPROCS in {1, 2} (a section above
+#                      the host's core count is skipped)
 #   BENCH_apsp.json    full-pipeline apsp.Run wall-clock + allocs at
 #                      n in {128, 256, 512}, sequential vs source-sharded,
 #                      plus the warm apsp.Runner re-run rows
@@ -49,12 +52,17 @@ MAXPROCS="${GOMAXPROCS:-$CORES}"
 # regeneration versus the previously committed snapshot, so a bench refresh
 # shows at a glance what moved (scripts/check_allocs.sh gates the same
 # quantity in CI).
+# A file with GOMAXPROCS sections (BENCH_engine.json) is compared section
+# by section, each row named with its GOMAXPROCS.
 report_deltas() {
   command -v jq >/dev/null 2>&1 || return 0 # delta report is informational
   [ -s "$1" ] || return 0
   jq -r --slurpfile old "$1" '
-    ($old[0].results | map({(.name): .allocs_per_op}) | add) as $prev |
-    .results[] | select(.allocs_per_op != null) |
+    def rows: if has("sections")
+      then [.sections[] | .gomaxprocs as $p | .results[] | .name += " P=\($p)"]
+      else .results end;
+    ($old[0] | rows | map({(.name): .allocs_per_op}) | add) as $prev |
+    rows[] | select(.allocs_per_op != null) |
     "\(.name) allocs/op: \($prev[.name] // "n/a") -> \(.allocs_per_op)"
   ' "$2" | sed 's/^/  delta /'
 }
@@ -88,15 +96,31 @@ RAW="$(mktemp)"
 OLD="$(mktemp)"
 trap 'rm -f "$RAW" "$OLD"' EXIT
 
-go test -run '^$' \
-  -bench 'BenchmarkSimulatorRound|BenchmarkDistributedBellmanFord' \
-  -benchtime="$BENCHTIME" -benchmem . | tee "$RAW"
-
-go test -run '^$' -bench 'BenchmarkEngine' -benchtime="$BENCHTIME" \
-  ./internal/congest/ | tee -a "$RAW"
-
+# Engine microbenchmarks, one section per GOMAXPROCS (the sharded engine
+# rows only shard when the workers exist).
 cp BENCH_engine.json "$OLD" 2>/dev/null || : > "$OLD"
-emit_json engine "$BENCHTIME" "$RAW" BENCH_engine.json
+{
+  printf '{\n  "suite": "engine",\n  "benchtime": "%s",\n  "cores": %s,\n  "sections": [\n' "$BENCHTIME" "$CORES"
+  FIRST=1
+  for P in 1 2; do
+    if [ "$P" -gt 1 ] && [ "$P" -gt "$CORES" ]; then
+      continue
+    fi
+    GOMAXPROCS=$P go test -run '^$' \
+      -bench 'BenchmarkSimulatorRound|BenchmarkDistributedBellmanFord|BenchmarkAllToAll' \
+      -benchtime="$BENCHTIME" -benchmem . > "$RAW"
+    GOMAXPROCS=$P go test -run '^$' -bench 'BenchmarkEngine' -benchtime="$BENCHTIME" \
+      ./internal/congest/ >> "$RAW"
+    cat "$RAW" >&2
+    MAXPROCS=$P emit_json engine "$BENCHTIME" "$RAW" "$RAW.p$P" >&2
+    [ "$FIRST" -eq 1 ] || printf ',\n'
+    FIRST=0
+    printf '%s' "$(sed 's/^/    /' "$RAW.p$P")"
+    rm -f "$RAW.p$P"
+  done
+  printf '\n  ]\n}\n'
+} > BENCH_engine.json
+echo "wrote BENCH_engine.json"
 report_deltas "$OLD" BENCH_engine.json
 
 : > "$RAW"
