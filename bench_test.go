@@ -437,19 +437,26 @@ func BenchmarkBandwidthSweep(b *testing.B) {
 // turns these into BENCH_apsp.json so the perf trajectory covers the whole
 // pipeline, not just the engine. Every iteration is a cold start (network
 // build + arena growth); BenchmarkAPSPPipelineWarm measures the same
-// configuration on a warm apsp.Runner for the cold-vs-warm comparison.
+// configuration on a warm apsp.Runner for the cold-vs-warm comparison. The
+// seq-lasthops row, at n=128 only, adds the last-edge resolution (Step 8)
+// that the other rows skip, so scripts/check_allocs.sh gates its
+// allocations too.
 func BenchmarkAPSPPipeline(b *testing.B) {
 	for _, n := range []int{128, 256, 512} {
 		g := apsp.RandomGraph(apsp.GenOptions{N: n, Directed: true, Seed: int64(n), MaxWeight: 50}, 4*n)
 		for _, m := range []struct {
 			name     string
 			parallel bool
-		}{{"seq", false}, {"sharded", true}} {
+			lastHops bool
+		}{{"seq", false, false}, {"sharded", true, false}, {"seq-lasthops", false, true}} {
+			if m.lastHops && n != 128 {
+				continue
+			}
 			b.Run(fmt.Sprintf("%s/n=%d", m.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				var rounds float64
 				for i := 0; i < b.N; i++ {
-					res, err := apsp.Run(g, apsp.Options{SkipLastHops: true, Parallel: m.parallel})
+					res, err := apsp.Run(g, apsp.Options{SkipLastHops: !m.lastHops, Parallel: m.parallel})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -20,7 +20,6 @@ package bford
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"congestapsp/internal/congest"
@@ -69,125 +68,80 @@ type Result struct {
 	Confirmed []bool
 }
 
-// relAdj describes, for the chosen mode, the relaxation structure in CSR
-// form: row v of (relOff, relNbr, relW) lists the arcs (u, w) such that
-// dist(v) can improve to dist(u)+w, sorted by u for binary-searched lookup,
-// and row u of (ntfOff, ntf) lists the nodes v that must hear about u's
-// label changes, sorted by v. Parallel edges are collapsed to their minimum
-// weight: a node learns a neighbor's label once per round and applies its
-// locally known minimum incident edge weight.
+// relAdj describes, for the chosen mode, the relaxation structure aligned
+// with the network's links: link slot i of v sits at position off[v]+i, and
+// w at that position is the weight of the arc Neighbors(v)[i] ~> v along
+// which dist(v) can improve, or -1 when the link carries no arc in this
+// mode. Row u of (ntfOff, ntf) lists the slots, in Neighbors(u), of the
+// links to the nodes that must hear about u's label changes. Parallel
+// edges are collapsed to their minimum weight: a node learns a neighbor's
+// label once per round and applies its locally known minimum incident edge
+// weight.
 type relAdj struct {
-	relOff []int32
-	relNbr []int32
-	relW   []int64
+	off    []int32
+	w      []int64
 	ntfOff []int32
 	ntf    []int32
 }
 
-// weight returns the relaxation weight of arc u~>v, or -1 when v has no
-// relaxation arc from u.
-func (ra *relAdj) weight(v, u int) int64 {
-	if i := ra.arcIndex(v, u); i >= 0 {
-		return ra.relW[i]
-	}
-	return -1
-}
-
-// arcIndex returns the absolute index of arc u~>v in relNbr/relW, or -1.
-func (ra *relAdj) arcIndex(v, u int) int {
-	off := int(ra.relOff[v])
-	if i, ok := slices.BinarySearch(ra.relNbr[off:ra.relOff[v+1]], int32(u)); ok {
-		return off + i
-	}
-	return -1
-}
-
-// notify returns the nodes that must hear about v's label changes.
+// notify returns the link slots at v of the nodes that must hear about v's
+// label changes.
 func (ra *relAdj) notify(v int) []int32 {
 	return ra.ntf[ra.ntfOff[v]:ra.ntfOff[v+1]]
 }
 
-type relArc struct {
-	v, u int32
-	w    int64
-}
-
-func buildRelAdj(g *graph.Graph, mode Mode) *relAdj {
+func buildRelAdj(nw *congest.Network, g *graph.Graph, mode Mode) *relAdj {
 	n := g.N
-	pairs := make([]relArc, 0, 2*g.M())
+	ra := &relAdj{off: make([]int32, n+1), ntfOff: make([]int32, n+1)}
+	for v := 0; v < n; v++ {
+		ra.off[v+1] = ra.off[v] + int32(nw.Degree(v))
+	}
+	ra.w = make([]int64, ra.off[n])
+	for i := range ra.w {
+		ra.w[i] = -1
+	}
+	arc := func(v, u int, w int64) { // dist(v) <- dist(u) + w
+		p := int(ra.off[v]) + nw.LinkIndex(v, u)
+		if ra.w[p] < 0 || w < ra.w[p] {
+			ra.w[p] = w
+		}
+	}
 	for _, e := range g.Edges() {
 		switch {
 		case mode == Out && g.Directed:
-			pairs = append(pairs, relArc{int32(e.V), int32(e.U), e.W}) // dist(e.V) <- dist(e.U) + w
+			arc(e.V, e.U, e.W)
 		case mode == In && g.Directed:
-			pairs = append(pairs, relArc{int32(e.U), int32(e.V), e.W}) // dist(e.U) <- dist(e.V) + w
+			arc(e.U, e.V, e.W)
 		default: // undirected: both
-			pairs = append(pairs, relArc{int32(e.V), int32(e.U), e.W}, relArc{int32(e.U), int32(e.V), e.W})
+			arc(e.V, e.U, e.W)
+			arc(e.U, e.V, e.W)
 		}
 	}
-	slices.SortFunc(pairs, func(a, b relArc) int {
-		if a.v != b.v {
-			return int(a.v - b.v)
+	// u notifies v exactly when v relaxes over the link from u. Slots are in
+	// id order, as Neighbors(u) is.
+	ra.ntf = make([]int32, 0, len(ra.w))
+	for u := 0; u < n; u++ {
+		for i, v := range nw.Neighbors(u) {
+			if ra.w[int(ra.off[v])+nw.LinkIndex(v, u)] >= 0 {
+				ra.ntf = append(ra.ntf, int32(i))
+			}
 		}
-		if a.u != b.u {
-			return int(a.u - b.u)
-		}
-		switch {
-		case a.w < b.w:
-			return -1
-		case a.w > b.w:
-			return 1
-		}
-		return 0
-	})
-	// Collapse parallel arcs: after the sort the minimum weight comes first.
-	w := 0
-	for i := range pairs {
-		if i == 0 || pairs[i].v != pairs[w-1].v || pairs[i].u != pairs[w-1].u {
-			pairs[w] = pairs[i]
-			w++
-		}
-	}
-	pairs = pairs[:w]
-
-	ra := &relAdj{
-		relOff: make([]int32, n+1),
-		relNbr: make([]int32, w),
-		relW:   make([]int64, w),
-		ntfOff: make([]int32, n+1),
-		ntf:    make([]int32, w),
-	}
-	for _, p := range pairs {
-		ra.relOff[p.v+1]++
-		ra.ntfOff[p.u+1]++
-	}
-	for v := 0; v < n; v++ {
-		ra.relOff[v+1] += ra.relOff[v]
-		ra.ntfOff[v+1] += ra.ntfOff[v]
-	}
-	relFill := append([]int32(nil), ra.relOff[:n]...)
-	ntfFill := append([]int32(nil), ra.ntfOff[:n]...)
-	// pairs are sorted by (v, u), so both fills emit sorted rows.
-	for _, p := range pairs {
-		ra.relNbr[relFill[p.v]] = p.u
-		ra.relW[relFill[p.v]] = p.w
-		relFill[p.v]++
-		ra.ntf[ntfFill[p.u]] = p.v
-		ntfFill[p.u]++
+		ra.ntfOff[u+1] = int32(len(ra.ntf))
 	}
 	return ra
 }
 
-// The relaxation structure depends only on (graph, mode) and is rebuilt for
-// every SSSP otherwise — Step 1 alone runs n of them on the same graph — so
-// a small cache keyed by graph identity pays for itself immediately. The
-// graph's mutation counter is part of the key: any API-level mutation —
-// AddEdge, SetEdgeWeight, RemoveEdge (the session update path mutates
-// weights in place) — bumps it, so a stale entry can never be confused
-// with the current topology or weights. Note the pointer keys pin the
-// cached graphs (and their CSR arenas) until eviction; the cache is kept
-// small so a process churning through many transient graphs retains at
-// most a handful of them.
+// The relaxation structure depends only on (graph, mode), since the
+// graph's underlying undirected graph fixes the network's links, and would
+// otherwise be rebuilt for every SSSP (Step 1 alone runs n of them on the
+// same graph), so a small cache keyed by graph identity pays for itself
+// immediately. The graph's mutation counter is part of the key: any
+// API-level mutation — AddEdge, SetEdgeWeight, RemoveEdge (the session
+// update path mutates weights in place) — bumps it, so a stale entry can
+// never be confused with the current topology or weights. Note the pointer
+// keys pin the cached graphs (and their CSR arenas) until eviction; the
+// cache is kept small so a process churning through many transient graphs
+// retains at most a handful of them.
 type adjKey struct {
 	g       *graph.Graph
 	mode    Mode
@@ -204,7 +158,7 @@ var (
 	adjCache = map[adjKey]*relAdj{}
 )
 
-func getRelAdj(g *graph.Graph, mode Mode) *relAdj {
+func getRelAdj(nw *congest.Network, g *graph.Graph, mode Mode) *relAdj {
 	key := adjKey{g, mode, g.Version()}
 	adjMu.RLock()
 	ra, ok := adjCache[key]
@@ -217,7 +171,7 @@ func getRelAdj(g *graph.Graph, mode Mode) *relAdj {
 	if ra, ok = adjCache[key]; ok {
 		return ra // raced with another builder; reuse its structure
 	}
-	ra = buildRelAdj(g, mode)
+	ra = buildRelAdj(nw, g, mode)
 	if len(adjCache) >= 8 {
 		clear(adjCache) // bound retained memory; entries rebuild on demand
 	}
@@ -230,20 +184,20 @@ func getRelAdj(g *graph.Graph, mode Mode) *relAdj {
 type stateKey struct{}
 
 // runState is the reusable per-network state of runBF: the Result whose
-// vectors every run refills, the per-arc confirmation-wave labels, and the
+// vectors every run refills, the per-link confirmation-wave labels, and the
 // two protocol objects. Pooling it takes a warm-network SSSP re-run to zero
 // allocations — the pipeline executes thousands of them per Network.
 type runState struct {
 	res       Result
 	confirmed []bool     // pooled Confirmed backing (nil in label-only runs)
-	nbrLabel  [][2]int64 // per-arc neighbor labels, aligned with ra.relNbr
+	nbrLabel  [][2]int64 // per-link neighbor labels, aligned with ra.w
 	haveLabel []bool
 	start     []int32 // round-0 set: the seeds, then the reached nodes
 	main      mainProto
 	wave      waveProto
 }
 
-func (rs *runState) ensure(n, arcs int) {
+func (rs *runState) ensure(n, links int) {
 	if len(rs.res.Dist) < n {
 		rs.res.Dist = make([]int64, n)
 		rs.res.Hops = make([]int, n)
@@ -255,16 +209,17 @@ func (rs *runState) ensure(n, arcs int) {
 	rs.res.Hops = rs.res.Hops[:n]
 	rs.res.Parent = rs.res.Parent[:n]
 	rs.confirmed = rs.confirmed[:n]
-	if len(rs.nbrLabel) < arcs {
-		rs.nbrLabel = make([][2]int64, arcs)
-		rs.haveLabel = make([]bool, arcs)
+	if len(rs.nbrLabel) < links {
+		rs.nbrLabel = make([][2]int64, links)
+		rs.haveLabel = make([]bool, links)
 	}
-	rs.nbrLabel = rs.nbrLabel[:arcs]
-	rs.haveLabel = rs.haveLabel[:arcs]
+	rs.nbrLabel = rs.nbrLabel[:links]
+	rs.haveLabel = rs.haveLabel[:links]
 }
 
 // Run computes the h-hop SSSP rooted at root, consuming exactly hops rounds
-// on nw (the fixed schedule of Lemma A.4).
+// on nw (the fixed schedule of Lemma A.4). g must be nw's input graph, nw.G:
+// the relaxation structure is laid out along nw's links.
 //
 // The returned Result aliases per-network pooled storage: it is valid until
 // the next bford run on the same Network (or worker clone). Callers that
@@ -325,10 +280,13 @@ func runBF(nw *congest.Network, g *graph.Graph, init []int64, hops int, mode Mod
 	if len(init) != g.N {
 		return nil, fmt.Errorf("bford: init length %d != n %d", len(init), g.N)
 	}
-	ra := getRelAdj(g, mode)
+	if g != nw.G {
+		return nil, fmt.Errorf("bford: graph is not the network's input graph")
+	}
+	ra := getRelAdj(nw, g, mode)
 	n := g.N
 	rs := congest.ScratchState(nw.Scratch(), stateKey{}, func() *runState { return new(runState) })
-	rs.ensure(n, len(ra.relNbr))
+	rs.ensure(n, len(ra.w))
 	res := &rs.res
 	res.Root = -1
 	res.Mode = mode
@@ -372,9 +330,9 @@ func runBF(nw *congest.Network, g *graph.Graph, init []int64, hops int, mode Mod
 	// remain valid hop-bounded distances).
 	res.Confirmed = rs.confirmed
 	clear(res.Confirmed)
-	// Neighbor labels are stored per relaxation arc in a flat arena aligned
-	// with ra.relNbr (the sender of a kindFinal/kindConfirm message always
-	// has an arc into the receiver: that is exactly who notify() reaches).
+	// Neighbor labels are stored per link in a flat arena aligned with ra.w
+	// (the sender of a kindFinal/kindConfirm message always has an arc into
+	// the receiver: that is exactly who notify() reaches).
 	clear(rs.haveLabel)
 	// The wave starts from the reached nodes, which announce their labels
 	// in round 0.
@@ -418,23 +376,24 @@ type mainProto struct {
 func (p *mainProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
 	res, ra := p.res, p.ra
 	improved := round == 0 && res.Hops[v] == 0 // seeds announce at round 0
+	off := int(ra.off[v])
 	for _, m := range in {
 		if m.Kind != kindLabel {
 			continue
 		}
-		w := ra.weight(v, m.From)
+		w := ra.w[off+int(m.Link)]
 		if w < 0 {
 			continue // label from a neighbor with no relaxation arc to v
 		}
-		nd, nh := m.A+w, int(m.B)+1
-		if better(nd, nh, m.From, res.Dist[v], res.Hops[v], res.Parent[v]) {
-			res.Dist[v], res.Hops[v], res.Parent[v] = nd, nh, m.From
+		nd, nh, from := m.A+w, int(m.B)+1, int(m.From)
+		if better(nd, nh, from, res.Dist[v], res.Hops[v], res.Parent[v]) {
+			res.Dist[v], res.Hops[v], res.Parent[v] = nd, nh, from
 			improved = true
 		}
 	}
 	if improved && round < p.hops {
-		for _, u := range ra.notify(v) {
-			send(congest.Message{To: int(u), Kind: kindLabel, A: res.Dist[v], B: int64(res.Hops[v])})
+		for _, li := range ra.notify(v) {
+			send(congest.Message{Link: li, Kind: kindLabel, A: res.Dist[v], B: int64(res.Hops[v])})
 		}
 	}
 	return true
@@ -453,48 +412,48 @@ type waveProto struct {
 func (p *waveProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
 	rs, ra := p.rs, p.ra
 	res := &rs.res
+	off := int(ra.off[v])
 	for _, m := range in {
+		li := off + int(m.Link)
+		if ra.w[li] < 0 {
+			continue // no arc from the sender: it is not a notifier of v
+		}
 		switch m.Kind {
 		case kindFinal:
-			if ai := ra.arcIndex(v, m.From); ai >= 0 {
-				rs.nbrLabel[ai] = [2]int64{m.A, m.B}
-				rs.haveLabel[ai] = true
-			}
+			rs.nbrLabel[li] = [2]int64{m.A, m.B}
+			rs.haveLabel[li] = true
 		case kindConfirm:
-			if res.Hops[v] == round-1 {
-				ai := ra.arcIndex(v, m.From)
-				if ai < 0 || !rs.haveLabel[ai] {
-					continue
-				}
-				lbl, w := rs.nbrLabel[ai], ra.relW[ai]
-				if lbl[0]+w == res.Dist[v] && int(lbl[1])+1 == res.Hops[v] {
-					if !res.Confirmed[v] || m.From < res.Parent[v] {
-						res.Confirmed[v] = true
-						res.Parent[v] = m.From
-					}
+			if res.Hops[v] != round-1 || !rs.haveLabel[li] {
+				continue
+			}
+			lbl, from := rs.nbrLabel[li], int(m.From)
+			if lbl[0]+ra.w[li] == res.Dist[v] && int(lbl[1])+1 == res.Hops[v] {
+				if !res.Confirmed[v] || from < res.Parent[v] {
+					res.Confirmed[v] = true
+					res.Parent[v] = from
 				}
 			}
 		}
 	}
 	// Messages within one round arrive together, so re-scan for the
 	// smallest-id confirming sender (the loop above may have set a
-	// larger id first); handled by the m.From < Parent check.
+	// larger id first); handled by the from < Parent check.
 	switch {
 	case round == 0:
 		if res.Hops[v] >= 0 {
-			for _, u := range ra.notify(v) {
-				send(congest.Message{To: int(u), Kind: kindFinal, A: res.Dist[v], B: int64(res.Hops[v])})
+			for _, li := range ra.notify(v) {
+				send(congest.Message{Link: li, Kind: kindFinal, A: res.Dist[v], B: int64(res.Hops[v])})
 			}
 		}
 	case round == 1 && res.Hops[v] == 0:
 		res.Confirmed[v] = true
 		res.Parent[v] = -1
-		for _, u := range ra.notify(v) {
-			send(congest.Message{To: int(u), Kind: kindConfirm})
+		for _, li := range ra.notify(v) {
+			send(congest.Message{Link: li, Kind: kindConfirm})
 		}
 	case round >= 2 && res.Confirmed[v] && res.Hops[v] == round-1:
-		for _, u := range ra.notify(v) {
-			send(congest.Message{To: int(u), Kind: kindConfirm})
+		for _, li := range ra.notify(v) {
+			send(congest.Message{Link: li, Kind: kindConfirm})
 		}
 	}
 	return round >= 1 || res.Hops[v] != 0

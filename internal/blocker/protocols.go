@@ -55,9 +55,9 @@ func collectAncestors(nw *congest.Network, coll *csssp.Collection, i int) (off, 
 	ids = make([]int32, off[n])
 	recv := sc.Int32s(n)
 	copy(recv, off[:n])
-	*proto = ancProto{coll: coll, i: i, root: coll.Sources[i], h: h, off: off, ids: ids, recv: recv, fwd: sc.Int32s(n)}
+	*proto = ancProto{nw: nw, coll: coll, i: i, root: coll.Sources[i], h: h, off: off, ids: ids, recv: recv, fwd: sc.Int32s(n)}
 	_, err = nw.RunFrom(proto, start, h+1, true)
-	proto.coll, proto.off, proto.ids, proto.recv, proto.fwd = nil, nil, nil, nil, nil
+	proto.nw, proto.coll, proto.off, proto.ids, proto.recv, proto.fwd = nil, nil, nil, nil, nil, nil
 	if err != nil {
 		return nil, nil, fmt.Errorf("blocker: ancestors tree %d: %w", i, err)
 	}
@@ -68,6 +68,7 @@ type ancKey struct{}
 
 // ancProto is the pipelined Ancestors protocol as a reusable object.
 type ancProto struct {
+	nw       *congest.Network
 	coll     *csssp.Collection
 	i, root  int
 	h        int
@@ -109,7 +110,7 @@ func (p *ancProto) Step(v, round int, in []congest.Message, send func(congest.Me
 func (p *ancProto) sendChildren(v int, a int64, send func(congest.Message)) {
 	for _, c := range p.coll.ChildIDs(p.i, v) {
 		if !p.coll.Removed[p.i][c] {
-			send(congest.Message{To: int(c), Kind: kindAncestor, A: a})
+			send(congest.Message{Link: int32(p.nw.LinkIndex(v, int(c))), Kind: kindAncestor, A: a})
 		}
 	}
 }
@@ -122,10 +123,10 @@ func (p *ancProto) sendChildren(v int, a int64, send func(congest.Message)) {
 // after that. The protocol object is pooled per worker network.
 func computePijDowncastInto(nw *congest.Network, coll *csssp.Collection, i int, inVi []bool, beta []int64) error {
 	proto := congest.ScratchState(nw.Scratch(), pijKey{}, func() *pijProto { return new(pijProto) })
-	*proto = pijProto{coll: coll, i: i, root: coll.Sources[i], inVi: inVi, beta: beta, have: nw.Scratch().Bools(nw.N())}
+	*proto = pijProto{nw: nw, coll: coll, i: i, root: coll.Sources[i], inVi: inVi, beta: beta, have: nw.Scratch().Bools(nw.N())}
 	proto.start[0] = int32(proto.root)
 	_, err := nw.RunFrom(proto, proto.start[:], coll.H+1, true)
-	proto.coll, proto.inVi, proto.beta, proto.have = nil, nil, nil, nil
+	proto.nw, proto.coll, proto.inVi, proto.beta, proto.have = nil, nil, nil, nil, nil
 	if err != nil {
 		return fmt.Errorf("blocker: compute-Pij tree %d: %w", i, err)
 	}
@@ -147,6 +148,7 @@ type pijKey struct{}
 
 // pijProto is the Compute-Pij downcast as a reusable protocol object.
 type pijProto struct {
+	nw      *congest.Network
 	coll    *csssp.Collection
 	i, root int
 	start   [1]int32 // the round-0 set: the root
@@ -166,7 +168,7 @@ func (p *pijProto) Step(v, round int, in []congest.Message, send func(congest.Me
 			p.have[v] = true
 			for _, c := range coll.ChildIDs(i, v) {
 				if !coll.Removed[i][c] {
-					send(congest.Message{To: int(c), Kind: kindBeta, A: 0})
+					send(congest.Message{Link: int32(p.nw.LinkIndex(v, int(c))), Kind: kindBeta, A: 0})
 				}
 			}
 		}
@@ -183,7 +185,7 @@ func (p *pijProto) Step(v, round int, in []congest.Message, send func(congest.Me
 		}
 		for _, c := range coll.ChildIDs(i, v) {
 			if !coll.Removed[i][c] {
-				send(congest.Message{To: int(c), Kind: kindBeta, A: p.beta[v]})
+				send(congest.Message{Link: int32(p.nw.LinkIndex(v, int(c))), Kind: kindBeta, A: p.beta[v]})
 			}
 		}
 	}

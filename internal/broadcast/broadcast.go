@@ -143,8 +143,8 @@ func (p *bfsProto) Step(v, round int, in []congest.Message, send func(congest.Me
 	nw, t := p.nw, &p.st.tree
 	if round == 0 {
 		if v == p.root {
-			for _, u := range nw.Neighbors(v) {
-				send(congest.Message{To: u, Kind: kindBFSExplore, A: int64(t.Depth[v])})
+			for i := range nw.Neighbors(v) {
+				send(congest.Message{Link: int32(i), Kind: kindBFSExplore, A: int64(t.Depth[v])})
 			}
 		}
 		return v != p.root
@@ -160,8 +160,8 @@ func (p *bfsProto) Step(v, round int, in []congest.Message, send func(congest.Me
 		if m.Kind != kindBFSExplore {
 			continue
 		}
-		if best == -1 || m.From < best {
-			best = m.From
+		if best == -1 || int(m.From) < best {
+			best = int(m.From)
 			d = m.A
 		}
 	}
@@ -171,9 +171,9 @@ func (p *bfsProto) Step(v, round int, in []congest.Message, send func(congest.Me
 	p.st.bfsJoined[v] = true
 	t.Parent[v] = best
 	t.Depth[v] = int(d) + 1
-	for _, u := range nw.Neighbors(v) {
+	for i, u := range nw.Neighbors(v) {
 		if u != best {
-			send(congest.Message{To: u, Kind: kindBFSExplore, A: int64(t.Depth[v])})
+			send(congest.Message{Link: int32(i), Kind: kindBFSExplore, A: int64(t.Depth[v])})
 		}
 	}
 	return true

@@ -147,7 +147,7 @@ func (p *gatherProto) Step(v, round int, in []congest.Message, send func(congest
 	for b > 0 && int(st.head[v]) < len(st.queue[v]) {
 		it := st.queue[v][st.head[v]]
 		st.head[v]++
-		send(congest.Message{To: t.Parent[v], Kind: kindGather, A: it.A, B: it.B, C: it.C})
+		send(congest.Message{Link: int32(p.nw.LinkIndex(v, t.Parent[v])), Kind: kindGather, A: it.A, B: it.B, C: it.C})
 		st.sent[v]++
 		b--
 	}
@@ -199,7 +199,7 @@ func (p *floodProto) Step(v, round int, in []congest.Message, send func(congest.
 		it := p.items[st.fwd[v]]
 		st.fwd[v]++
 		for _, c := range t.Children[v] {
-			send(congest.Message{To: c, Kind: kindFlood, A: it.A, B: it.B, C: it.C})
+			send(congest.Message{Link: int32(p.nw.LinkIndex(v, c)), Kind: kindFlood, A: it.A, B: it.B, C: it.C})
 		}
 		b--
 	}
@@ -216,7 +216,7 @@ func sumRef(nw *congest.Network, t *Tree, vec [][]int64, m int) ([]int64, error)
 	for v := 0; v < n; v++ {
 		copy(st.acc[v*m:(v+1)*m], vec[v])
 	}
-	st.sum = sumProto{t: t, acc: st.acc, m: m}
+	st.sum = sumProto{nw: nw, t: t, acc: st.acc, m: m}
 	err := nw.RunFor(&st.sum, t.Height+m+1)
 	st.sum.acc = nil
 	if err != nil {
@@ -228,6 +228,7 @@ func sumRef(nw *congest.Network, t *Tree, vec [][]int64, m int) ([]int64, error)
 // sumProto is the fixed-schedule aggregation of sumRef: slot mu of node v
 // lives at acc[v*m+mu].
 type sumProto struct {
+	nw  *congest.Network
 	t   *Tree
 	acc []int64
 	m   int
@@ -244,7 +245,7 @@ func (p *sumProto) Step(v, round int, in []congest.Message, send func(congest.Me
 	if v != t.Root {
 		mu := round - (h - t.Depth[v])
 		if mu >= 0 && mu < m {
-			send(congest.Message{To: t.Parent[v], Kind: kindSum, A: int64(mu), B: p.acc[v*m+mu]})
+			send(congest.Message{Link: int32(p.nw.LinkIndex(v, t.Parent[v])), Kind: kindSum, A: int64(mu), B: p.acc[v*m+mu]})
 		}
 	}
 	return round >= h+m

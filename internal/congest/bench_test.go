@@ -52,8 +52,8 @@ func BenchmarkEngineDelivery(b *testing.B) {
 			nw := benchNet(b, 256, 1024, cfg.parallel)
 			nw.MinShardNodes = 1 // measure the sharded path below the adaptive threshold
 			chatter := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
-				for _, u := range nw.Neighbors(v) {
-					send(Message{To: u, Kind: 1, A: int64(round)})
+				for li := range nw.Neighbors(v) {
+					send(Message{Link: int32(li), Kind: 1, A: int64(round)})
 				}
 				return false
 			})
@@ -72,6 +72,42 @@ func BenchmarkEngineDelivery(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineHubFanout measures the message path on a high-degree
+// node: on star-n512 the hub sends one word on each of its 511 link slots
+// every round and each leaf replies on the link it heard on, so a round
+// delivers about 1022 messages, half of them from one sender. The
+// steady-state loop must not allocate.
+func BenchmarkEngineHubFanout(b *testing.B) {
+	nw, err := NewNetwork(graph.Star(graph.GenConfig{N: 512, Seed: 1, MaxWeight: 50}), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	deg := nw.Degree(0)
+	fanout := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
+		if v == 0 {
+			for li := 0; li < deg; li++ {
+				send(Message{Link: int32(li), Kind: 1, A: int64(round)})
+			}
+			return false
+		}
+		for _, m := range in {
+			send(Message{Link: m.Link, Kind: 1, A: m.A})
+		}
+		return false
+	})
+	if _, err := nw.Run(fanout, 8); err == nil { // warm arenas to steady state
+		b.Fatal("fan-out protocol unexpectedly terminated")
+	}
+	nw.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := nw.Run(fanout, b.N); err == nil {
+		b.Fatal("fan-out protocol unexpectedly terminated")
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(nw.Stats.Messages)/float64(b.N), "msgs/round")
+}
+
 // BenchmarkEngineActiveSet measures a workload where almost every node is
 // quiescent: two nodes ping-pong while n-2 terminated nodes sit idle. The
 // active-set scheduler must make the round cost independent of n.
@@ -79,13 +115,12 @@ func BenchmarkEngineActiveSet(b *testing.B) {
 	for _, n := range []int{256, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			nw := benchNet(b, n, 4*n, false)
-			a := nw.Neighbors(0)[0]
 			pong := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
 				if round == 0 && v == 0 {
-					send(Message{To: a, Kind: 1})
+					send(Message{Link: 0, Kind: 1})
 				}
 				for _, m := range in {
-					send(Message{To: m.From, Kind: 1})
+					send(Message{Link: m.Link, Kind: 1}) // back to the sender
 				}
 				return true
 			})

@@ -18,9 +18,9 @@ import (
 
 // Clone returns a Network over the same communication topology with fresh,
 // zeroed statistics and its own engine and scratch arenas. The input graph,
-// underlying undirected graph and CSR adjacency arenas are shared (they are
-// immutable for the lifetime of a run), so a clone costs O(n) — the
-// per-node stats vector — not O(n + m).
+// underlying undirected graph, CSR adjacency arenas and reverse-link table
+// are shared (they are immutable for the lifetime of a run), so a clone
+// costs O(n) — the per-node stats vector — not O(n + m).
 //
 // The clone starts with Parallel unset (worker clones run the sequential
 // engine; the parallelism lives one level up, across sources) and no
@@ -34,6 +34,7 @@ func (nw *Network) Clone() *Network {
 		Bandwidth: nw.Bandwidth,
 		nbrOff:    nw.nbrOff,
 		nbrs:      nw.nbrs,
+		rev:       nw.rev,
 		subrun:    -1,
 	}
 	c.Stats.WordsByNode = make([]int64, nw.G.N)

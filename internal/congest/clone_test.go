@@ -29,8 +29,8 @@ func floodFor(w *Network, i int) error {
 	depth := i%3 + 1
 	p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
 		if round < depth && (v == src || len(in) > 0) {
-			for _, nb := range w.Neighbors(v) {
-				send(Message{To: nb, Kind: 77, A: int64(i)})
+			for li := range w.Neighbors(v) {
+				send(Message{Link: int32(li), Kind: 77, A: int64(i)})
 			}
 		}
 		return round >= depth
@@ -193,8 +193,8 @@ func TestParallelToggleWarmEngine(t *testing.T) {
 				}
 				seen[v] = true
 			}
-			for _, nb := range nw.Neighbors(v) {
-				send(Message{To: nb, Kind: 5})
+			for li := range nw.Neighbors(v) {
+				send(Message{Link: int32(li), Kind: 5})
 			}
 			return v != 0 || round > 0
 		})
@@ -246,7 +246,7 @@ func TestSetBandwidthReachesFleet(t *testing.T) {
 		p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
 			if v == 0 && round == 0 {
 				for k := 0; k < 3; k++ {
-					send(Message{To: 1, Kind: 9, A: int64(k)})
+					send(Message{Link: 0, Kind: 9, A: int64(k)})
 				}
 			}
 			return true

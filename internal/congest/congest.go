@@ -19,14 +19,17 @@
 // an edge.
 //
 // The data plane is built for scale (see DESIGN.md): the adjacency is a
-// CSR-style flat arena with binary-searched link lookup (no maps), message
-// delivery moves double-buffered flat message arenas through a two-pass
-// counting sort keyed on receiver (zero allocations per message in steady
-// state), rounds step only the active nodes (non-terminated or with a
-// non-empty inbox), a run may start from a sparse round-0 set (RunFrom), and
-// both the step and delivery phases shard across a worker pool when
-// Parallel is set, with per-shard statistics merged at round end so results
-// are bit-identical to sequential execution.
+// CSR-style flat arena, and a message names its link by slot — its position
+// in the sender's sorted neighbor list — so the engine checks legality,
+// finds the receiver and the receiver's slot in O(1) through a reverse-link
+// table, with no search on the message path. Message delivery moves
+// double-buffered flat message arenas through a two-pass counting sort
+// keyed on receiver (zero allocations per message in steady state), rounds
+// step only the active nodes (non-terminated or with a non-empty inbox), a
+// run may start from a sparse round-0 set (RunFrom), and both the step and
+// delivery phases shard across a worker pool when Parallel is set, with
+// per-shard statistics merged at round end so results are bit-identical to
+// sequential execution.
 package congest
 
 import (
@@ -42,20 +45,27 @@ import (
 // Message is one CONGEST message. Payload is a small fixed tuple of int64
 // slots plus a protocol-defined Kind tag; this models the "constant number
 // of node ids, edge weights and distance values per edge per round" that the
-// paper assumes, and makes the word accounting concrete.
+// paper assumes, and makes the word accounting concrete. The fields are
+// ordered so a Message packs into 40 bytes.
+//
+// A sender addresses a message by Link alone: the slot of the link in its
+// own Neighbors(v). The engine fills From (the sender) and To (the node at
+// the other end of the link) and ignores whatever the sender put there. On
+// delivery Link is the receiver's slot for the same link, so
+// Neighbors(To)[Link] == From and the receiver reaches its per-link state
+// without a search.
 type Message struct {
-	From, To int
-	Kind     uint8
 	A, B, C  int64
-	// Words is the bandwidth cost of the message. Zero means "count the
-	// populated payload implicitly as one word per slot in use plus one for
-	// the kind/header"; protocols that know better may set it explicitly.
-	Words int
+	From, To int32
+	Link     int32
+	Kind     uint8
+	// Words is the bandwidth cost of the message; zero counts as one word.
+	Words uint8
 }
 
-func (m Message) cost() int {
+func (m *Message) cost() int32 {
 	if m.Words > 0 {
-		return m.Words
+		return int32(m.Words)
 	}
 	return 1
 }
@@ -73,10 +83,12 @@ const defaultMinShardNodes = 512
 // holds the messages delivered to v this round (sent in the previous round),
 // in a deterministic order (sorted by sender id, then by send order at the
 // sender); the slice aliases an engine arena and must not be retained past
-// the call. send queues a message for delivery next round; the From field is
-// filled in by the engine. Step returns true when node v has terminated; the
-// protocol as a whole terminates when every node has returned true and no
-// messages remain in flight.
+// the call. Each delivered message has From set to its sender, To to v and
+// Link to v's slot for the link it arrived on. send queues a message for
+// delivery next round along the link whose slot in Neighbors(v) is its Link
+// field; the engine fills From and To. Step returns true when node v has
+// terminated; the protocol as a whole terminates when every node has
+// returned true and no messages remain in flight.
 //
 // The engine schedules actively: a node that returned true and has an empty
 // inbox may be skipped in subsequent rounds until a message arrives for it
@@ -170,10 +182,12 @@ type Network struct {
 	Stats Stats
 
 	// CSR adjacency of UG: nbrs[nbrOff[v]:nbrOff[v+1]] is the sorted,
-	// deduplicated neighbor set of v. Link lookup is a binary search in
-	// that range, so validation and bandwidth accounting are map-free.
+	// deduplicated neighbor set of v, and link slot i of v is position
+	// p = nbrOff[v]+i. rev[p] is the slot of the same link at the other
+	// end u = nbrs[p]: nbrs[nbrOff[u]+rev[p]] == v.
 	nbrOff []int32
 	nbrs   []int
+	rev    []int32
 
 	eng     engine  // reusable per-run engine state (see run)
 	scratch Scratch // pooled protocol scratch (see scratch.go / DESIGN.md §7)
@@ -285,16 +299,16 @@ func NewNetwork(g *graph.Graph, bandwidth int) (*Network, error) {
 		subrun:    -1,
 	}
 	nw.Stats.WordsByNode = make([]int64, n)
-	nw.nbrOff, nw.nbrs = buildCSR(ug)
+	nw.nbrOff, nw.nbrs, nw.rev = buildCSR(ug)
 	return nw, nil
 }
 
-// buildCSR builds the CSR adjacency of ug: fill with an upper bound per
-// node (incident edge count), then sort and dedup each range in place,
-// compacting as we go.
-func buildCSR(ug *graph.Graph) ([]int32, []int) {
+// buildCSR builds the CSR adjacency of ug and its reverse-link table: fill
+// with an upper bound per node (incident edge count), then sort and dedup
+// each range in place, compacting as we go.
+func buildCSR(ug *graph.Graph) (nbrOff []int32, nbrs []int, rev []int32) {
 	n := ug.N
-	nbrOff := make([]int32, n+1)
+	nbrOff = make([]int32, n+1)
 	offs := make([]int32, n+1)
 	for v := 0; v < n; v++ {
 		offs[v+1] = offs[v] + int32(ug.OutDegree(v))
@@ -320,26 +334,39 @@ func buildCSR(ug *graph.Graph) ([]int32, []int) {
 		}
 		nbrOff[v+1] = w
 	}
-	return nbrOff, arena[:w:w]
+	nbrs = arena[:w:w]
+	// Scanning v in increasing order meets the entries of each row of u in
+	// increasing order too, so a per-node cursor yields v's slot at u.
+	rev = make([]int32, w)
+	cursor := fill[:n]
+	clear(cursor)
+	for v := 0; v < n; v++ {
+		for p := nbrOff[v]; p < nbrOff[v+1]; p++ {
+			u := nbrs[p]
+			rev[p] = cursor[u]
+			cursor[u]++
+		}
+	}
+	return nbrOff, nbrs, rev
 }
 
 // SyncTopology re-derives the communication topology from the (mutated)
-// input graph: the underlying undirected graph and the CSR adjacency arena
-// are rebuilt and re-pointed on nw AND on every cached worker clone (clones
-// share the arenas by reference, so leaving them stale would split the
-// fleet across two topologies). Weight-only mutations never need this —
-// the CSR is topology-only and UG weights are never read after
-// construction — but edge insertion/removal does. The engine's per-link
-// arenas re-size lazily on the next Run.
+// input graph: the underlying undirected graph, the CSR adjacency arena and
+// the reverse-link table are rebuilt and re-pointed on nw AND on every
+// cached worker clone (clones share the arenas by reference, so leaving
+// them stale would split the fleet across two topologies). Weight-only
+// mutations never need this — the CSR is topology-only and UG weights are
+// never read after construction — but edge insertion/removal does. The
+// engine's per-link arenas re-size lazily on the next Run.
 func (nw *Network) SyncTopology() error {
 	if err := nw.G.Validate(); err != nil {
 		return err
 	}
 	nw.UG = nw.G.UnderlyingUndirected()
-	nw.nbrOff, nw.nbrs = buildCSR(nw.UG)
+	nw.nbrOff, nw.nbrs, nw.rev = buildCSR(nw.UG)
 	for _, cl := range nw.fleet {
 		cl.UG = nw.UG
-		cl.nbrOff, cl.nbrs = nw.nbrOff, nw.nbrs
+		cl.nbrOff, cl.nbrs, cl.rev = nw.nbrOff, nw.nbrs, nw.rev
 	}
 	return nil
 }
@@ -358,9 +385,10 @@ func (nw *Network) Degree(v int) int {
 	return int(nw.nbrOff[v+1] - nw.nbrOff[v])
 }
 
-// LinkIndex returns the dense per-node index of the link {v,u} at v — the
-// position of u in Neighbors(v) — or -1 when no such link exists. Protocols
-// use it to keep per-link state in flat slices parallel to Neighbors(v).
+// LinkIndex returns the slot of the link {v,u} at v — the position of u in
+// Neighbors(v) — or -1 when no such link exists. It is a binary search: a
+// sender that knows only the receiver's id uses it to address a Message,
+// and protocols use it to build per-link state parallel to Neighbors(v).
 func (nw *Network) LinkIndex(v, u int) int {
 	if i, ok := slices.BinarySearch(nw.nbrs[nw.nbrOff[v]:nw.nbrOff[v+1]], u); ok {
 		return i
@@ -471,15 +499,18 @@ func (e *ErrBandwidth) Error() string {
 		e.Round, e.From, e.To, e.Words, e.Limit)
 }
 
-// ErrNotALink is returned when a protocol sends along a non-existent link.
+// ErrNotALink is returned when a protocol sends on a link slot outside
+// [0, Degree(From)).
 type ErrNotALink struct {
-	Round    int
-	From, To int
+	Round  int
+	From   int
+	Link   int
+	Degree int
 }
 
 // Error describes the nonexistent link a node tried to send on.
 func (e *ErrNotALink) Error() string {
-	return fmt.Sprintf("congest: node %d sent to %d at round %d but they share no link", e.From, e.To, e.Round)
+	return fmt.Sprintf("congest: node %d sent on link slot %d at round %d but has %d links", e.From, e.Link, e.Round, e.Degree)
 }
 
 // ErrRoundZero is returned, in builds with -tags matcheck only, when a node
@@ -510,7 +541,7 @@ type shard struct {
 	// arena is reset (not freed) every round, so steady-state rounds do not
 	// allocate per message.
 	out  []Message
-	from int // node currently stepping (stamped into Message.From)
+	from int32 // node currently stepping (stamped into Message.From)
 	send func(Message)
 
 	// Counting-sort state: cnt[r] is, during pass 1, the number of messages
@@ -901,7 +932,7 @@ func (nw *Network) stepShard(p Proto, sh *shard, round int) {
 		if e.inStamp[v] == e.stamp {
 			in = e.inArena[e.inStart[v]:e.inEnd[v]]
 		}
-		sh.from = v
+		sh.from = int32(v)
 		e.outStart[i] = int32(len(sh.out))
 		e.done[v] = p.Step(v, round, in, sh.send)
 		e.outEnd[i] = int32(len(sh.out))
@@ -909,8 +940,9 @@ func (nw *Network) stepShard(p Proto, sh *shard, round int) {
 }
 
 // countShard is delivery pass 1 for one shard: for every message sent by
-// the shard's senders (in id order), validate the link, account bandwidth,
-// and count the message toward its receiver. Messages on non-links are
+// the shard's senders (in id order), check the link slot, account
+// bandwidth, resolve To and the receiver's slot from the CSR, and count the
+// message toward its receiver. Messages on a slot outside [0, Degree) are
 // marked dropped (To = -1) and reported as the first violation in scan
 // order. With deliver == false (RunFor's final round) the schedule is over:
 // sends are still validated, but not counted or delivered.
@@ -925,25 +957,25 @@ func (nw *Network) countShard(sh *shard, round int, deliver bool) {
 			continue
 		}
 		v := int(e.active[i])
-		off := nw.nbrOff[v]
-		for j := off; j < nw.nbrOff[v+1]; j++ {
-			e.used[j] = 0
-		}
+		off, end := nw.nbrOff[v], nw.nbrOff[v+1]
+		deg := uint32(end - off)
+		clear(e.used[off:end])
 		for k := range seg {
 			m := &seg[k]
-			li := nw.LinkIndex(v, m.To)
-			if li < 0 {
+			if uint32(m.Link) >= deg {
 				if sh.vio == nil {
-					sh.vio = &ErrNotALink{Round: round, From: v, To: m.To}
+					sh.vio = &ErrNotALink{Round: round, From: v, Link: int(m.Link), Degree: int(deg)}
 				}
 				m.To = -1 // dropped; skipped by placement
 				continue
 			}
-			c := int32(m.cost())
-			slot := off + int32(li)
+			c := m.cost()
+			slot := off + m.Link
+			to := int32(nw.nbrs[slot])
+			m.To, m.Link = to, nw.rev[slot]
 			e.used[slot] += c
 			if e.used[slot] > bw && sh.vio == nil {
-				sh.vio = &ErrBandwidth{Round: round, From: v, To: m.To, Words: int(e.used[slot]), Limit: nw.Bandwidth}
+				sh.vio = &ErrBandwidth{Round: round, From: v, To: int(to), Words: int(e.used[slot]), Limit: nw.Bandwidth}
 			}
 			if !deliver {
 				continue
@@ -951,7 +983,6 @@ func (nw *Network) countShard(sh *shard, round int, deliver bool) {
 			sh.msgs++
 			sh.words += int64(c)
 			nw.Stats.WordsByNode[v] += int64(c) // senders are shard-partitioned
-			to := int32(m.To)
 			if sh.cstamp[to] != e.stamp {
 				sh.cstamp[to] = e.stamp
 				sh.cnt[to] = 0
@@ -970,10 +1001,10 @@ func placeShard(e *engine, sh *shard) {
 	for i := sh.lo; i < sh.hi; i++ {
 		seg := sh.out[e.outStart[i]:e.outEnd[i]]
 		for k := range seg {
-			if seg[k].To < 0 {
+			to := seg[k].To
+			if to < 0 {
 				continue
 			}
-			to := int32(seg[k].To)
 			slot := sh.cnt[to]
 			sh.cnt[to] = slot + 1
 			e.inArena[slot] = seg[k]

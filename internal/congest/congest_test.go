@@ -49,7 +49,7 @@ func TestMessageDeliveryNextRound(t *testing.T) {
 	gotAt := -1
 	p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
 		if v == 0 && round == 0 {
-			send(Message{To: 1, Kind: 9, A: 42})
+			send(Message{Link: int32(nw.LinkIndex(0, 1)), Kind: 9, A: 42})
 		}
 		if v == 1 {
 			for _, m := range in {
@@ -72,8 +72,8 @@ func TestBandwidthViolationDetected(t *testing.T) {
 	nw, _ := NewNetwork(path3(), 2)
 	p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
 		if v == 0 && round == 0 {
-			for i := 0; i < 3; i++ { // 3 words > bandwidth 2
-				send(Message{To: 1, Kind: 1, A: int64(i)})
+			for i := 0; i < 3; i++ { // 3 words > bandwidth 2 on link 0-1
+				send(Message{Link: 0, Kind: 1, A: int64(i)})
 			}
 		}
 		return true
@@ -93,8 +93,8 @@ func TestBandwidthPerLinkNotPerNode(t *testing.T) {
 	nw, _ := NewNetwork(path3(), 1)
 	p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
 		if v == 1 && round == 0 {
-			send(Message{To: 0, Kind: 1})
-			send(Message{To: 2, Kind: 1})
+			send(Message{Link: 0, Kind: 1}) // to 0
+			send(Message{Link: 1, Kind: 1}) // to 2
 		}
 		return true
 	})
@@ -104,17 +104,19 @@ func TestBandwidthPerLinkNotPerNode(t *testing.T) {
 }
 
 func TestNonLinkSendRejected(t *testing.T) {
-	nw, _ := NewNetwork(path3(), 1)
-	p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
-		if v == 0 && round == 0 {
-			send(Message{To: 2, Kind: 1}) // 0 and 2 share no link
+	for _, slot := range []int32{-1, 1} { // -1 and Degree(0): node 0 has one link
+		nw, _ := NewNetwork(path3(), 1)
+		p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
+			if v == 0 && round == 0 {
+				send(Message{Link: slot, Kind: 1})
+			}
+			return true
+		})
+		_, err := nw.Run(p, 5)
+		var nl *ErrNotALink
+		if !errors.As(err, &nl) {
+			t.Fatalf("slot %d: err = %v, want ErrNotALink", slot, err)
 		}
-		return true
-	})
-	_, err := nw.Run(p, 5)
-	var nl *ErrNotALink
-	if !errors.As(err, &nl) {
-		t.Fatalf("err = %v, want ErrNotALink", err)
 	}
 }
 
@@ -147,8 +149,8 @@ func TestStatsAccounting(t *testing.T) {
 	nw, _ := NewNetwork(path3(), 4)
 	p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
 		if v == 1 && round == 0 {
-			send(Message{To: 0, Kind: 1, Words: 2})
-			send(Message{To: 2, Kind: 1})
+			send(Message{Link: 0, Kind: 1, Words: 2})
+			send(Message{Link: 1, Kind: 1})
 		}
 		return true
 	})
@@ -193,8 +195,8 @@ func (f *flooder) Step(v, round int, in []Message, send func(Message)) bool {
 		}
 	}
 	if improved && round < 20 {
-		for _, u := range f.nw.Neighbors(v) {
-			send(Message{To: u, Kind: 2, A: f.best[v] + 1})
+		for i := range f.nw.Neighbors(v) {
+			send(Message{Link: int32(i), Kind: 2, A: f.best[v] + 1})
 		}
 	}
 	return round >= 20
@@ -231,7 +233,7 @@ func TestRunForDropsFinalRoundSends(t *testing.T) {
 	p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
 		got += len(in)
 		if v == 0 {
-			send(Message{To: 1, Kind: 1})
+			send(Message{Link: 0, Kind: 1})
 			sent++
 		}
 		return false
@@ -262,17 +264,19 @@ func TestRunForDropsFinalRoundSends(t *testing.T) {
 func TestRunForFinalRoundSendStillValidated(t *testing.T) {
 	// Dropped or not, a send along a non-link is a protocol bug and must
 	// still be reported.
-	nw, _ := NewNetwork(path3(), 1)
-	p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
-		if v == 0 && round == 1 {
-			send(Message{To: 2, Kind: 1}) // 0-2 is not a link; round 1 is the final RunFor(2) round
+	for _, slot := range []int32{-1, 1} { // -1 and Degree(0): node 0 has one link
+		nw, _ := NewNetwork(path3(), 1)
+		p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
+			if v == 0 && round == 1 {
+				send(Message{Link: slot, Kind: 1}) // round 1 is the final RunFor(2) round
+			}
+			return false
+		})
+		err := nw.RunFor(p, 2)
+		var nl *ErrNotALink
+		if !errors.As(err, &nl) {
+			t.Fatalf("slot %d: err = %v, want ErrNotALink", slot, err)
 		}
-		return false
-	})
-	err := nw.RunFor(p, 2)
-	var nl *ErrNotALink
-	if !errors.As(err, &nl) {
-		t.Fatalf("err = %v, want ErrNotALink", err)
 	}
 }
 
@@ -286,7 +290,7 @@ func TestDoneNodeWokenByMessage(t *testing.T) {
 		case 0:
 			// Quiet until round 5, then poke node 1 (done long before).
 			if round == 5 {
-				send(Message{To: 1, Kind: 2})
+				send(Message{Link: 0, Kind: 2})
 			}
 			return round >= 5
 		case 1:
@@ -378,9 +382,9 @@ func TestInboxSenderOrderDeterministic(t *testing.T) {
 		nw.Parallel = parallel
 		var order []int64
 		p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
-			if round == 0 && v != 3 {
-				send(Message{To: 3, Kind: 1, A: int64(10 * v)})
-				send(Message{To: 3, Kind: 1, A: int64(10*v + 1)})
+			if round == 0 && v != 3 { // a leaf's one link, slot 0, goes to 3
+				send(Message{Link: 0, Kind: 1, A: int64(10 * v)})
+				send(Message{Link: 0, Kind: 1, A: int64(10*v + 1)})
 			}
 			if v == 3 {
 				for _, m := range in {
@@ -422,7 +426,7 @@ func TestOnRoundHook(t *testing.T) {
 	}
 	p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
 		if v == 0 && round == 0 {
-			send(Message{To: 1, Kind: 3})
+			send(Message{Link: 0, Kind: 3})
 		}
 		return round >= 1
 	})

@@ -19,7 +19,7 @@ func TestRoundZeroGuardMatcheck(t *testing.T) {
 	}{
 		{"sends", func(v, round int, send func(Message)) bool {
 			if round == 0 && v == 2 {
-				send(Message{To: 1})
+				send(Message{Link: 0}) // to 1
 			}
 			return true
 		}, &ErrRoundZero{Node: 2, Sent: true}},
@@ -28,7 +28,7 @@ func TestRoundZeroGuardMatcheck(t *testing.T) {
 		}, &ErrRoundZero{Node: 1}},
 		{"keeps the rule", func(v, round int, send func(Message)) bool {
 			if round == 0 && v == 0 {
-				send(Message{To: 1})
+				send(Message{Link: 0}) // to 1
 			}
 			return true
 		}, nil},

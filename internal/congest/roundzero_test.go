@@ -10,7 +10,9 @@ import (
 // relay is a token relay on a path: the source sends a hop budget to both
 // neighbors in round 0, and every node that receives a budget passes the
 // rest on away from the sender. Only the source acts spontaneously, so
-// every step returns true. It counts the steps each node takes.
+// every step returns true. It counts the steps each node takes. An inner
+// node v of the path has links v-1 (slot 0) and v+1 (slot 1), so "away
+// from the sender" is the slot the message did not arrive on.
 type relay struct {
 	src, hops int
 	steps     []int
@@ -19,13 +21,12 @@ type relay struct {
 func (p *relay) Step(v, round int, in []Message, send func(Message)) bool {
 	p.steps[v]++
 	if round == 0 && v == p.src {
-		for _, u := range []int{v - 1, v + 1} {
-			send(Message{To: u, A: int64(p.hops - 1)})
-		}
+		send(Message{Link: 0, A: int64(p.hops - 1)})
+		send(Message{Link: 1, A: int64(p.hops - 1)})
 	}
 	for _, m := range in {
-		if next := 2*v - m.From; m.A > 0 && next >= 0 && next < len(p.steps) {
-			send(Message{To: next, A: m.A - 1})
+		if next := 2*v - int(m.From); m.A > 0 && next >= 0 && next < len(p.steps) {
+			send(Message{Link: 1 - m.Link, A: m.A - 1})
 		}
 	}
 	return true

@@ -220,8 +220,8 @@ func resolveLastEdges(nw *congest.Network, g *graph.Graph, dist [][]int64) ([][]
 	}
 	L := int(linkOff[n])
 	// Minimum weight per ordered neighbor pair (parallel edges collapsed),
-	// stored per link position so lookups follow nw.LinkIndex instead of a
-	// map: wmin[linkOff[t]+i] is the min weight of u->t for u =
+	// stored per link slot so a receiver reads it at its slot m.Link:
+	// wmin[linkOff[t]+i] is the min weight of u->t for u =
 	// nw.Neighbors(t)[i], or graph.Inf when no such directed edge exists.
 	wmin := make([]int64, L)
 	for i := range wmin {
@@ -249,8 +249,8 @@ func resolveLastEdges(nw *congest.Network, g *graph.Graph, dist [][]int64) ([][]
 		kindCol    uint8 = 50
 		kindSettle uint8 = 51
 	)
-	// nbrDist[(linkOff[t]+i)*n + x]: delta(x, u) as received at t from its
-	// i-th neighbor u.
+	// nbrDist[(linkOff[t]+i)*n + x]: delta(x, u) as received at t on its
+	// link slot i, from u = nw.Neighbors(t)[i].
 	nbrDist := make([]int64, L*n)
 	for i := range nbrDist {
 		nbrDist[i] = graph.Inf
@@ -274,21 +274,20 @@ func resolveLastEdges(nw *congest.Network, g *graph.Graph, dist [][]int64) ([][]
 	p := congest.ProtoFunc(func(t, round int, in []congest.Message, send func(congest.Message)) bool {
 		lastCol := -1
 		base := int(linkOff[t])
-		// Gather this round's settle announcements first so the min-id
-		// composing announcer wins deterministically.
-		var annX, annFrom []int
 		for _, m := range in {
-			switch m.Kind {
-			case kindCol:
-				nbrDist[(base+nw.LinkIndex(t, m.From))*n+int(m.A)] = m.B
+			if m.Kind == kindCol {
+				nbrDist[(base+int(m.Link))*n+int(m.A)] = m.B
 				lastCol = int(m.A)
-			case kindSettle:
-				annX = append(annX, int(m.A))
-				annFrom = append(annFrom, m.From)
 			}
 		}
-		for k, x := range annX {
-			u := annFrom[k]
+		// Settle announcements, read after every column value of the round.
+		// The inbox is sorted by sender id, so the first composing announcer
+		// of a source is the min-id one, and it settles the source.
+		for _, m := range in {
+			if m.Kind != kindSettle {
+				continue
+			}
+			x := int(m.A)
 			if settled[t][x] {
 				continue
 			}
@@ -296,25 +295,13 @@ func resolveLastEdges(nw *congest.Network, g *graph.Graph, dist [][]int64) ([][]
 			if dxt >= graph.Inf {
 				continue
 			}
-			li := base + nw.LinkIndex(t, u)
+			li := base + int(m.Link)
 			w := wmin[li]
 			du := nbrDist[li*n+x]
 			if w >= graph.Inf || du >= graph.Inf || du+w != dxt {
 				continue
 			}
-			best := u
-			for k2 := k + 1; k2 < len(annX); k2++ {
-				if annX[k2] != x || annFrom[k2] >= best {
-					continue
-				}
-				l2 := base + nw.LinkIndex(t, annFrom[k2])
-				if w2 := wmin[l2]; w2 < graph.Inf {
-					if d2 := nbrDist[l2*n+x]; d2 < graph.Inf && d2+w2 == dxt {
-						best = annFrom[k2]
-					}
-				}
-			}
-			settle(t, x, best)
+			settle(t, x, int(m.From))
 		}
 		// All neighbor values for source lastCol just arrived: try the
 		// strict-decrease settlement.
@@ -338,16 +325,17 @@ func resolveLastEdges(nw *congest.Network, g *graph.Graph, dist [][]int64) ([][]
 				}
 			}
 		}
-		// Stream one column value and drain one settle notice per round
-		// (two words per link per round; legal at bandwidth >= 1 because
-		// they are distinct messages of one word each only when the
-		// bandwidth allows — at bandwidth 1 we alternate).
+		// A round carries at most one column value and one settle notice
+		// per link, one word each. budgetWords keeps the pair within the
+		// bandwidth: at bandwidth 1 a round that streams a column value
+		// holds its settle notice back to a later round.
 		budgetWords := nw.Bandwidth
+		deg := nw.Degree(t)
 		if round < n && budgetWords > 0 {
 			x := round
 			if dxt := dist[x][t]; dxt < graph.Inf {
-				for _, nb := range nw.Neighbors(t) {
-					send(congest.Message{To: nb, Kind: kindCol, A: int64(x), B: dxt})
+				for i := 0; i < deg; i++ {
+					send(congest.Message{Link: int32(i), Kind: kindCol, A: int64(x), B: dxt})
 				}
 				budgetWords--
 			}
@@ -355,8 +343,8 @@ func resolveLastEdges(nw *congest.Network, g *graph.Graph, dist [][]int64) ([][]
 		if int(head[t]) < len(queue[t]) && budgetWords > 0 {
 			x := queue[t][head[t]]
 			head[t]++
-			for _, nb := range nw.Neighbors(t) {
-				send(congest.Message{To: nb, Kind: kindSettle, A: int64(x)})
+			for i := 0; i < deg; i++ {
+				send(congest.Message{Link: int32(i), Kind: kindSettle, A: int64(x)})
 			}
 		}
 		return round >= n && int(head[t]) >= len(queue[t])

@@ -386,7 +386,7 @@ func (c *Collection) PathVertices(i, leaf int) []int {
 func (c *Collection) RemoveSubtrees(nw *congest.Network, inZ []bool, excludeRoots bool) error {
 	return nw.ShardRuns(len(c.Sources), func(w *congest.Network, i int) error {
 		p := congest.ScratchState(w.Scratch(), removeKey{}, func() *removeProto { return new(removeProto) })
-		*p = removeProto{c: c, i: i, root: c.Sources[i], inZ: inZ, excludeRoots: excludeRoots,
+		*p = removeProto{nw: w, c: c, i: i, root: c.Sources[i], inZ: inZ, excludeRoots: excludeRoots,
 			gone: w.Scratch().Bools(c.G.N), start: c.appendMembers(p.start[:0], i)}
 		_, err := w.RunFrom(p, p.start, c.H+1, true)
 		if err == nil {
@@ -396,7 +396,7 @@ func (c *Collection) RemoveSubtrees(nw *congest.Network, inZ []bool, excludeRoot
 				}
 			}
 		}
-		p.c, p.inZ, p.gone = nil, nil, nil
+		p.nw, p.c, p.inZ, p.gone = nil, nil, nil, nil
 		if err != nil {
 			return fmt.Errorf("csssp: remove-subtrees tree %d: %w", i, err)
 		}
@@ -415,6 +415,7 @@ type removeKey struct{}
 // Removed[i] when it ends, so while it runs Removed[i] still describes the
 // tree as it stood when the flood started — the tree the flood walks.
 type removeProto struct {
+	nw           *congest.Network
 	c            *Collection
 	i, root      int
 	inZ          []bool
@@ -446,7 +447,7 @@ func (p *removeProto) remove(v int, send func(congest.Message)) {
 	p.gone[v] = true
 	for _, w := range p.c.ChildIDs(p.i, v) {
 		if !p.c.Removed[p.i][w] {
-			send(congest.Message{To: int(w), Kind: kindRemove})
+			send(congest.Message{Link: int32(p.nw.LinkIndex(v, int(w))), Kind: kindRemove})
 		}
 	}
 }
@@ -476,7 +477,7 @@ func (c *Collection) UpcastSumInto(nw *congest.Network, i int, init, acc []int64
 		return fmt.Errorf("csssp: upcast tree %d: acc length %d != n %d", i, len(acc), n)
 	}
 	p := congest.ScratchState(nw.Scratch(), upcastKey{}, func() *upcastProto { return new(upcastProto) })
-	p.c, p.i, p.acc = c, i, acc
+	p.nw, p.c, p.i, p.acc = nw, c, i, acc
 	p.start = slices.Grow(p.start[:0], n)
 	for v, d := range c.Depth[i] {
 		acc[v] = 0
@@ -488,7 +489,7 @@ func (c *Collection) UpcastSumInto(nw *congest.Network, i int, init, acc []int64
 		}
 	}
 	_, err := nw.RunFrom(p, p.start, c.H+1, true)
-	p.c, p.acc = nil, nil
+	p.nw, p.c, p.acc = nil, nil, nil
 	if err != nil {
 		return fmt.Errorf("csssp: upcast tree %d: %w", i, err)
 	}
@@ -502,6 +503,7 @@ type upcastKey struct{}
 // upcastProto is the Compute-Count convergecast as a reusable per-network
 // protocol (pooled via congest.ScratchState).
 type upcastProto struct {
+	nw    *congest.Network
 	c     *Collection
 	i     int
 	acc   []int64
@@ -523,7 +525,7 @@ func (p *upcastProto) Step(v, round int, in []congest.Message, send func(congest
 	}
 	d := c.Depth[i][v]
 	if d > 0 && round == h-d {
-		send(congest.Message{To: c.Parent[i][v], Kind: kindCount, A: p.acc[v]})
+		send(congest.Message{Link: int32(p.nw.LinkIndex(v, c.Parent[i][v])), Kind: kindCount, A: p.acc[v]})
 	}
 	return round >= h-d
 }

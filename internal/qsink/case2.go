@@ -126,6 +126,7 @@ const kindPipe uint8 = 40
 // same round, and an atomic add is order-independent, so the value each
 // round boundary observes is bit-identical to sequential execution.
 type pipeState struct {
+	nw      *congest.Network
 	cq      *csssp.Collection
 	Q       []int
 	q       int          // len(Q); row stride of the flat spines
@@ -146,7 +147,7 @@ func newPipeState(nw *congest.Network, cq *csssp.Collection, Q []int, delta *mat
 	n := cq.G.N
 	q := len(Q)
 	ps := congest.ScratchState(nw.Scratch(), pipeKey{}, func() *pipeState { return new(pipeState) })
-	ps.cq, ps.Q, ps.q, ps.deliver = cq, Q, q, deliver
+	ps.nw, ps.cq, ps.Q, ps.q, ps.deliver = nw, cq, Q, q, deliver
 	if cap(ps.queues) < n*q {
 		ps.queues = make([][]pipeMsg, n*q)
 	} else {
@@ -214,7 +215,7 @@ func (ps *pipeState) forward(v, ci int, send func(congest.Message)) {
 		ps.heads[s] = h + 1
 	}
 	ps.pending[v]--
-	send(congest.Message{To: ps.cq.Parent[ci][v], Kind: kindPipe, A: int64(msg.x), B: int64(msg.ci), C: msg.dist})
+	send(congest.Message{Link: int32(ps.nw.LinkIndex(v, ps.cq.Parent[ci][v])), Kind: kindPipe, A: int64(msg.x), B: int64(msg.ci), C: msg.dist})
 	ps.sent[v]++
 }
 

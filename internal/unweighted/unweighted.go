@@ -147,7 +147,7 @@ func Run(nw *congest.Network, g *graph.Graph) (*Result, error) {
 	}
 
 	roundsBefore := nw.Stats.Rounds
-	rs.proto = waveProto{rs: rs, lastStart: lastStart}
+	rs.proto = waveProto{nw: nw, rs: rs, lastStart: lastStart}
 	// O(n) with slack: starts take 2n rounds, waves another <= 2n + queues.
 	budget := 8*n + 2*tree.Height + 64
 	if _, err := nw.Run(&rs.proto, budget); err != nil {
@@ -181,6 +181,7 @@ func (rs *runState) forward(u, v int) bool {
 
 // waveProto is the pipelined-BFS wave protocol as a reusable object.
 type waveProto struct {
+	nw        *congest.Network
 	rs        *runState
 	lastStart int
 }
@@ -195,7 +196,7 @@ func (p *waveProto) Step(v, round int, in []congest.Message, send func(congest.M
 		src, d := int(m.A), m.B+1
 		// The receiver relaxes along the edge it heard the label on
 		// only if the sender is a forward in-neighbor.
-		if !rs.forward(m.From, v) {
+		if !rs.forward(int(m.From), v) {
 			continue
 		}
 		if d < rs.dist.At(src, v) {
@@ -215,7 +216,7 @@ func (p *waveProto) Step(v, round int, in []congest.Message, send func(congest.M
 			rs.head[v]++
 		}
 		for _, u := range rs.outIds[rs.outOff[v]:rs.outOff[v+1]] {
-			send(congest.Message{To: int(u), Kind: kindWave, A: int64(a.src), B: a.dist})
+			send(congest.Message{Link: int32(p.nw.LinkIndex(v, int(u))), Kind: kindWave, A: int64(a.src), B: a.dist})
 		}
 	}
 	return round > p.lastStart && int(rs.head[v]) >= len(rs.queue[v])

@@ -16,11 +16,12 @@
 #
 #   scripts/check_allocs.sh [bench_regex] [baseline_json] [threshold_pct]
 #
-# Defaults: 'BenchmarkAPSPPipeline/(seq|sharded)/n=128', BENCH_apsp.json, 10.
+# Defaults: 'BenchmarkAPSPPipeline/(seq|sharded|seq-lasthops)/n=128',
+# BENCH_apsp.json, 10.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REGEX="${1:-BenchmarkAPSPPipeline/(seq|sharded)/n=128}"
+REGEX="${1:-BenchmarkAPSPPipeline/(seq|sharded|seq-lasthops)/n=128}"
 BASELINE="${2:-BENCH_apsp.json}"
 THRESHOLD="${3:-10}"
 
