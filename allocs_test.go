@@ -7,6 +7,7 @@ import (
 	"congestapsp/internal/bford"
 	"congestapsp/internal/broadcast"
 	"congestapsp/internal/congest"
+	"congestapsp/internal/csssp"
 	"congestapsp/internal/graph"
 	"congestapsp/internal/qsink"
 	"congestapsp/internal/unweighted"
@@ -102,6 +103,58 @@ func TestBroadcastWarmNetworkAllocs(t *testing.T) {
 			var err error
 			sums, err = broadcast.GatherSum(nw, tree, vec, sums)
 			return err
+		},
+	} {
+		if got := testing.AllocsPerRun(5, func() {
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 0 {
+			t.Errorf("%s: %v allocs per warm call, want 0", name, got)
+		}
+	}
+}
+
+// TestTreeChargeWarmAllocs: the charged per-tree primitives of csssp are
+// allocation-free on a warm Network. Their tree walks, send lists and
+// per-round deliveries are pooled, and so, in -tags matcheck builds, are
+// the guard's reference network and the reference protocols' state.
+// RemoveSubtrees hands ShardRuns a sub-run bound once per network.
+func TestTreeChargeWarmAllocs(t *testing.T) {
+	g := benchGraph(64)
+	nw, err := congest.NewNetwork(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := make([]int, g.N)
+	for i := range srcs {
+		srcs[i] = i
+	}
+	coll, err := csssp.Build(nw, g, srcs, hopParam(g.N), bford.Out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := make([]int64, g.N)
+	for v := range init {
+		init[v] = int64(v % 3)
+	}
+	acc := make([]int64, g.N)
+	inZ := make([]bool, g.N)
+	for v := range inZ {
+		inZ[v] = v%9 == 4
+	}
+	for name, call := range map[string]func() error{
+		"UpcastSumInto": func() error {
+			for i := range coll.Sources {
+				if err := coll.UpcastSumInto(nw, i, init, acc); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		"RemoveSubtrees": func() error {
+			coll.ResetRemovals()
+			return coll.RemoveSubtrees(nw, inZ, true)
 		},
 	} {
 		if got := testing.AllocsPerRun(5, func() {

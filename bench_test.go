@@ -356,6 +356,32 @@ func BenchmarkAllToAll(b *testing.B) {
 	}
 }
 
+// BenchmarkTreeUpcast measures the charged Compute-Count convergecast as
+// the blocker's score recomputation runs it: one UpcastSumInto per tree of
+// the ring-n256 det43 collection (h = 7), each summing the tree's depth-h
+// leaf indicators. One op is the pass over all 256 trees.
+func BenchmarkTreeUpcast(b *testing.B) {
+	g := graph.Ring(graph.GenConfig{N: 256, Seed: 1, MaxWeight: 50})
+	coll, nw := buildColl(b, g, hopParam(g.N))
+	n := g.N
+	init := make([]int64, n*n)
+	for i := range coll.Sources {
+		for _, v := range coll.HLeaves(i) {
+			init[i*n+int(v)] = 1
+		}
+	}
+	counts := make([]int64, n*n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for i := range coll.Sources {
+			if err := coll.UpcastSumInto(nw, i, init[i*n:(i+1)*n], counts[i*n:(i+1)*n]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkFloydWarshallOracle calibrates the sequential oracle used in
 // verification.
 func BenchmarkFloydWarshallOracle(b *testing.B) {

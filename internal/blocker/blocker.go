@@ -136,12 +136,14 @@ type state struct {
 	n, h int
 	tree *broadcast.Tree // BFS tree rooted at the leader (node 0)
 
-	// Ancestor CSR per tree (Step 1 of Algorithm 7): ancIds[i][ancOff[i][v]
-	// : ancOff[i][v+1]] lists the proper ancestors of v in tree i, root
-	// excluded, nearest-first. Removals only delete whole paths, so the
-	// lists stay valid throughout one Compute.
-	ancOff [][]int32
-	ancIds [][]int32
+	// Ancestor CSR of every tree (Step 1 of Algorithm 7), in two flat
+	// arenas sized from Depth: with off = ancOff[i*(n+1):], the ids
+	// ancIds[off[v]:off[v+1]] are the proper ancestors of v in tree i,
+	// root excluded, nearest-first. Tree i owns its rows, so sharded
+	// indices write disjoint ones. Removals only delete whole paths, so
+	// the lists stay valid throughout one Compute.
+	ancOff []int32
+	ancIds []int32
 
 	score    []int64 // global knowledge after broadcastScores
 	inVi     []bool  // current V_i (derived locally from score)
@@ -165,6 +167,7 @@ type state struct {
 	totPi       []int64   // aggregated nuPi (or the randomized check's pair)
 	totPij      []int64   // aggregated nuPij
 	members     []int     // selected good-set members
+	walk        csssp.TreeWalk
 }
 
 // reinit points the pooled state at a new (collection, params) pair and
@@ -199,12 +202,12 @@ func (st *state) reinit(nw *congest.Network, coll *csssp.Collection, par Params)
 		st.leafBeta[i] = st.leafBetaBuf[i*n : (i+1)*n : (i+1)*n]
 		st.pijLeaf[i] = st.pijLeafBuf[i*n : (i+1)*n : (i+1)*n]
 	}
-	if cap(st.ancOff) < trees {
-		st.ancOff = make([][]int32, trees)
-		st.ancIds = make([][]int32, trees)
+	st.ancOff = congest.Grow(st.ancOff, trees*(n+1))
+	total := int32(0)
+	for i := 0; i < trees; i++ {
+		total = ancestorOffsets(coll.Depth[i], st.ancOffRow(i), total)
 	}
-	st.ancOff = st.ancOff[:trees]
-	st.ancIds = st.ancIds[:trees]
+	st.ancIds = congest.Grow(st.ancIds, int(total))
 }
 
 // countsRow returns row i of the pooled trees x n upcast matrix.
@@ -212,11 +215,25 @@ func (st *state) countsRow(i int) []int64 {
 	return st.counts[i*st.n : (i+1)*st.n : (i+1)*st.n]
 }
 
+// ancOffRow returns tree i's n+1 offsets into the ancestor arena.
+func (st *state) ancOffRow(i int) []int32 {
+	return st.ancOff[i*(st.n+1) : (i+1)*(st.n+1) : (i+1)*(st.n+1)]
+}
+
 // ancRow returns the proper ancestors of v in tree i (root excluded,
 // nearest-first).
 func (st *state) ancRow(i, v int) []int32 {
-	off := st.ancOff[i]
-	return st.ancIds[i][off[v]:off[v+1]]
+	off := st.ancOffRow(i)
+	return st.ancIds[off[v]:off[v+1]]
+}
+
+// addTreeCounts adds, for every node v of tree i other than its root,
+// counts[v] into sum. It walks the tree, so it costs O(tree), not O(n).
+func (st *state) addTreeCounts(i int, counts, sum []int64) {
+	st.coll.Walk(&st.walk, i)
+	for _, v := range st.walk.Descendants() {
+		sum[v] += counts[v]
+	}
 }
 
 // broadcastPositive charges the all-to-all broadcast of one (id, value)
@@ -256,14 +273,9 @@ func computeSetCover(nw *congest.Network, coll *csssp.Collection, par Params) (*
 	// tree paths (pipelined Ancestors of [2]; O(|S|*h) rounds). Removals
 	// only delete whole paths, so the lists stay valid throughout. The
 	// per-tree protocols are independent and dispatch across the
-	// work-stealing worker clones (each index owns st.ancOff[i]/ancIds[i]).
+	// work-stealing worker clones (each index owns tree i's rows).
 	err = nw.ShardRuns(coll.NumTrees(), func(w *congest.Network, i int) error {
-		off, ids, err := collectAncestors(w, coll, i)
-		if err != nil {
-			return err
-		}
-		st.ancOff[i], st.ancIds[i] = off, ids
-		return nil
+		return collectAncestors(w, coll, i, st.ancOffRow(i), st.ancIds)
 	})
 	if err != nil {
 		return nil, err
@@ -398,13 +410,7 @@ func (st *state) recomputeScores() error {
 	score := st.score
 	clear(score)
 	for i := range st.coll.Sources {
-		root := st.coll.Sources[i]
-		counts := st.countsRow(i)
-		for v := 0; v < n; v++ {
-			if v != root && st.coll.InTree(i, v) {
-				score[v] += counts[v]
-			}
-		}
+		st.addTreeCounts(i, st.countsRow(i), score)
 	}
 	// All-to-all broadcast of (id, score) items.
 	return st.broadcastPositive(score)
@@ -496,15 +502,8 @@ func (st *state) computeScoreij(pijLeaf [][]bool) ([]int64, error) {
 	scoreij := st.scoreij
 	clear(scoreij)
 	for i := range st.coll.Sources {
-		if !st.countUsed[i] {
-			continue
-		}
-		root := st.coll.Sources[i]
-		counts := st.countsRow(i)
-		for v := 0; v < n; v++ {
-			if v != root && st.coll.InTree(i, v) {
-				scoreij[v] += counts[v]
-			}
+		if st.countUsed[i] {
+			st.addTreeCounts(i, st.countsRow(i), scoreij)
 		}
 	}
 	if err := st.broadcastPositive(scoreij); err != nil {

@@ -17,116 +17,136 @@ import (
 	"congestapsp/internal/csssp"
 )
 
-// Message kinds for the per-tree protocols.
-const (
-	kindAncestor uint8 = iota + 20
-	kindBeta
-)
+// The per-tree protocols of this file, the pipelined Ancestors and the
+// Compute-Pij downcast, send what the tree, the Removed bits and the
+// parent's value dictate, so they are charged from one host walk of the
+// tree instead of simulated (DESIGN.md §3). The engine protocols they
+// replace are the reference (reference.go); in -tags matcheck builds every
+// charged call runs it on a clone and fails on any difference
+// (congest.Charged).
+
+// treeKey keys a network's treeCharge in its scratch registry.
+type treeKey struct{}
+
+// treeCharge is a network's pooled host state for the charged per-tree
+// protocols of this package.
+type treeCharge struct {
+	walk   csssp.TreeWalk
+	bursts []congest.Burst
+}
+
+func getTreeCharge(nw *congest.Network) *treeCharge {
+	return congest.ScratchState(nw.Scratch(), treeKey{}, func() *treeCharge { return new(treeCharge) })
+}
+
+// ancestorOffsets fills off (length n+1) with the CSR offsets of tree
+// depth's ancestor lists, starting at base: a node at depth d has d-1
+// proper non-root ancestors, a node outside the tree none. It returns
+// off[n].
+func ancestorOffsets(depth []int, off []int32, base int32) int32 {
+	off[0] = base
+	for v, d := range depth {
+		off[v+1] = off[v] + int32(max(0, d-1))
+	}
+	return off[len(depth)]
+}
 
 // collectAncestors runs the pipelined Ancestors protocol of [2] (Step 1 of
 // Algorithm 7) on tree i: every node learns the ids of its proper ancestors
-// up to but excluding the root, ordered nearest-first. Cost: H+1 rounds
-// (each node sends its own id at round 0 and forwards received ids FIFO).
-// The run starts from the tree's members.
+// up to but excluding the root, nearest-first, into ids[off[v]:off[v+1]]
+// (offsets from ancestorOffsets). Only the rows of tree i's nodes are
+// written. Cost: H+1 rounds.
 //
-// The lists come back in CSR form (off, ids), presized exactly from the
-// tree depths: a node at depth d has d-1 proper non-root ancestors. The
-// protocol object is pooled per worker network, and the transient cursors
-// come from nw's scratch arena (the caller runs this under ShardRuns,
-// which resets it before every sub-run).
-func collectAncestors(nw *congest.Network, coll *csssp.Collection, i int) (off, ids []int32, err error) {
-	n := nw.N()
-	h := coll.H
-	sc := nw.Scratch()
-	proto := congest.ScratchState(sc, ancKey{}, func() *ancProto { return new(ancProto) })
-	off = make([]int32, n+1) // retained by the caller for the whole Compute
-	start := sc.Int32s(n)[:0]
-	for v := 0; v < n; v++ {
-		if d := coll.Depth[i][v]; d >= 0 {
-			start = append(start, int32(v))
-			if d > 1 {
-				off[v+1] = int32(d - 1)
+// The run is charged from the tree: each non-root node sends its own id to
+// its children in round 0 and forwards the ids it receives, one per round
+// and FIFO, so a node at depth d receives its d-1 ids in rounds 1..d-1 and
+// sends in rounds 0..d-1. After an interruption a node holds the ids of the
+// completed rounds and zeros after them.
+func collectAncestors(nw *congest.Network, coll *csssp.Collection, i int, off, ids []int32) error {
+	tc := getTreeCharge(nw)
+	err := nw.Charged("ancestors", func() error {
+		w := &tc.walk
+		coll.Walk(w, i)
+		depth, parent := coll.Depth[i], coll.Parent[i]
+		b := tc.bursts[:0]
+		for k, v := range w.Nodes {
+			d := depth[v]
+			if d >= 2 {
+				p := parent[v]
+				row := ids[off[v]:off[v+1]]
+				row[0] = int32(p)
+				copy(row[1:], ids[off[p]:off[p+1]])
+			}
+			if sent := w.Kids[k+1] - w.Kids[k]; k > 0 && sent > 0 {
+				b = append(b, congest.Burst{V: v, First: 0, Last: int32(d - 1), Words: sent})
 			}
 		}
-	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	ids = make([]int32, off[n])
-	recv := sc.Int32s(n)
-	copy(recv, off[:n])
-	*proto = ancProto{nw: nw, coll: coll, i: i, root: coll.Sources[i], h: h, off: off, ids: ids, recv: recv, fwd: sc.Int32s(n)}
-	_, err = nw.RunFrom(proto, start, h+1, true)
-	proto.nw, proto.coll, proto.off, proto.ids, proto.recv, proto.fwd = nil, nil, nil, nil, nil, nil
+		tc.bursts = b
+		done, err := nw.ChargeFixed(b, 1, coll.H+1)
+		if err != nil {
+			for _, v := range w.Nodes {
+				if got := off[v] + int32(max(0, done-1)); got < off[v+1] {
+					clear(ids[got:off[v+1]])
+				}
+			}
+		}
+		return err
+	}, func(ref *congest.Network) error {
+		return checkAncestors(ref, coll, i, off, ids, tc.walk.Nodes)
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("blocker: ancestors tree %d: %w", i, err)
+		return fmt.Errorf("blocker: ancestors tree %d: %w", i, err)
 	}
-	return off, ids, nil
-}
-
-type ancKey struct{}
-
-// ancProto is the pipelined Ancestors protocol as a reusable object.
-type ancProto struct {
-	nw       *congest.Network
-	coll     *csssp.Collection
-	i, root  int
-	h        int
-	off, ids []int32 // ancestor CSR under construction
-	recv     []int32 // next write slot in ids for v
-	fwd      []int32 // ids forwarded so far: ids[off[v]:off[v]+fwd[v]]
-}
-
-// Step implements congest.Proto. Children are walked via the collection's
-// static child CSR with a Removed filter; no removals happen while this
-// protocol runs, so the walk matches a materialized snapshot exactly. A
-// node receives at most one id per round and forwards one per round, so
-// after its own id at round 0 it is message-driven: it stays live only
-// while it has ids left to forward.
-func (p *ancProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
-	coll, i := p.coll, p.i
-	for _, m := range in {
-		if m.Kind == kindAncestor {
-			p.ids[p.recv[v]] = int32(m.A)
-			p.recv[v]++
-		}
-	}
-	if !coll.InTree(i, v) {
-		return true
-	}
-	if round == 0 && v != p.root {
-		// Send own id to children (the root's id is excluded from
-		// ancestor lists: hyperedges drop the root).
-		p.sendChildren(v, int64(v), send)
-	} else if p.off[v]+p.fwd[v] < p.recv[v] {
-		id := p.ids[p.off[v]+p.fwd[v]]
-		p.fwd[v]++
-		p.sendChildren(v, int64(id), send)
-	}
-	return p.off[v]+p.fwd[v] >= p.recv[v]
-}
-
-// sendChildren sends ancestor id a to v's children still in the tree.
-func (p *ancProto) sendChildren(v int, a int64, send func(congest.Message)) {
-	for _, c := range p.coll.ChildIDs(p.i, v) {
-		if !p.coll.Removed[p.i][c] {
-			send(congest.Message{Link: int32(p.nw.LinkIndex(v, int(c))), Kind: kindAncestor, A: a})
-		}
-	}
+	return nil
 }
 
 // computePijDowncastInto runs Compute-Pij (Algorithm 4): a downcast through
 // tree i accumulating the number of marked (in-Vi) nodes on each
 // root-to-node path, root excluded, written into beta (length n, zeroed by
-// the caller). Compute-Pi (Algorithm 3) is the special case "beta >= 1".
-// Cost: H+1 rounds. The run starts from the root and is message-driven
-// after that. The protocol object is pooled per worker network.
+// the caller) at the tree's nodes. Compute-Pi (Algorithm 3) is the special
+// case "beta >= 1". Cost: H+1 rounds.
+//
+// The run is charged from the tree: the root sends 0 to its children in
+// round 0, and a node at depth d receives its parent's value in round d and
+// sends its own to its children in the same round, so the engine would
+// simulate one round more than the deepest depth reached. After an
+// interruption only the nodes reached in completed rounds hold their beta.
 func computePijDowncastInto(nw *congest.Network, coll *csssp.Collection, i int, inVi []bool, beta []int64) error {
-	proto := congest.ScratchState(nw.Scratch(), pijKey{}, func() *pijProto { return new(pijProto) })
-	*proto = pijProto{nw: nw, coll: coll, i: i, root: coll.Sources[i], inVi: inVi, beta: beta, have: nw.Scratch().Bools(nw.N())}
-	proto.start[0] = int32(proto.root)
-	_, err := nw.RunFrom(proto, proto.start[:], coll.H+1, true)
-	proto.nw, proto.coll, proto.inVi, proto.beta, proto.have = nil, nil, nil, nil, nil
+	tc := getTreeCharge(nw)
+	err := nw.Charged("compute-pij", func() error {
+		w := &tc.walk
+		coll.Walk(w, i)
+		depth, parent, root := coll.Depth[i], coll.Parent[i], coll.Sources[i]
+		b := tc.bursts[:0]
+		for k, v := range w.Nodes {
+			if k > 0 {
+				var x int64
+				if p := parent[v]; p != root {
+					x = beta[p]
+				}
+				if inVi[v] {
+					x++
+				}
+				beta[v] = x
+			}
+			if sent := w.Kids[k+1] - w.Kids[k]; sent > 0 {
+				r := int32(depth[v])
+				b = append(b, congest.Burst{V: v, First: r, Last: r, Words: sent})
+			}
+		}
+		tc.bursts = b
+		done, err := nw.ChargeFixed(b, 1, coll.H+1)
+		if err != nil {
+			for _, v := range w.Descendants() {
+				if depth[v] >= done {
+					beta[v] = 0
+				}
+			}
+		}
+		return err
+	}, func(ref *congest.Network) error {
+		return checkPij(ref, coll, i, inVi, beta, tc.walk.Nodes)
+	})
 	if err != nil {
 		return fmt.Errorf("blocker: compute-Pij tree %d: %w", i, err)
 	}
@@ -142,52 +162,4 @@ func computePijDowncast(nw *congest.Network, coll *csssp.Collection, i int, inVi
 		return nil, err
 	}
 	return beta, nil
-}
-
-type pijKey struct{}
-
-// pijProto is the Compute-Pij downcast as a reusable protocol object.
-type pijProto struct {
-	nw      *congest.Network
-	coll    *csssp.Collection
-	i, root int
-	start   [1]int32 // the round-0 set: the root
-	inVi    []bool
-	beta    []int64
-	have    []bool
-}
-
-// Step implements congest.Proto. Only the root acts in round 0; every
-// other node acts on the beta its parent sends, so all nodes return true.
-func (p *pijProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
-	coll, i := p.coll, p.i
-	if round == 0 && v == p.root {
-		if coll.InTree(i, v) {
-			// The root's own membership is not counted (hyperedges exclude
-			// the root), so it forwards beta = 0.
-			p.have[v] = true
-			for _, c := range coll.ChildIDs(i, v) {
-				if !coll.Removed[i][c] {
-					send(congest.Message{Link: int32(p.nw.LinkIndex(v, int(c))), Kind: kindBeta, A: 0})
-				}
-			}
-		}
-		return true
-	}
-	for _, m := range in {
-		if m.Kind != kindBeta || p.have[v] || !coll.InTree(i, v) {
-			continue
-		}
-		p.have[v] = true
-		p.beta[v] = m.A
-		if p.inVi[v] {
-			p.beta[v]++
-		}
-		for _, c := range coll.ChildIDs(i, v) {
-			if !coll.Removed[i][c] {
-				send(congest.Message{Link: int32(p.nw.LinkIndex(v, int(c))), Kind: kindBeta, A: p.beta[v]})
-			}
-		}
-	}
-	return true
 }

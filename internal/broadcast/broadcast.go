@@ -19,7 +19,7 @@
 // per-round hooks. What a caller reads back, the sorted union of the
 // inputs or the element-wise sum, is computed on the host. The engine
 // protocols remain as the reference (reference.go); builds with -tags
-// matcheck check every charged call against them.
+// matcheck check every charged call against them (congest.Charged).
 //
 // The package also exposes the BFS-tree construction itself (flooding,
 // O(diameter) rounds), which is simulated.
@@ -202,8 +202,7 @@ type bcastState struct {
 	childFill  []int32
 	bfs        bfsProto
 
-	ref   refState // the reference protocols (reference.go)
-	check refCheck // the matcheck guard (guard.go)
+	ref refState // the reference protocols (reference.go)
 }
 
 func getState(nw *congest.Network) *bcastState {
@@ -220,7 +219,7 @@ func getState(nw *congest.Network) *bcastState {
 // ceil(K/bandwidth) rounds; the run takes at least one round.
 func Gather(nw *congest.Network, t *Tree, perNode [][]Item) ([]Item, error) {
 	st := getState(nw)
-	err := charged(nw, "gather", func() error {
+	err := nw.Charged("gather", func() error {
 		return chargeGather(nw, t, st.countItems(perNode))
 	}, func(c *congest.Network) error {
 		_, err := gatherRef(c, t, perNode)
@@ -240,7 +239,7 @@ func Gather(nw *congest.Network, t *Tree, perNode [][]Item) ([]Item, error) {
 // node now holds; like Gather's result, the slice aliases pooled
 // per-network storage valid until the next broadcast call.
 func Broadcast(nw *congest.Network, t *Tree, items []Item) ([]Item, error) {
-	err := charged(nw, "broadcast", func() error {
+	err := nw.Charged("broadcast", func() error {
 		return chargeFlood(nw, t, len(items))
 	}, func(c *congest.Network) error {
 		return floodRef(c, t, items)
@@ -257,10 +256,10 @@ func Broadcast(nw *congest.Network, t *Tree, items []Item) ([]Item, error) {
 // BroadcastCount is Broadcast for a caller that needs no result: it
 // charges the flood of k items from the root.
 func BroadcastCount(nw *congest.Network, t *Tree, k int) error {
-	return charged(nw, "broadcast", func() error {
+	return nw.Charged("broadcast", func() error {
 		return chargeFlood(nw, t, k)
 	}, func(c *congest.Network) error {
-		return floodRef(c, t, getState(nw).check.blankRow(k))
+		return floodRef(c, t, getState(c).ref.blankRow(k))
 	})
 }
 
@@ -287,7 +286,7 @@ func AllToAllCount(nw *congest.Network, t *Tree, cnt []int32) error {
 // allToAll charges the gather of cnt and the flood of its total. The
 // reference run moves perNode, or blank items when perNode is nil.
 func allToAll(nw *congest.Network, t *Tree, cnt []int32, perNode [][]Item) error {
-	return charged(nw, "all-to-all", func() error {
+	return nw.Charged("all-to-all", func() error {
 		if err := chargeGather(nw, t, cnt); err != nil {
 			return err
 		}
@@ -298,7 +297,7 @@ func allToAll(nw *congest.Network, t *Tree, cnt []int32, perNode [][]Item) error
 		return chargeFlood(nw, t, k)
 	}, func(c *congest.Network) error {
 		if perNode == nil {
-			perNode = getState(nw).check.blankItems(cnt)
+			perNode = getState(c).ref.blankItems(cnt)
 		}
 		up, err := gatherRef(c, t, perNode)
 		if err != nil {

@@ -32,7 +32,7 @@ func GatherSum(nw *congest.Network, t *Tree, vec [][]int64, dst []int64) ([]int6
 	if m == 0 {
 		return dst, nil
 	}
-	err := charged(nw, "gather-sum", func() error {
+	err := nw.Charged("gather-sum", func() error {
 		return chargeSum(nw, t, m)
 	}, func(c *congest.Network) error {
 		_, err := sumRef(c, t, vec, m)

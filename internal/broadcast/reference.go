@@ -11,7 +11,7 @@ import (
 // move every message. The exported primitives charge their schedules
 // instead (see broadcast.go); builds with -tags matcheck run these on a
 // clone of the network after every charged call and fail on any difference
-// (ErrChargeMismatch), and the package tests compare both paths over
+// (congest.ErrChargeMismatch), and the package tests compare both paths over
 // generated trees, item counts and bandwidths.
 
 // refState is the pooled state of the reference protocols.
@@ -35,6 +35,32 @@ type refState struct {
 	// Aggregation: the flat n x m accumulator.
 	acc []int64
 	sum sumProto
+
+	// Zero items, the input of a reference run for a count-only call.
+	blank  []Item
+	blanks [][]Item
+}
+
+// blankItems returns per-node lists of cnt[v] zero items (pooled).
+func (st *refState) blankItems(cnt []int32) [][]Item {
+	total := 0
+	for _, c := range cnt {
+		total += int(c)
+	}
+	st.blank = congest.Grow(st.blank, total)
+	st.blanks = congest.Grow(st.blanks, len(cnt))
+	off := 0
+	for v, c := range cnt {
+		st.blanks[v] = st.blank[off : off+int(c)]
+		off += int(c)
+	}
+	return st.blanks
+}
+
+// blankRow returns k zero items (pooled).
+func (st *refState) blankRow(k int) []Item {
+	st.blank = congest.Grow(st.blank, k)
+	return st.blank
 }
 
 // growItems returns buf with length exactly n, reallocating only when the

@@ -189,8 +189,9 @@ type Network struct {
 	nbrs   []int
 	rev    []int32
 
-	eng     engine  // reusable per-run engine state (see run)
-	scratch Scratch // pooled protocol scratch (see scratch.go / DESIGN.md §7)
+	eng     engine      // reusable per-run engine state (see run)
+	charge  chargeState // pooled state of charged runs (see charge.go)
+	scratch Scratch     // pooled protocol scratch (see scratch.go / DESIGN.md §7)
 
 	// RetrySequential opts ShardRuns into graceful degradation: when a
 	// sub-run panics (not a protocol error, not cancellation), its partial
@@ -438,51 +439,6 @@ func (nw *Network) SetBandwidth(b int) error {
 // a composed schedule (see DESIGN.md); use sparingly and document each call
 // site.
 func (nw *Network) ChargeRounds(k int) { nw.Stats.Rounds += k }
-
-// Schedule is the round-by-round delivery count of a protocol run that
-// follows from the shape of its input alone (a tree, per-node item counts,
-// the bandwidth) and never from payload values. Every message it counts is
-// one word.
-type Schedule interface {
-	// Round reports how many messages round r sends, to be read in round
-	// r+1, and whether round r+1 takes place.
-	Round(r int) (delivered int64, more bool)
-}
-
-// ChargeSchedule charges a protocol run from its schedule instead of
-// simulating it. Each round does what the engine does around the step: the
-// context check, the fault injector's FireRound, the Rounds, Messages and
-// Words counters, then OnRound, so hooks, fault rules and traces see the
-// round stream a simulated run would give. WordsByNode is the caller's to
-// charge, since only it knows who sent. It returns the rounds charged; an
-// interrupted schedule returns the rounds it completed, as run does. Only a
-// payload-oblivious schedule with a reference protocol checked against it
-// may be charged this way (see DESIGN.md §3).
-func (nw *Network) ChargeSchedule(s Schedule) (int, error) {
-	for r := 0; ; r++ {
-		if nw.ctx != nil {
-			if err := nw.ctx.Err(); err != nil {
-				return r, err
-			}
-		}
-		if nw.fault != nil {
-			if err := nw.fault.FireRound(nw.subrun, r); err != nil {
-				return r, err
-			}
-		}
-		delivered, more := s.Round(r)
-		nw.Stats.Rounds++
-		nw.Stats.Messages += delivered
-		nw.Stats.Words += delivered
-		if nw.OnRound != nil {
-			nw.OnRound(nw.roundSeq, int(delivered))
-		}
-		nw.roundSeq++
-		if !more {
-			return r + 1, nil
-		}
-	}
-}
 
 // ErrBandwidth is returned (wrapped) when a protocol exceeds the per-link
 // bandwidth in some round.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,8 +40,9 @@ func fp(res *Result) fingerprint {
 
 // TestFaultMatrix sweeps injected faults — a forced sub-run error, a
 // sub-run panic, a per-round delay under a context deadline (in step 1, and
-// once in a charged broadcast of step 2), a pre-canceled context, and a
-// panic recovered by RetrySequential — across all 4 profiles
+// once in a charged broadcast of step 2), a forced round error inside a
+// charged per-tree run of step 2, a pre-canceled context, and a panic
+// recovered by RetrySequential — across all 4 profiles
 // x both exec modes. Every cell asserts the expected typed error with its
 // stage tag, and that the SAME session's next clean run is bit-identical
 // (rounds/messages/words/|Q|/h and distances) to an uninjected cold run:
@@ -157,6 +159,40 @@ func TestFaultMatrix(t *testing.T) {
 			}
 			if want := step2DelayRounds[opt.Variant]; ie.Stage != "step2-blocker" || ie.CompletedRounds != want {
 				t.Fatalf("interrupted in %s after %d rounds, want step2-blocker after %d", ie.Stage, ie.CompletedRounds, want)
+			}
+			if inj.Fired() != 1 {
+				t.Fatalf("rule fired %d times, want 1", inj.Fired())
+			}
+		}},
+		{name: "tree-run-error-step2", inject: func(t *testing.T, s *Session, opt Options) {
+			// Round 2 of sub-run 1 in step 2 is first reached in the
+			// Ancestors run of tree 1, which is charged from the tree
+			// rather than simulated. The set-cover blockers must fail
+			// there with the rule's tags. The greedy and random-sample
+			// blockers of Det32 and Rand43 run their per-tree protocols
+			// outside ShardRuns, so no sub-run matches and the run
+			// succeeds.
+			inj := faultinject.New(1, faultinject.Rule{
+				Hook: faultinject.HookRound, Stage: "step2-blocker",
+				Round: 2, SubRun: 1, Once: true,
+			})
+			s.SetFaultInjector(inj)
+			_, err := s.Run(opt)
+			if opt.Variant == Det32 || opt.Variant == Rand43 {
+				if err != nil || inj.Fired() != 0 {
+					t.Fatalf("got %v with the rule fired %d times, want a clean run", err, inj.Fired())
+				}
+				return
+			}
+			var ie *faultinject.InjectedError
+			if !errors.As(err, &ie) {
+				t.Fatalf("got %T (%v), want *faultinject.InjectedError", err, err)
+			}
+			if ie.Stage != "step2-blocker" || ie.SubRun != 1 || ie.Round != 2 {
+				t.Fatalf("bad tags (want stage step2-blocker, sub-run 1, round 2): %+v", ie)
+			}
+			if !strings.Contains(err.Error(), "ancestors tree 1") {
+				t.Fatalf("fired outside the charged Ancestors run of tree 1: %v", err)
 			}
 			if inj.Fired() != 1 {
 				t.Fatalf("rule fired %d times, want 1", inj.Fired())

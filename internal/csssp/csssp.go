@@ -15,7 +15,6 @@ package csssp
 
 import (
 	"fmt"
-	"slices"
 
 	"congestapsp/internal/bford"
 	"congestapsp/internal/congest"
@@ -57,7 +56,10 @@ type Collection struct {
 	// Parent[i][v] is v's parent in T_i (toward the root), -1 for the root
 	// and for absent nodes.
 	Parent [][]int
-	// Removed[i][v] marks nodes pruned by RemoveSubtrees.
+	// Removed[i][v] marks nodes pruned by RemoveSubtrees. Removals are
+	// subtree-closed: RemoveSubtrees, RemoveSubtreesLocal and
+	// ResetRemovals are the only writers, and each keeps every child of a
+	// removed node removed. Walk relies on it.
 	Removed [][]bool
 
 	hLeaves [][]int32 // depth-H nodes per tree (static), see HLeaves
@@ -273,21 +275,6 @@ func (c *Collection) ChildIDs(i, v int) []int32 {
 	return c.chIds[i][off[v]:off[v+1]]
 }
 
-// appendMembers appends the nodes of tree i as built (Depth >= 0) to dst,
-// ascending, removed nodes included: the round-0 set of the per-tree
-// protocols, since a node outside it never acts in them. It scans the depth
-// row rather than reading a stored list, which would add up to n int32s
-// per tree to every collection a run builds.
-func (c *Collection) appendMembers(dst []int32, i int) []int32 {
-	dst = slices.Grow(dst, len(c.Depth[i]))
-	for v, d := range c.Depth[i] {
-		if d >= 0 {
-			dst = append(dst, int32(v))
-		}
-	}
-	return dst
-}
-
 // Children materializes the child lists of tree i, respecting removals. It
 // allocates per call; protocol hot paths use ChildIDs plus a Removed check
 // instead.
@@ -367,169 +354,6 @@ func (c *Collection) PathVertices(i, leaf int) []int {
 	return path[:c.H] // drop the root (last element)
 }
 
-// RemoveSubtrees implements Algorithm 6 (Remove-Subtrees): for each source
-// in sequence, every node z with inZ[z] floods a removal notice down its
-// subtree in T_i; all reached nodes leave the tree. Cost: at most H+1
-// rounds per source (Lemma 3.7).
-//
-// excludeRoots controls what happens when z is the root of a tree. The
-// blocker algorithm must skip roots (hyperedges exclude the root, so a
-// blocker node covers none of its own tree's paths and that tree must stay
-// coverable); the bottleneck elimination of Algorithm 9 removes the whole
-// tree (messages destined to that root are already handled via z).
-//
-// The per-tree floods are independent (tree i's flood reads and writes only
-// Removed[i]), so they dispatch across the work-stealing worker clones when
-// nw.Parallel is set; the merged stats are exact commutative sums, so they
-// match the sequential schedule bit for bit. Each flood starts from the
-// tree's members.
-func (c *Collection) RemoveSubtrees(nw *congest.Network, inZ []bool, excludeRoots bool) error {
-	return nw.ShardRuns(len(c.Sources), func(w *congest.Network, i int) error {
-		p := congest.ScratchState(w.Scratch(), removeKey{}, func() *removeProto { return new(removeProto) })
-		*p = removeProto{nw: w, c: c, i: i, root: c.Sources[i], inZ: inZ, excludeRoots: excludeRoots,
-			gone: w.Scratch().Bools(c.G.N), start: c.appendMembers(p.start[:0], i)}
-		_, err := w.RunFrom(p, p.start, c.H+1, true)
-		if err == nil {
-			for _, v := range p.start {
-				if p.gone[v] {
-					c.Removed[i][v] = true
-				}
-			}
-		}
-		p.nw, p.c, p.inZ, p.gone = nil, nil, nil, nil
-		if err != nil {
-			return fmt.Errorf("csssp: remove-subtrees tree %d: %w", i, err)
-		}
-		return nil
-	})
-}
-
-const kindRemove uint8 = 11
-
-type removeKey struct{}
-
-// removeProto is the Remove-Subtrees flood as a reusable per-network
-// protocol (pooled via congest.ScratchState), so the per-commit floods of
-// the blocker construction allocate nothing in steady state. The flood
-// records the nodes it removes in gone and RemoveSubtrees applies them to
-// Removed[i] when it ends, so while it runs Removed[i] still describes the
-// tree as it stood when the flood started — the tree the flood walks.
-type removeProto struct {
-	nw           *congest.Network
-	c            *Collection
-	i, root      int
-	inZ          []bool
-	excludeRoots bool
-	gone         []bool
-	start        []int32 // the round-0 set: the tree's members
-}
-
-// Step implements congest.Proto. Only round 0 acts spontaneously; after it
-// the flood is message-driven, so every node returns true.
-func (p *removeProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
-	if round == 0 {
-		if p.inZ[v] && p.c.InTree(p.i, v) && !(p.excludeRoots && v == p.root) {
-			p.remove(v, send)
-		}
-		return true
-	}
-	for _, m := range in {
-		if m.Kind == kindRemove && !p.gone[v] {
-			p.remove(v, send)
-		}
-	}
-	return true
-}
-
-// remove takes v out of the tree and floods the notice to its children in
-// the pre-flood tree.
-func (p *removeProto) remove(v int, send func(congest.Message)) {
-	p.gone[v] = true
-	for _, w := range p.c.ChildIDs(p.i, v) {
-		if !p.c.Removed[p.i][w] {
-			send(congest.Message{Link: int32(p.nw.LinkIndex(v, int(w))), Kind: kindRemove})
-		}
-	}
-}
-
-// UpcastSum runs the Compute-Count convergecast of Algorithm 14
-// (generalized): within tree i, each node starts with init[v] and finishes
-// with the sum of init over its subtree, itself included; nodes outside the
-// tree finish with 0. A node at depth d sends its accumulated sum to its
-// parent at round H-d, so the fixed schedule is H+1 rounds per tree
-// (Lemma A.18).
-func (c *Collection) UpcastSum(nw *congest.Network, i int, init []int64) ([]int64, error) {
-	acc := make([]int64, c.G.N)
-	if err := c.UpcastSumInto(nw, i, init, acc); err != nil {
-		return nil, err
-	}
-	return acc, nil
-}
-
-// UpcastSumInto is UpcastSum writing the per-node sums into acc (length n),
-// so callers that loop over trees — the blocker score recomputations run
-// one upcast per tree per commit — reuse their own storage instead of
-// allocating a fresh vector per tree. init and acc may be arena-backed. The
-// convergecast starts from the tree's members.
-func (c *Collection) UpcastSumInto(nw *congest.Network, i int, init, acc []int64) error {
-	n := c.G.N
-	if len(acc) != n {
-		return fmt.Errorf("csssp: upcast tree %d: acc length %d != n %d", i, len(acc), n)
-	}
-	p := congest.ScratchState(nw.Scratch(), upcastKey{}, func() *upcastProto { return new(upcastProto) })
-	p.nw, p.c, p.i, p.acc = nw, c, i, acc
-	p.start = slices.Grow(p.start[:0], n)
-	for v, d := range c.Depth[i] {
-		acc[v] = 0
-		if d >= 0 {
-			p.start = append(p.start, int32(v))
-			if !c.Removed[i][v] {
-				acc[v] = init[v]
-			}
-		}
-	}
-	_, err := nw.RunFrom(p, p.start, c.H+1, true)
-	p.nw, p.c, p.acc = nil, nil, nil
-	if err != nil {
-		return fmt.Errorf("csssp: upcast tree %d: %w", i, err)
-	}
-	return nil
-}
-
-const kindCount uint8 = 12
-
-type upcastKey struct{}
-
-// upcastProto is the Compute-Count convergecast as a reusable per-network
-// protocol (pooled via congest.ScratchState).
-type upcastProto struct {
-	nw    *congest.Network
-	c     *Collection
-	i     int
-	acc   []int64
-	start []int32 // the round-0 set: the tree's members
-}
-
-// Step implements congest.Proto. A member at depth d sends at round H-d,
-// when the sums of its children (sent at round H-d-1) have all arrived, and
-// stays live only until then.
-func (p *upcastProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
-	c, i, h := p.c, p.i, p.c.H
-	for _, m := range in {
-		if m.Kind == kindCount {
-			p.acc[v] += m.A
-		}
-	}
-	if !c.InTree(i, v) {
-		return true
-	}
-	d := c.Depth[i][v]
-	if d > 0 && round == h-d {
-		send(congest.Message{Link: int32(p.nw.LinkIndex(v, c.Parent[i][v])), Kind: kindCount, A: p.acc[v]})
-	}
-	return round >= h-d
-}
-
 // ResetRemovals restores every tree to its as-built state (all removal
 // marks cleared). Algorithms that prune a collection (blocker construction,
 // bottleneck elimination) run on the same trees the later steps route on;
@@ -538,39 +362,6 @@ func (c *Collection) ResetRemovals() {
 	for i := range c.Removed {
 		for v := range c.Removed[i] {
 			c.Removed[i][v] = false
-		}
-	}
-}
-
-// RemoveSubtreesLocal applies the effect of Algorithm 6 without consuming
-// network rounds. It exists for baseline algorithms whose papers give a
-// cheaper distributed implementation than re-flooding every tree (the
-// caller charges the appropriate rounds separately; see blocker.Greedy).
-func (c *Collection) RemoveSubtreesLocal(inZ []bool, excludeRoots bool) {
-	n := c.G.N
-	var stack []int32
-	for i := range c.Sources {
-		root := c.Sources[i]
-		stack = stack[:0]
-		for v := 0; v < n; v++ {
-			if inZ[v] && c.InTree(i, v) && !(excludeRoots && v == root) {
-				stack = append(stack, int32(v))
-			}
-		}
-		for len(stack) > 0 {
-			v := int(stack[len(stack)-1])
-			stack = stack[:len(stack)-1]
-			if c.Removed[i][v] {
-				continue
-			}
-			c.Removed[i][v] = true
-			// Children already removed (by this call or earlier) had their
-			// subtrees handled when they were removed.
-			for _, w := range c.ChildIDs(i, v) {
-				if !c.Removed[i][w] {
-					stack = append(stack, w)
-				}
-			}
 		}
 	}
 }

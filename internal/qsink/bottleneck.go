@@ -22,33 +22,32 @@ func computeBottlenecks(nw *congest.Network, cq *csssp.Collection, tree *broadca
 	n := cq.G.N
 	q := cq.NumTrees()
 
-	// Step 1: count_{v,c} for every tree (simulated convergecasts), summed
+	// Step 1: count_{v,c} for every tree (charged convergecasts), summed
 	// into total_count_v locally (Step 2). The per-tree counts are consumed
-	// immediately, so one reused buffer serves all q upcasts.
+	// immediately, so one reused buffer serves all q upcasts, and the sums
+	// walk each tree rather than scanning all n nodes.
 	ones := make([]int64, n)
 	for v := range ones {
 		ones[v] = 1
 	}
 	total := make([]int64, n)
 	counts := make([]int64, n)
+	var walk csssp.TreeWalk
+	addCounts := func() { // the walked tree's counts, root excluded
+		for _, v := range walk.Descendants() {
+			total[v] += counts[v]
+		}
+	}
 	for i := 0; i < q; i++ {
 		if err := cq.UpcastSumInto(nw, i, ones, counts); err != nil {
 			return nil, 0, 0, err
 		}
-		root := cq.Sources[i]
-		for v := 0; v < n; v++ {
-			if v != root && cq.InTree(i, v) {
-				total[v] += counts[v]
-			}
-		}
+		cq.Walk(&walk, i)
+		addCounts()
 	}
 	loadBefore = maxOf(total)
 	loadAfter = loadBefore
 
-	// Tree depths never change, so the decreasing-depth traversal order of
-	// each tree — which every post-pick local size recomputation walks — is
-	// computed once and shared across elimination rounds.
-	var orders [][]int32
 	cnt := make([]int32, n)
 
 	// Steps 3-6: eliminate until no node exceeds the bound.
@@ -81,18 +80,10 @@ func computeBottlenecks(nw *congest.Network, cq *csssp.Collection, tree *broadca
 		inZ[best] = true
 		cq.RemoveSubtreesLocal(inZ, false)
 		nw.ChargeRounds(n)
-		if orders == nil {
-			orders = depthOrders(cq)
-		}
 		clear(total)
 		for i := 0; i < q; i++ {
-			subtreeSizesInto(cq, i, orders[i], counts)
-			root := cq.Sources[i]
-			for v := 0; v < n; v++ {
-				if v != root && cq.InTree(i, v) {
-					total[v] += counts[v]
-				}
-			}
+			cq.UpcastSumLocal(&walk, i, ones, counts)
+			addCounts()
 		}
 		loadAfter = maxOf(total)
 	}
@@ -101,59 +92,6 @@ func computeBottlenecks(nw *congest.Network, cq *csssp.Collection, tree *broadca
 	// 9) after the via-B distances are in place, so restore the trees.
 	cq.ResetRemovals()
 	return B, loadBefore, loadAfter, nil
-}
-
-// depthOrders returns, per tree, the as-built tree nodes in decreasing
-// depth (children before parents), carved from one flat arena. Depths are
-// static, so the orders stay valid across removals; traversals filter the
-// dynamic InTree state.
-func depthOrders(cq *csssp.Collection) [][]int32 {
-	n := cq.G.N
-	q := cq.NumTrees()
-	sizes := 0
-	for i := 0; i < q; i++ {
-		for v := 0; v < n; v++ {
-			if cq.Depth[i][v] >= 0 {
-				sizes++
-			}
-		}
-	}
-	flat := make([]int32, 0, sizes)
-	orders := make([][]int32, q)
-	for i := 0; i < q; i++ {
-		start := len(flat)
-		for d := cq.H; d >= 0; d-- {
-			for v := 0; v < n; v++ {
-				if cq.Depth[i][v] == d {
-					flat = append(flat, int32(v))
-				}
-			}
-		}
-		orders[i] = flat[start:len(flat):len(flat)]
-	}
-	return orders
-}
-
-// subtreeSizesInto computes, without network traffic, the current subtree
-// size of every node of tree i into size (the local mirror used inside the
-// O(n) charged update). order lists the tree's as-built nodes in
-// decreasing depth, so children accumulate before parents.
-func subtreeSizesInto(cq *csssp.Collection, i int, order []int32, size []int64) {
-	clear(size)
-	for _, v32 := range order {
-		if cq.InTree(i, int(v32)) {
-			size[v32] = 1
-		}
-	}
-	for _, v32 := range order {
-		v := int(v32)
-		if !cq.InTree(i, v) {
-			continue
-		}
-		if p := cq.Parent[i][v]; p >= 0 && cq.InTree(i, p) {
-			size[p] += size[v]
-		}
-	}
 }
 
 func maxOf(xs []int64) int64 {

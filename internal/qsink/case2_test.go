@@ -101,37 +101,3 @@ func TestPipelineCongestionAccounting(t *testing.T) {
 		t.Error("no pipeline messages on a ring with H2 = n")
 	}
 }
-
-func TestSubtreeSizesLocalMatchesUpcast(t *testing.T) {
-	g := graph.RandomConnected(graph.GenConfig{N: 20, Seed: 26, MaxWeight: 9}, 60)
-	nw, err := congest.NewNetwork(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cq, err := buildCQ(t, nw, g, []int{3, 9, 17}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ones := make([]int64, g.N)
-	for i := range ones {
-		ones[i] = 1
-	}
-	orders := depthOrders(cq)
-	for i := range cq.Sources {
-		viaNet, err := cq.UpcastSum(nw, i, ones)
-		if err != nil {
-			t.Fatal(err)
-		}
-		local := make([]int64, g.N)
-		subtreeSizesInto(cq, i, orders[i], local)
-		for v := 0; v < g.N; v++ {
-			want := viaNet[v]
-			if !cq.InTree(i, v) {
-				want = 0
-			}
-			if local[v] != want {
-				t.Fatalf("tree %d node %d: local %d != upcast %d", i, v, local[v], want)
-			}
-		}
-	}
-}

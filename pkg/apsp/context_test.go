@@ -135,6 +135,65 @@ func TestRunContextCancelInChargedBroadcast(t *testing.T) {
 	}
 }
 
+// TestRunContextCancelInChargedTreeRun cancels from OnRound inside the
+// first per-tree protocol of step 2 that follows the score or sample
+// broadcasts: the score upcast of tree 0 for Deterministic43,
+// BroadcastStep6 and Deterministic32 (whose greedy blocker upcasts too),
+// and, since the random-sample blocker has no score upcast, the Compute-Pi
+// downcast of tree 0 for Randomized43. The OnRound hook fires after the
+// tree run's second round, so the run stops at the top of its third, as a
+// simulated run would: the error names step2-blocker and the completed
+// rounds equal those the simulated tree protocols gave. An OnRound hook
+// keeps sharded sub-runs serial, so both exec modes cancel at the same
+// round. The same Runner's next clean run must be bit-identical to a cold
+// run.
+func TestRunContextCancelInChargedTreeRun(t *testing.T) {
+	forceWorkers(t)
+	g := RandomGraph(GenOptions{N: 28, Seed: 9, MaxWeight: 20}, 4*28)
+	cases := []struct {
+		algo      Algorithm
+		at        int // OnRound sequence number that cancels
+		completed int
+	}{
+		{Deterministic43, 568, 679},
+		{Deterministic32, 456, 763},
+		{Randomized43, 491, 574},
+		{BroadcastStep6, 568, 679},
+	}
+	for _, tc := range cases {
+		for _, parallel := range []bool{false, true} {
+			opt := Options{Algorithm: tc.algo, Parallel: parallel, Seed: 5}
+			cold, err := Run(g, opt)
+			if err != nil {
+				t.Fatalf("%v parallel=%v: cold run: %v", tc.algo, parallel, err)
+			}
+			r, err := NewRunner(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err = r.RunContext(ctx, cancelAfterRounds(opt, tc.at, cancel))
+			cancel()
+			var ie *InterruptError
+			if !errors.As(err, &ie) || !errors.Is(err, ErrCanceled) {
+				t.Fatalf("%v parallel=%v: got %v, want a canceled *InterruptError", tc.algo, parallel, err)
+			}
+			if ie.Stage != "step2-blocker" || ie.CompletedRounds != tc.completed {
+				t.Errorf("%v parallel=%v: interrupted in %s after %d rounds, want step2-blocker after %d",
+					tc.algo, parallel, ie.Stage, ie.CompletedRounds, tc.completed)
+			}
+			warm, err := r.Run(opt)
+			if err != nil {
+				t.Fatalf("%v parallel=%v: clean run after cancel: %v", tc.algo, parallel, err)
+			}
+			if !reflect.DeepEqual(warm.Dist, cold.Dist) || !reflect.DeepEqual(warm.LastHop, cold.LastHop) ||
+				!reflect.DeepEqual(stripHostCost(warm.Stats), stripHostCost(cold.Stats)) {
+				t.Fatalf("%v parallel=%v: post-cancel run diverges from cold run", tc.algo, parallel)
+			}
+		}
+	}
+}
+
 // TestRunContextDeadline pins the deadline path end to end: an
 // already-expired deadline fails with ErrDeadlineExceeded before any round
 // executes, and the Runner stays usable.

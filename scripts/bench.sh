@@ -3,9 +3,10 @@
 # JSON consumed by CI dashboards and PR descriptions:
 #
 #   BENCH_engine.json  engine-critical microbenchmarks (ns/op, allocs/op),
-#                      including the charged all-to-all broadcast, one
-#                      section per GOMAXPROCS in {1, 2} (a section above
-#                      the host's core count is skipped)
+#                      including the charged all-to-all broadcast and the
+#                      charged per-tree upcast, one section per GOMAXPROCS
+#                      in {1, 2} (a section above the host's core count is
+#                      skipped)
 #   BENCH_apsp.json    full-pipeline apsp.Run wall-clock + allocs at
 #                      n in {128, 256, 512}, sequential vs source-sharded,
 #                      plus the warm apsp.Runner re-run rows
@@ -107,7 +108,7 @@ cp BENCH_engine.json "$OLD" 2>/dev/null || : > "$OLD"
       continue
     fi
     GOMAXPROCS=$P go test -run '^$' \
-      -bench 'BenchmarkSimulatorRound|BenchmarkDistributedBellmanFord|BenchmarkAllToAll' \
+      -bench 'BenchmarkSimulatorRound|BenchmarkDistributedBellmanFord|BenchmarkAllToAll|BenchmarkTreeUpcast' \
       -benchtime="$BENCHTIME" -benchmem . > "$RAW"
     GOMAXPROCS=$P go test -run '^$' -bench 'BenchmarkEngine' -benchtime="$BENCHTIME" \
       ./internal/congest/ >> "$RAW"
