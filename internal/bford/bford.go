@@ -16,6 +16,16 @@
 // for every node, the minimum-hop path among minimum-weight paths within the
 // hop horizon; parents break remaining ties by smallest id. This is the
 // deterministic tie-breaking that the CSSSP construction of [1] relies on.
+//
+// A run is the relaxation schedule and, for the tree-building entry points,
+// the confirmation wave. Both are executed on the host, round by round,
+// with the per-node transition of the engine protocols they replace
+// (reference.go): each round's senders push their labels along their
+// notify rows, and the round is charged through congest.ChargeSchedule, so
+// Stats, WordsByNode, the OnRound stream, cancellation and fault rules are
+// those of the simulated run (DESIGN.md §3). In -tags matcheck builds every
+// run also executes the engine protocols on a clone and fails on any
+// difference (congest.Charged).
 package bford
 
 import (
@@ -73,15 +83,19 @@ type Result struct {
 // w at that position is the weight of the arc Neighbors(v)[i] ~> v along
 // which dist(v) can improve, or -1 when the link carries no arc in this
 // mode. Row u of (ntfOff, ntf) lists the slots, in Neighbors(u), of the
-// links to the nodes that must hear about u's label changes. Parallel
-// edges are collapsed to their minimum weight: a node learns a neighbor's
-// label once per round and applies its locally known minimum incident edge
-// weight.
+// links to the nodes that must hear about u's label changes; the push rows
+// pushTo and pushW, aligned with ntf, hold the receiver at the other end
+// of each and the weight of its arc from u, which is what the host
+// execution relaxes. Parallel edges are collapsed to their minimum weight:
+// a node learns a neighbor's label once per round and applies its locally
+// known minimum incident edge weight.
 type relAdj struct {
 	off    []int32
 	w      []int64
 	ntfOff []int32
 	ntf    []int32
+	pushTo []int32
+	pushW  []int64
 }
 
 // notify returns the link slots at v of the nodes that must hear about v's
@@ -120,10 +134,14 @@ func buildRelAdj(nw *congest.Network, g *graph.Graph, mode Mode) *relAdj {
 	// u notifies v exactly when v relaxes over the link from u. Slots are in
 	// id order, as Neighbors(u) is.
 	ra.ntf = make([]int32, 0, len(ra.w))
+	ra.pushTo = make([]int32, 0, len(ra.w))
+	ra.pushW = make([]int64, 0, len(ra.w))
 	for u := 0; u < n; u++ {
 		for i, v := range nw.Neighbors(u) {
-			if ra.w[int(ra.off[v])+nw.LinkIndex(v, u)] >= 0 {
+			if w := ra.w[int(ra.off[v])+nw.LinkIndex(v, u)]; w >= 0 {
 				ra.ntf = append(ra.ntf, int32(i))
+				ra.pushTo = append(ra.pushTo, int32(v))
+				ra.pushW = append(ra.pushW, w)
 			}
 		}
 		ra.ntfOff[u+1] = int32(len(ra.ntf))
@@ -183,38 +201,32 @@ func getRelAdj(nw *congest.Network, g *graph.Graph, mode Mode) *relAdj {
 // registry.
 type stateKey struct{}
 
-// runState is the reusable per-network state of runBF: the Result whose
-// vectors every run refills, the per-link confirmation-wave labels, and the
-// two protocol objects. Pooling it takes a warm-network SSSP re-run to zero
-// allocations — the pipeline executes thousands of them per Network.
+// runState is the reusable per-network state of a run: the Result whose
+// vectors every run refills, the two host schedules, and the state of the
+// reference protocols (reference.go), sized only where they run. Pooling
+// it takes a warm-network SSSP re-run to zero allocations — the pipeline
+// executes thousands of them per Network.
 type runState struct {
 	res       Result
-	confirmed []bool     // pooled Confirmed backing (nil in label-only runs)
-	nbrLabel  [][2]int64 // per-link neighbor labels, aligned with ra.w
-	haveLabel []bool
-	start     []int32 // round-0 set: the seeds, then the reached nodes
-	main      mainProto
-	wave      waveProto
+	confirmed []bool // pooled Confirmed backing (nil in label-only runs)
+	relax     relaxSched
+	wave      waveSched
+	ref       refState
 }
 
-func (rs *runState) ensure(n, links int) {
+func (rs *runState) ensure(n int) {
 	if len(rs.res.Dist) < n {
 		rs.res.Dist = make([]int64, n)
 		rs.res.Hops = make([]int, n)
 		rs.res.Parent = make([]int, n)
 		rs.confirmed = make([]bool, n)
-		rs.start = make([]int32, 0, n)
+		rs.relax.queued = make([]bool, n)
 	}
 	rs.res.Dist = rs.res.Dist[:n]
 	rs.res.Hops = rs.res.Hops[:n]
 	rs.res.Parent = rs.res.Parent[:n]
 	rs.confirmed = rs.confirmed[:n]
-	if len(rs.nbrLabel) < links {
-		rs.nbrLabel = make([][2]int64, links)
-		rs.haveLabel = make([]bool, links)
-	}
-	rs.nbrLabel = rs.nbrLabel[:links]
-	rs.haveLabel = rs.haveLabel[:links]
+	rs.relax.queued = rs.relax.queued[:n]
 }
 
 // Run computes the h-hop SSSP rooted at root, consuming exactly hops rounds
@@ -276,42 +288,52 @@ func RunLabelsWithInit(nw *congest.Network, g *graph.Graph, init []int64, hops i
 	return runBF(nw, g, init, hops, mode, false)
 }
 
-func runBF(nw *congest.Network, g *graph.Graph, init []int64, hops int, mode Mode, confirm bool) (*Result, error) {
+// prepare validates a run's arguments and returns nw's pooled run state
+// with the result labels set from init: a seed (init < Inf) at hop 0,
+// every other node unreached, no parents.
+func prepare(nw *congest.Network, g *graph.Graph, init []int64, mode Mode) (*runState, *relAdj, error) {
 	if len(init) != g.N {
-		return nil, fmt.Errorf("bford: init length %d != n %d", len(init), g.N)
+		return nil, nil, fmt.Errorf("bford: init length %d != n %d", len(init), g.N)
 	}
 	if g != nw.G {
-		return nil, fmt.Errorf("bford: graph is not the network's input graph")
+		return nil, nil, fmt.Errorf("bford: graph is not the network's input graph")
 	}
 	ra := getRelAdj(nw, g, mode)
-	n := g.N
 	rs := congest.ScratchState(nw.Scratch(), stateKey{}, func() *runState { return new(runState) })
-	rs.ensure(n, len(ra.w))
+	rs.ensure(g.N)
 	res := &rs.res
 	res.Root = -1
 	res.Mode = mode
 	res.Confirmed = nil
-	rs.start = rs.start[:0]
-	for v := 0; v < n; v++ {
-		res.Dist[v] = init[v]
+	for v, d := range init {
+		res.Dist[v] = d
 		res.Parent[v] = -1
-		if init[v] < graph.Inf {
+		if d < graph.Inf {
 			res.Hops[v] = 0
-			rs.start = append(rs.start, int32(v))
 		} else {
 			res.Hops[v] = -1
 		}
 	}
+	return rs, ra, nil
+}
 
-	rs.main = mainProto{res: res, ra: ra, hops: hops}
+func runBF(nw *congest.Network, g *graph.Graph, init []int64, hops int, mode Mode, confirm bool) (*Result, error) {
+	rs, ra, err := prepare(nw, g, init, mode)
+	if err != nil {
+		return nil, err
+	}
 	// The schedule takes hops+1 rounds: seeds send at round 0, labels at hop
-	// distance r settle at round r, and the final round only receives. The
-	// run starts from the seeds and is message-driven after that.
-	if _, err := nw.RunFrom(&rs.main, rs.start, hops+1, true); err != nil {
+	// distance r settle at round r, and the final round only receives.
+	err = nw.Charged("bford-relax", func() error {
+		return rs.relax.run(nw, &rs.res, ra, hops)
+	}, func(c *congest.Network) error {
+		return checkRelax(c, init, hops, mode, &rs.res)
+	})
+	if err != nil {
 		return nil, fmt.Errorf("bford: %s-SSSP: %w", mode, err)
 	}
 	if !confirm {
-		return res, nil
+		return &rs.res, nil
 	}
 
 	// Tree confirmation wave (hops+2 extra rounds). Near the hop horizon,
@@ -328,135 +350,204 @@ func runBF(nw *congest.Network, g *graph.Graph, init []int64, hops int, mode Mod
 	// is the containment property CSSSP needs; hop-limited fringe labels
 	// that no longer compose are left out of the tree (their Dist values
 	// remain valid hop-bounded distances).
-	res.Confirmed = rs.confirmed
-	clear(res.Confirmed)
-	// Neighbor labels are stored per link in a flat arena aligned with ra.w
-	// (the sender of a kindFinal/kindConfirm message always has an arc into
-	// the receiver: that is exactly who notify() reaches).
-	clear(rs.haveLabel)
-	// The wave starts from the reached nodes, which announce their labels
-	// in round 0.
-	rs.start = rs.start[:0]
-	for v := 0; v < n; v++ {
-		if res.Hops[v] >= 0 {
-			rs.start = append(rs.start, int32(v))
-		}
-	}
-	rs.wave = waveProto{rs: rs, ra: ra}
-	if _, err := nw.RunFrom(&rs.wave, rs.start, hops+2, true); err != nil {
+	rs.res.Confirmed = rs.confirmed
+	clear(rs.res.Confirmed)
+	err = nw.Charged("bford-wave", func() error {
+		return rs.wave.run(nw, &rs.res, ra, hops)
+	}, func(c *congest.Network) error {
+		return checkWave(c, ra, hops, &rs.res)
+	})
+	if err != nil {
 		return nil, fmt.Errorf("bford: %s-SSSP confirmation wave: %w", mode, err)
 	}
-	for v := 0; v < n; v++ {
-		if !res.Confirmed[v] && res.Hops[v] > 0 {
-			res.Parent[v] = -1
-		}
-	}
-	return res, nil
+	return &rs.res, nil
 }
 
-const (
-	kindLabel   uint8 = 7
-	kindFinal   uint8 = 8
-	kindConfirm uint8 = 9
-)
-
-// mainProto is the relaxation schedule of runBF as a reusable protocol
-// object (one per pooled runState, so repeated runs allocate nothing).
-type mainProto struct {
-	res  *Result
-	ra   *relAdj
+// label is a sender's (dist, hops) label as it sends it.
+type label struct {
+	dist int64
 	hops int
 }
 
-// Step implements congest.Proto: relax labels received this round (sent by
-// neighbors last round), then forward our label in the same round if it
-// improved, so each hop costs one round. Relaxation is order-independent;
-// parent tie-breaks are resolved explicitly by (dist, hops, id). Only the
-// seeds act spontaneously (round 0), so every node returns true.
-func (p *mainProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
-	res, ra := p.res, p.ra
-	improved := round == 0 && res.Hops[v] == 0 // seeds announce at round 0
-	off := int(ra.off[v])
-	for _, m := range in {
-		if m.Kind != kindLabel {
-			continue
-		}
-		w := ra.w[off+int(m.Link)]
-		if w < 0 {
-			continue // label from a neighbor with no relaxation arc to v
-		}
-		nd, nh, from := m.A+w, int(m.B)+1, int(m.From)
-		if better(nd, nh, from, res.Dist[v], res.Hops[v], res.Parent[v]) {
-			res.Dist[v], res.Hops[v], res.Parent[v] = nd, nh, from
-			improved = true
-		}
-	}
-	if improved && round < p.hops {
-		for _, li := range ra.notify(v) {
-			send(congest.Message{Link: li, Kind: kindLabel, A: res.Dist[v], B: int64(res.Hops[v])})
-		}
-	}
-	return true
+// relaxSched is the relaxation schedule executed on the host, with the
+// transition of mainProto: round r's senders are the seeds for r = 0 and
+// otherwise the nodes whose label improved while relaxing round r-1's
+// sends. Each sender pushes its end-of-round label along its notify row
+// and each receiver keeps the better label (better is a total order, so
+// the order of the pushes does not matter). Nothing is sent in rounds >=
+// hops, and round r+1 takes place only if round r delivered.
+type relaxSched struct {
+	nw     *congest.Network
+	res    *Result
+	ra     *relAdj
+	hops   int
+	front  []int32 // this round's senders
+	next   []int32 // the nodes improved so far this round: next round's senders
+	sent   []label // the senders' labels, taken before any receiver relaxes
+	queued []bool  // v is in next
 }
 
-// waveProto is the tree-confirmation wave of runBF (see the comment in
-// runBF for the protocol's correctness argument).
-type waveProto struct {
-	rs *runState
-	ra *relAdj
+// run executes the schedule from the seeds of res and charges it: the
+// rounds it simulates through ChargeSchedule, then the rest of the hops+1
+// budget without OnRound, as RunFrom(p, seeds, hops+1, true) charges. With
+// no seed no round is simulated.
+func (s *relaxSched) run(nw *congest.Network, res *Result, ra *relAdj, hops int) error {
+	s.nw, s.res, s.ra, s.hops = nw, res, ra, hops
+	s.front = s.front[:0]
+	for v, h := range res.Hops {
+		if h == 0 {
+			s.front = append(s.front, int32(v))
+		}
+	}
+	return charge(nw, s, len(s.front) > 0, hops+1)
 }
 
-// Step implements congest.Proto. Reached nodes announce in round 0 and
-// seeds confirm in round 1; every later confirmation answers a confirmation
-// received in the same round, so only the seeds stay live through round 1.
-func (p *waveProto) Step(v, round int, in []congest.Message, send func(congest.Message)) bool {
-	rs, ra := p.rs, p.ra
-	res := &rs.res
-	off := int(ra.off[v])
-	for _, m := range in {
-		li := off + int(m.Link)
-		if ra.w[li] < 0 {
-			continue // no arc from the sender: it is not a notifier of v
+// charge charges a run of schedule s over a fixed budget as RunFrom(p,
+// start, budget, true) charges it: the rounds the schedule simulates
+// through ChargeSchedule, then the rest of the budget without OnRound. An
+// empty round-0 set (start false) simulates no round.
+func charge(nw *congest.Network, s congest.Schedule, start bool, budget int) error {
+	done := 0
+	if start {
+		var err error
+		if done, err = nw.ChargeSchedule(s); err != nil {
+			return err
 		}
-		switch m.Kind {
-		case kindFinal:
-			rs.nbrLabel[li] = [2]int64{m.A, m.B}
-			rs.haveLabel[li] = true
-		case kindConfirm:
-			if res.Hops[v] != round-1 || !rs.haveLabel[li] {
-				continue
-			}
-			lbl, from := rs.nbrLabel[li], int(m.From)
-			if lbl[0]+ra.w[li] == res.Dist[v] && int(lbl[1])+1 == res.Hops[v] {
-				if !res.Confirmed[v] || from < res.Parent[v] {
-					res.Confirmed[v] = true
-					res.Parent[v] = from
+	}
+	nw.ChargeRounds(budget - done)
+	return nil
+}
+
+// Round implements congest.Schedule.
+func (s *relaxSched) Round(r int) (int64, bool) {
+	if r >= s.hops || len(s.front) == 0 {
+		return 0, false
+	}
+	res, ra, words := s.res, s.ra, s.nw.Stats.WordsByNode
+	dist, hops, parent := res.Dist, res.Hops, res.Parent
+	s.sent = s.sent[:0]
+	for _, u := range s.front {
+		s.sent = append(s.sent, label{dist[u], hops[u]})
+	}
+	s.next = s.next[:0]
+	var delivered int64
+	for i, u := range s.front {
+		lo, hi := ra.ntfOff[u], ra.ntfOff[u+1]
+		delivered += int64(hi - lo)
+		words[u] += int64(hi - lo)
+		d, h, p := s.sent[i].dist, s.sent[i].hops+1, int(u)
+		for k := lo; k < hi; k++ {
+			v := ra.pushTo[k]
+			if nd := d + ra.pushW[k]; better(nd, h, p, dist[v], hops[v], parent[v]) {
+				dist[v], hops[v], parent[v] = nd, h, p
+				if !s.queued[v] {
+					s.queued[v] = true
+					s.next = append(s.next, v)
 				}
 			}
 		}
 	}
-	// Messages within one round arrive together, so re-scan for the
-	// smallest-id confirming sender (the loop above may have set a
-	// larger id first); handled by the from < Parent check.
-	switch {
-	case round == 0:
-		if res.Hops[v] >= 0 {
-			for _, li := range ra.notify(v) {
-				send(congest.Message{Link: li, Kind: kindFinal, A: res.Dist[v], B: int64(res.Hops[v])})
-			}
-		}
-	case round == 1 && res.Hops[v] == 0:
-		res.Confirmed[v] = true
-		res.Parent[v] = -1
-		for _, li := range ra.notify(v) {
-			send(congest.Message{Link: li, Kind: kindConfirm})
-		}
-	case round >= 2 && res.Confirmed[v] && res.Hops[v] == round-1:
-		for _, li := range ra.notify(v) {
-			send(congest.Message{Link: li, Kind: kindConfirm})
+	for _, v := range s.next {
+		s.queued[v] = false
+	}
+	s.front, s.next = s.next, s.front
+	return delivered, delivered > 0
+}
+
+// waveSched is the confirmation wave executed on the host, with the
+// transition of waveProto. Round 0: every reached node announces its final
+// label. Round 1: the seeds confirm (parent -1) and send. Round k >= 2: the
+// nodes confirmed in round k send; a node at hop level k-1 confirmed in
+// round k through the smallest-id round-(k-1) sender whose label composes
+// with its own. Sends in round hops+1, the last of the hops+2 budget, are
+// dropped: not delivered and not charged. The seeds stay live through
+// round 1, so round 0 is followed by round 1 while a seed exists.
+type waveSched struct {
+	nw    *congest.Network
+	res   *Result
+	ra    *relAdj
+	drop  int     // the final budget round, whose sends are dropped
+	front []int32 // this round's senders
+	next  []int32 // the nodes the round confirms: next round's senders
+}
+
+// run executes the wave over the final labels of res and charges it as
+// relaxSched.run charges the relaxation, over a hops+2 budget. It leaves
+// Confirmed set and, for an unconfirmed non-seed, Parent at -1.
+func (s *waveSched) run(nw *congest.Network, res *Result, ra *relAdj, hops int) error {
+	s.nw, s.res, s.ra, s.drop = nw, res, ra, hops+1
+	s.front = s.front[:0]
+	for v, h := range res.Hops {
+		if h >= 0 {
+			s.front = append(s.front, int32(v))
 		}
 	}
-	return round >= 1 || res.Hops[v] != 0
+	if err := charge(nw, s, len(s.front) > 0, hops+2); err != nil {
+		return err
+	}
+	unconfirm(res)
+	return nil
+}
+
+// unconfirm clears the parent of every reached non-seed the wave left
+// unconfirmed: its label does not compose into the tree.
+func unconfirm(res *Result) {
+	for v, ok := range res.Confirmed {
+		if !ok && res.Hops[v] > 0 {
+			res.Parent[v] = -1
+		}
+	}
+}
+
+// Round implements congest.Schedule.
+func (s *waveSched) Round(r int) (int64, bool) {
+	res, ra, words := s.res, s.ra, s.nw.Stats.WordsByNode
+	if r == 1 {
+		// The seeds confirm. Their parent is -1 already: a node re-parents
+		// only when a relaxation moves it off hop level 0.
+		for _, u := range s.front {
+			res.Confirmed[u] = true
+		}
+	}
+	if r == s.drop || len(s.front) == 0 {
+		return 0, false
+	}
+	var delivered int64
+	for _, u := range s.front {
+		n := int64(ra.ntfOff[u+1] - ra.ntfOff[u])
+		delivered += n
+		words[u] += n
+	}
+	s.next = s.next[:0]
+	if r == 0 {
+		for _, u := range s.front {
+			if res.Hops[u] == 0 {
+				s.next = append(s.next, u)
+			}
+		}
+		s.front, s.next = s.next, s.front
+		return delivered, delivered > 0 || len(s.front) > 0
+	}
+	dist, hops, parent, confirmed := res.Dist, res.Hops, res.Parent, res.Confirmed
+	for _, u := range s.front {
+		// u is at hop level r-1, so only the distances need to compose.
+		du := dist[u]
+		for k := ra.ntfOff[u]; k < ra.ntfOff[u+1]; k++ {
+			v := ra.pushTo[k]
+			if hops[v] != r || du+ra.pushW[k] != dist[v] {
+				continue
+			}
+			if !confirmed[v] {
+				confirmed[v] = true
+				parent[v] = int(u)
+				s.next = append(s.next, v)
+			} else if int(u) < parent[v] {
+				parent[v] = int(u)
+			}
+		}
+	}
+	s.front, s.next = s.next, s.front
+	return delivered, delivered > 0
 }
 
 // better reports whether label (d1,h1) with parent p1 beats (d2,h2,p2)

@@ -3,9 +3,10 @@ package congest
 import "fmt"
 
 // This file implements charged protocol runs (DESIGN.md §3): a run whose
-// rounds and deliveries follow from the shape of its input alone is charged
-// from that shape instead of simulated, and in -tags matcheck builds every
-// charged call is checked against the engine protocol it replaces.
+// rounds and deliveries follow from the shape of its input alone, or that
+// the host executes round by round with its protocol's own transition, is
+// charged instead of simulated, and in -tags matcheck builds every charged
+// call is checked against the engine protocol it replaces.
 
 // chargeState is a network's pooled state for charged runs.
 type chargeState struct {
@@ -13,13 +14,16 @@ type chargeState struct {
 	guard *chargeGuard // the matcheck guard, built on first use
 }
 
-// Schedule is the round-by-round delivery count of a protocol run that
-// follows from the shape of its input alone (a tree, per-node item counts,
-// the bandwidth) and never from payload values. Every message it counts is
-// one word.
+// Schedule is the round-by-round delivery count of a protocol run. Either
+// it follows from the shape of the run's input alone (a tree, per-node item
+// counts, the bandwidth) and never from payload values, or Round executes
+// the round on the host with the reference protocol's own per-node
+// transition, so the count is the one the engine would deliver. Every
+// message it counts is one word.
 type Schedule interface {
 	// Round reports how many messages round r sends, to be read in round
-	// r+1, and whether round r+1 takes place.
+	// r+1, and whether round r+1 takes place. It is called once per round,
+	// in order, and only for rounds that start.
 	Round(r int) (delivered int64, more bool)
 }
 
@@ -30,7 +34,8 @@ type Schedule interface {
 // round stream a simulated run would give. WordsByNode is the caller's to
 // charge, since only it knows who sent. It returns the rounds charged; an
 // interrupted schedule returns the rounds it completed, as run does. Only a
-// payload-oblivious schedule with a reference protocol checked against it
+// payload-oblivious schedule, or a host execution of the reference
+// protocol's transition, with that reference protocol checked against it
 // may be charged this way (see DESIGN.md §3).
 func (nw *Network) ChargeSchedule(s Schedule) (int, error) {
 	for r := 0; ; r++ {

@@ -167,14 +167,14 @@ type Network struct {
 	MinShardNodes int
 
 	// OnRound, when set, is invoked after every simulated round, and every
-	// round ChargeSchedule replays, with a monotonically increasing round
-	// sequence number and the number of messages delivered into that
-	// round's inboxes. The sequence number counts simulated rounds, which
-	// can fall far below Stats.Rounds: the latter follows the paper's
-	// charged schedules, and a fixed-budget run (RunFor) is charged its
-	// whole budget even when every node has terminated early. It powers the
-	// -trace output of cmd/apsp; the hook must not call back into the
-	// network.
+	// round ChargeSchedule or ChargeFixed replays, with a monotonically
+	// increasing round sequence number and the number of messages
+	// delivered into that round's inboxes. The sequence number counts
+	// simulated rounds, which can fall far below Stats.Rounds: the latter
+	// follows the paper's charged schedules, and a fixed-budget run
+	// (RunFor) is charged its whole budget even when every node has
+	// terminated early. It powers the -trace output of cmd/apsp; the hook
+	// must not call back into the network.
 	OnRound func(round int, delivered int)
 
 	roundSeq int // monotonic simulated-round counter for OnRound

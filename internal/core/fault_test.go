@@ -41,7 +41,8 @@ func fp(res *Result) fingerprint {
 // TestFaultMatrix sweeps injected faults — a forced sub-run error, a
 // sub-run panic, a per-round delay under a context deadline (in step 1, and
 // once in a charged broadcast of step 2), a forced round error inside a
-// charged per-tree run of step 2, a pre-canceled context, and a panic
+// charged per-tree run of step 2 and inside a host-executed Bellman-Ford
+// relaxation of step 1, a pre-canceled context, and a panic
 // recovered by RetrySequential — across all 4 profiles
 // x both exec modes. Every cell asserts the expected typed error with its
 // stage tag, and that the SAME session's next clean run is bit-identical
@@ -193,6 +194,31 @@ func TestFaultMatrix(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "ancestors tree 1") {
 				t.Fatalf("fired outside the charged Ancestors run of tree 1: %v", err)
+			}
+			if inj.Fired() != 1 {
+				t.Fatalf("rule fired %d times, want 1", inj.Fired())
+			}
+		}},
+		{name: "bford-round-error-step1", inject: func(t *testing.T, s *Session, opt Options) {
+			// Round 2 of sub-run 1 in step 1 is first reached in the
+			// relaxation of source 1's out-SSSP, which runs on the host and
+			// is charged round by round. The run must fail there with the
+			// rule's tags, wrapped by bford.
+			inj := faultinject.New(1, faultinject.Rule{
+				Hook: faultinject.HookRound, Stage: "step1-csssp",
+				Round: 2, SubRun: 1, Once: true,
+			})
+			s.SetFaultInjector(inj)
+			_, err := s.Run(opt)
+			var ie *faultinject.InjectedError
+			if !errors.As(err, &ie) {
+				t.Fatalf("got %T (%v), want *faultinject.InjectedError", err, err)
+			}
+			if ie.Stage != "step1-csssp" || ie.SubRun != 1 || ie.Round != 2 {
+				t.Fatalf("bad tags (want stage step1-csssp, sub-run 1, round 2): %+v", ie)
+			}
+			if !strings.Contains(err.Error(), "bford: out-SSSP: ") {
+				t.Fatalf("fired outside the Bellman-Ford relaxation: %v", err)
 			}
 			if inj.Fired() != 1 {
 				t.Fatalf("rule fired %d times, want 1", inj.Fired())

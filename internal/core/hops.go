@@ -210,8 +210,10 @@ func waveBetter(d1 int64, h1, p1 int32, d2 int64, h2, p2 int32) bool {
 // the relaxation test already fired (callers run this replay only when it
 // did not). Intermediate churn that washes out by convergence therefore
 // stays clean, which is what keeps no-op-adjacent updates at zero damage.
-// O(levels * m) host work per call, gated by hopGate; both waves stop as
-// soon as neither is still changing.
+// Every edge instance relaxes, so a parallel bundle acts at its minimum
+// weight in both waves, as it does in bford's relaxation structure. O(levels
+// * m) host work per call, gated by hopGate; both waves stop as soon as
+// neither is still changing.
 func (ws *waveScratch) wavesDiffer(g *graph.Graph, eIdx int, wOld int64, root, bound int, mode bford.Mode) bool {
 	n := g.N
 	ws.ensure(n)
@@ -274,24 +276,6 @@ func (ws *waveScratch) wavesDiffer(g *graph.Graph, eIdx int, wOld int64, root, b
 	for v := 0; v < n; v++ {
 		if ws.dA[v] != ws.dB[v] || ws.hA[v] != ws.hB[v] || ws.pA[v] != ws.pB[v] {
 			return true
-		}
-	}
-	return false
-}
-
-// hasParallelEdge reports whether more than one edge instance joins u and
-// v (either orientation on undirected graphs). bford's relaxation
-// adjacency keeps one arbitrary instance per (tail, head) pair, so the
-// wave replay cannot faithfully model a parallel bundle; updates touching
-// one skip the replay and take the conservative (dirty) verdict.
-func hasParallelEdge(g *graph.Graph, u, v int) bool {
-	seen := 0
-	for _, e := range g.Edges() {
-		if (e.U == u && e.V == v) || (!g.Directed && e.U == v && e.V == u) {
-			seen++
-			if seen > 1 {
-				return true
-			}
 		}
 	}
 	return false

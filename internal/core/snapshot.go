@@ -109,9 +109,6 @@ func (s *Session) damage(eIdx, u, v int, wOld, wNew int64) {
 	if s.hops == nil {
 		s.hops = buildHopTables(s.g)
 	}
-	// bford collapses parallel edge bundles to one arbitrary instance, so
-	// the replay cannot model them; such updates take the gate's verdict.
-	noReplay := hasParallelEdge(s.g, u, v)
 	boundedDirty := func(D []int64, C []int, mode bford.Mode, root, bound int) bool {
 		if arcDamages(D, u, v, wmin, directed, mode) {
 			return true
@@ -119,7 +116,7 @@ func (s *Session) damage(eIdx, u, v int, wOld, wNew int64) {
 		if !hopGate(C, s.hops.row(mode, root), u, v, directed, mode) {
 			return false
 		}
-		return noReplay || s.wave.wavesDiffer(s.g, eIdx, wOld, root, bound, mode)
+		return s.wave.wavesDiffer(s.g, eIdx, wOld, root, bound, mode)
 	}
 	for i := range sn.dirty1 {
 		if !sn.dirty1[i] && boundedDirty(sn.coll.Label[i], sn.coll.LabelHops[i],

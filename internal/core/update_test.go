@@ -441,3 +441,98 @@ func TestIncrementalAdversarialStress(t *testing.T) {
 		})
 	}
 }
+
+// TestIncrementalBundleStress drives the damage model with parallel edge
+// bundles: the adversarial chain-plus-shortcuts shape of
+// TestIncrementalAdversarialStress with a heavier, lighter or equal twin
+// on about half of its edges, some twins reversed on undirected graphs.
+// Each batch moves the first member of a bundle up, down, or onto the
+// weight of another member; warm must match cold in Dist, LastHop, rounds
+// and |Q| every time. bford relaxes a bundle at its minimum weight, and
+// so does the wave replay, so these updates take the replay like any
+// other.
+func TestIncrementalBundleStress(t *testing.T) {
+	seeds := int64(200)
+	if testing.Short() {
+		seeds = 40
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			n := 10 + rng.Intn(10)
+			directed := rng.Intn(2) == 0
+			g := graph.New(n, directed)
+			addWithTwins := func(u, v int, w int64) {
+				g.MustAddEdge(u, v, w)
+				for k := rng.Intn(3); k > 0; k-- {
+					tw := max(0, w+int64(rng.Intn(5)-2))
+					if !directed && rng.Intn(2) == 0 {
+						g.MustAddEdge(v, u, tw)
+					} else {
+						g.MustAddEdge(u, v, tw)
+					}
+				}
+			}
+			for i := 0; i < n-1; i++ {
+				addWithTwins(i, i+1, int64(1+rng.Intn(2)))
+			}
+			for k := 0; k < 3+rng.Intn(4); k++ {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u != v {
+					addWithTwins(u, v, int64(1+rng.Intn(30)))
+				}
+			}
+			opt := Options{Variant: Det43, H: 2 + rng.Intn(2)}
+			s, err := NewSession(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(opt); err != nil {
+				t.Fatal(err)
+			}
+			for b := 0; b < 3; b++ {
+				// A bundle: the members joining the endpoints of a random
+				// edge, in either orientation when undirected.
+				edges := g.Edges()
+				pick := edges[rng.Intn(len(edges))]
+				var members []graph.Edge
+				for _, e := range edges {
+					if e.U == pick.U && e.V == pick.V || !directed && e.U == pick.V && e.V == pick.U {
+						members = append(members, e)
+					}
+				}
+				if len(members) < 2 {
+					continue
+				}
+				first := edges[g.FindEdge(pick.U, pick.V)]
+				var w int64
+				switch rng.Intn(3) {
+				case 0:
+					w = first.W + int64(1+rng.Intn(20)) // up
+				case 1:
+					w = int64(rng.Intn(int(first.W) + 1)) // down, or unchanged
+				default:
+					w = members[rng.Intn(len(members))].W // a tie with a member
+				}
+				if _, err := s.ApplyUpdates([]EdgeUpdate{{Op: SetWeight, U: pick.U, V: pick.V, W: w}}); err != nil {
+					t.Fatal(err)
+				}
+				warm, err := s.Run(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold, err := Run(cloneGraph(g), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(warm.Dist, cold.Dist) || !reflect.DeepEqual(warm.LastHop, cold.LastHop) {
+					t.Fatalf("batch %d: warm results differ from cold (bundle %d-%d, first member %d -> %d)", b, pick.U, pick.V, first.W, w)
+				}
+				if warm.Stats.Rounds != cold.Stats.Rounds || warm.Stats.QSize != cold.Stats.QSize {
+					t.Fatalf("batch %d: rounds/|Q| warm %d/%d cold %d/%d (bundle %d-%d, first member %d -> %d)",
+						b, warm.Stats.Rounds, warm.Stats.QSize, cold.Stats.Rounds, cold.Stats.QSize, pick.U, pick.V, first.W, w)
+				}
+			}
+		})
+	}
+}

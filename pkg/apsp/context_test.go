@@ -194,6 +194,69 @@ func TestRunContextCancelInChargedTreeRun(t *testing.T) {
 	}
 }
 
+// TestRunContextCancelInChargedBellmanFord cancels from OnRound inside the
+// Bellman-Ford runs that are executed on the host and charged round by
+// round: after round 1 of step 1's first relaxation, after round 1 of its
+// confirmation wave (seq 9: that relaxation simulates 8 rounds), and after
+// the second simulated round of step 7. The run must stop at the next
+// round, as the simulated protocols did: the error names the stage and the
+// completed rounds equal those the simulated runs gave. An OnRound hook
+// keeps sharded sub-runs serial, so both exec modes cancel at the same
+// round. The same Runner's next clean run must be bit-identical to a cold
+// run.
+func TestRunContextCancelInChargedBellmanFord(t *testing.T) {
+	forceWorkers(t)
+	g := RandomGraph(GenOptions{N: 28, Seed: 9, MaxWeight: 20}, 4*28)
+	type cut struct {
+		stage     string
+		at        int // OnRound sequence number that cancels
+		completed int
+	}
+	cases := []struct {
+		algo Algorithm
+		cuts []cut
+	}{
+		{Deterministic43, []cut{{"step1-csssp", 1, 2}, {"step1-csssp", 9, 11}, {"step7-extend", 4621, 5663}}},
+		{Deterministic32, []cut{{"step1-csssp", 1, 2}, {"step1-csssp", 9, 15}, {"step7-extend", 890, 1282}}},
+		{Randomized43, []cut{{"step1-csssp", 1, 2}, {"step1-csssp", 9, 11}, {"step7-extend", 3005, 4680}}},
+		{BroadcastStep6, []cut{{"step1-csssp", 1, 2}, {"step1-csssp", 9, 11}, {"step7-extend", 4531, 5372}}},
+	}
+	for _, tc := range cases {
+		for _, parallel := range []bool{false, true} {
+			opt := Options{Algorithm: tc.algo, Parallel: parallel, Seed: 5}
+			cold, err := Run(g, opt)
+			if err != nil {
+				t.Fatalf("%v parallel=%v: cold run: %v", tc.algo, parallel, err)
+			}
+			r, err := NewRunner(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range tc.cuts {
+				ctx, cancel := context.WithCancel(context.Background())
+				_, err = r.RunContext(ctx, cancelAfterRounds(opt, c.at, cancel))
+				cancel()
+				var ie *InterruptError
+				if !errors.As(err, &ie) || !errors.Is(err, ErrCanceled) {
+					t.Fatalf("%v parallel=%v: got %v, want a canceled *InterruptError", tc.algo, parallel, err)
+				}
+				if ie.Stage != c.stage || ie.CompletedRounds != c.completed {
+					t.Errorf("%v parallel=%v: canceled after round %d: interrupted in %s after %d rounds, want %s after %d",
+						tc.algo, parallel, c.at, ie.Stage, ie.CompletedRounds, c.stage, c.completed)
+				}
+				warm, err := r.Run(opt)
+				if err != nil {
+					t.Fatalf("%v parallel=%v: clean run after cancel: %v", tc.algo, parallel, err)
+				}
+				if !reflect.DeepEqual(warm.Dist, cold.Dist) || !reflect.DeepEqual(warm.LastHop, cold.LastHop) ||
+					!reflect.DeepEqual(stripHostCost(warm.Stats), stripHostCost(cold.Stats)) {
+					t.Fatalf("%v parallel=%v: run after a cancel at round %d diverges from cold run", tc.algo, parallel, c.at)
+				}
+			}
+		}
+	}
+}
+
 // TestRunContextDeadline pins the deadline path end to end: an
 // already-expired deadline fails with ErrDeadlineExceeded before any round
 // executes, and the Runner stays usable.

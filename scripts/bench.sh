@@ -20,12 +20,14 @@
 #   BENCH_update.json  incremental-update throughput (BenchmarkAPSPUpdate):
 #                      single-edge weight toggles against a warm Runner,
 #                      with updates/sec and the speedup versus the cold
-#                      BenchmarkAPSPPipeline/seq row at the same n
+#                      BenchmarkAPSPPipeline/seq row at the same n, one
+#                      section per GOMAXPROCS in {1, 2}
 #   BENCH_serve.json   serving-layer latency percentiles (cmd/apspload
 #                      -selfhost) per traffic mix, including a journaled
 #                      postupdate row (-data-dir, fsync=interval) whose
 #                      delta against the in-memory postupdate row is the
-#                      durability overhead README quotes
+#                      durability overhead README quotes, one section per
+#                      GOMAXPROCS in {1, 2}
 #   EXPERIMENTS.json   the scenario-corpus sweep (cmd/experiment): every
 #                      registered family x all 4 algorithm profiles x
 #                      seq/sharded at n in {64, 128}, oracle-checked, with
@@ -53,8 +55,8 @@ MAXPROCS="${GOMAXPROCS:-$CORES}"
 # regeneration versus the previously committed snapshot, so a bench refresh
 # shows at a glance what moved (scripts/check_allocs.sh gates the same
 # quantity in CI).
-# A file with GOMAXPROCS sections (BENCH_engine.json) is compared section
-# by section, each row named with its GOMAXPROCS.
+# A file with GOMAXPROCS sections (BENCH_engine.json, BENCH_update.json)
+# is compared section by section, each row named with its GOMAXPROCS.
 report_deltas() {
   command -v jq >/dev/null 2>&1 || return 0 # delta report is informational
   [ -s "$1" ] || return 0
@@ -157,89 +159,117 @@ report_deltas "$OLD" BENCH_apsp.json
 rm -f "$RAW.stage"
 echo "wrote BENCH_stages.json"
 
-: > "$RAW"
-go test -run '^$' -bench 'BenchmarkAPSPUpdate' -benchtime=3x -benchmem -timeout 30m . | tee "$RAW"
-
-# The update suite needs a custom emitter: each row is joined against the
-# cold BenchmarkAPSPPipeline/seq row at the same n (from the BENCH_apsp.json
-# regenerated above) to derive updates/sec and the incremental-vs-cold
-# speedup — the quantities the dynamic-graphs story is sold on.
+# Incremental-update throughput (BENCH_update.json), one section per
+# GOMAXPROCS in {1, 2} (a section above the host's core count is skipped).
+# The update suite needs a custom emitter: each section runs
+# BenchmarkAPSPUpdate and the cold BenchmarkAPSPPipeline/seq rows at the
+# same n and GOMAXPROCS, and joins them to derive updates/sec and the
+# incremental-vs-cold speedup — the quantities the dynamic-graphs story is
+# sold on.
 cp BENCH_update.json "$OLD" 2>/dev/null || : > "$OLD"
-awk -v cores="$CORES" -v maxprocs="$MAXPROCS" '
-  NR == FNR {
-    if ($0 ~ /BenchmarkAPSPPipeline\/seq\/n=/) {
-      n = $0; sub(/.*\/n=/, "", n); sub(/".*/, "", n)
-      ns = $0; sub(/.*"ns_per_op": /, "", ns); sub(/[,}].*/, "", ns)
-      cold[n] = ns
-    }
-    next
-  }
-  /^Benchmark/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = ""; allocs = ""
-    for (i = 2; i <= NF; i++) {
-      if ($(i) == "ns/op")     ns = $(i - 1)
-      if ($(i) == "allocs/op") allocs = $(i - 1)
-    }
-    if (ns == "") next
-    n = name; sub(/.*\/n=/, "", n)
-    if (count++) printf ",\n"
-    printf "    {\"name\": \"%s\", \"ns_per_op\": %s", name, ns
-    if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-    printf ", \"updates_per_sec\": %.1f", 1e9 / ns
-    if (n in cold) printf ", \"cold_ns_per_op\": %s, \"speedup_vs_cold\": %.1f", cold[n], cold[n] / ns
-    printf "}"
-  }
-  BEGIN {
-    printf "{\n  \"suite\": \"update\",\n  \"benchtime\": \"3x\",\n  \"cores\": %s,\n  \"gomaxprocs\": %s,\n  \"results\": [\n", cores, maxprocs
-  }
-  END { printf "\n  ]\n}\n" }
-' BENCH_apsp.json "$RAW" > BENCH_update.json
+{
+  printf '{\n  "suite": "update",\n  "benchtime": "3x",\n  "cores": %s,\n  "sections": [\n' "$CORES"
+  FIRST=1
+  for P in 1 2; do
+    if [ "$P" -gt 1 ] && [ "$P" -gt "$CORES" ]; then
+      continue
+    fi
+    GOMAXPROCS=$P go test -run '^$' -bench 'BenchmarkAPSPUpdate' -benchtime=3x -benchmem -timeout 30m . > "$RAW"
+    GOMAXPROCS=$P go test -run '^$' -bench '^BenchmarkAPSPPipeline$/^seq$/^n=(128|256)$' -benchtime=1x \
+      -benchmem -timeout 30m . >> "$RAW"
+    cat "$RAW" >&2
+    [ "$FIRST" -eq 1 ] || printf ',\n'
+    FIRST=0
+    awk -v cores="$CORES" -v maxprocs="$P" '
+      NR == FNR {
+        if ($1 ~ /^BenchmarkAPSPPipeline\/seq\/n=/) {
+          n = $1; sub(/.*\/n=/, "", n); sub(/-[0-9]+$/, "", n)
+          for (i = 2; i <= NF; i++) if ($(i) == "ns/op") cold[n] = $(i - 1)
+        }
+        next
+      }
+      /^BenchmarkAPSPUpdate/ {
+        name = $1
+        sub(/-[0-9]+$/, "", name)
+        ns = ""; allocs = ""
+        for (i = 2; i <= NF; i++) {
+          if ($(i) == "ns/op")     ns = $(i - 1)
+          if ($(i) == "allocs/op") allocs = $(i - 1)
+        }
+        if (ns == "") next
+        n = name; sub(/.*\/n=/, "", n)
+        if (count++) printf ",\n"
+        printf "        {\"name\": \"%s\", \"ns_per_op\": %s", name, ns
+        if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
+        printf ", \"updates_per_sec\": %.1f", 1e9 / ns
+        if (n in cold) printf ", \"cold_ns_per_op\": %s, \"speedup_vs_cold\": %.1f", cold[n], cold[n] / ns
+        printf "}"
+      }
+      BEGIN {
+        printf "    {\n      \"suite\": \"update\",\n      \"benchtime\": \"3x\",\n      \"cores\": %s,\n      \"gomaxprocs\": %s,\n      \"results\": [\n", cores, maxprocs
+      }
+      END { printf "\n      ]\n    }" }
+    ' "$RAW" "$RAW"
+  done
+  printf '\n  ]\n}\n'
+} > BENCH_update.json
 echo "wrote BENCH_update.json"
 report_deltas "$OLD" BENCH_update.json
 
-# Serving-layer latency percentiles (BENCH_serve.json): the deterministic
-# load generator drives an in-process daemon (cmd/apspload -selfhost) for
-# each traffic mix at n in {128, 256}. Request counts are scaled to the
-# cost of a miss in each mix: cached queries are ~free after the first
-# run, a warmmiss request is a full warm APSP run, postupdate alternates
-# incremental re-runs with cache hits.
-: > "$RAW"
-for n in 128 256; do
-  case "$n" in
-    128) REQ_CACHED=200; REQ_WARMMISS=6; REQ_POSTUPDATE=40 ;;
-    *)   REQ_CACHED=100; REQ_WARMMISS=4; REQ_POSTUPDATE=20 ;;
-  esac
-  for mix in cached warmmiss postupdate; do
-    case "$mix" in
-      cached)     REQ=$REQ_CACHED ;;
-      warmmiss)   REQ=$REQ_WARMMISS ;;
-      postupdate) REQ=$REQ_POSTUPDATE ;;
-    esac
-    go run ./cmd/apspload -selfhost -scenario "random-n${n}-s1" \
-      -mix "$mix" -requests "$REQ" -concurrency 2 -seed 1 -json | tee -a "$RAW"
+# Serving-layer latency percentiles (BENCH_serve.json), one section per
+# GOMAXPROCS in {1, 2} (a section above the host's core count is skipped):
+# the deterministic load generator drives an in-process daemon (cmd/apspload
+# -selfhost) for each traffic mix at n in {128, 256}. Request counts are
+# scaled to the cost of a miss in each mix: cached queries are ~free after
+# the first run, a warmmiss request is a full warm APSP run, postupdate
+# alternates incremental re-runs with cache hits.
+{
+  printf '{\n  "suite": "serve",\n  "cores": %s,\n  "sections": [\n' "$CORES"
+  FIRST=1
+  for P in 1 2; do
+    if [ "$P" -gt 1 ] && [ "$P" -gt "$CORES" ]; then
+      continue
+    fi
+    : > "$RAW"
+    for n in 128 256; do
+      case "$n" in
+        128) REQ_CACHED=200; REQ_WARMMISS=6; REQ_POSTUPDATE=40 ;;
+        *)   REQ_CACHED=100; REQ_WARMMISS=4; REQ_POSTUPDATE=20 ;;
+      esac
+      for mix in cached warmmiss postupdate; do
+        case "$mix" in
+          cached)     REQ=$REQ_CACHED ;;
+          warmmiss)   REQ=$REQ_WARMMISS ;;
+          postupdate) REQ=$REQ_POSTUPDATE ;;
+        esac
+        GOMAXPROCS=$P go run ./cmd/apspload -selfhost -scenario "random-n${n}-s1" \
+          -mix "$mix" -requests "$REQ" -concurrency 2 -seed 1 -json | tee -a "$RAW" >&2
+      done
+      # The same postupdate mix through a durable daemon (write-ahead
+      # journal, fsync=interval): the delta against the in-memory
+      # postupdate row above is the journaling overhead per acknowledged
+      # update batch. The row is labeled by its "durability" field.
+      DDIR="$(mktemp -d)"
+      GOMAXPROCS=$P go run ./cmd/apspload -selfhost -data-dir "$DDIR" -fsync interval \
+        -scenario "random-n${n}-s1" -mix postupdate -requests "$REQ_POSTUPDATE" \
+        -concurrency 2 -seed 1 -json | tee -a "$RAW" >&2
+      rm -rf "$DDIR"
+    done
+    [ "$FIRST" -eq 1 ] || printf ',\n'
+    FIRST=0
+    awk -v cores="$CORES" -v maxprocs="$P" '
+      /^\{/ {
+        if (count++) printf ",\n"
+        printf "        %s", $0
+      }
+      BEGIN {
+        printf "    {\n      \"suite\": \"serve\",\n      \"cores\": %s,\n      \"gomaxprocs\": %s,\n      \"results\": [\n", cores, maxprocs
+      }
+      END { printf "\n      ]\n    }" }
+    ' "$RAW"
   done
-  # The same postupdate mix through a durable daemon (write-ahead journal,
-  # fsync=interval): the delta against the in-memory postupdate row above
-  # is the journaling overhead per acknowledged update batch. The row is
-  # labeled by its "durability" field.
-  DDIR="$(mktemp -d)"
-  go run ./cmd/apspload -selfhost -data-dir "$DDIR" -fsync interval \
-    -scenario "random-n${n}-s1" -mix postupdate -requests "$REQ_POSTUPDATE" \
-    -concurrency 2 -seed 1 -json | tee -a "$RAW"
-  rm -rf "$DDIR"
-done
-awk -v cores="$CORES" -v maxprocs="$MAXPROCS" '
-  /^\{/ {
-    if (count++) printf ",\n"
-    printf "    %s", $0
-  }
-  BEGIN {
-    printf "{\n  \"suite\": \"serve\",\n  \"cores\": %s,\n  \"gomaxprocs\": %s,\n  \"results\": [\n", cores, maxprocs
-  }
-  END { printf "\n  ]\n}\n" }
-' "$RAW" > BENCH_serve.json
+  printf '\n  ]\n}\n'
+} > BENCH_serve.json
 echo "wrote BENCH_serve.json"
 
 go run ./cmd/experiment \
