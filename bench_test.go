@@ -382,6 +382,39 @@ func BenchmarkTreeUpcast(b *testing.B) {
 	}
 }
 
+// BenchmarkLastEdges measures step 8, the last-edge resolution, on a warm
+// network over a precomputed distance matrix: the star-n512-s1 scenario
+// graph, whose hub sends on all 511 links in every column round, and the
+// random-n128 graph of BenchmarkAPSPPipeline. One op is one resolution,
+// including the caller-owned LastHop matrix it returns.
+func BenchmarkLastEdges(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"star-n512", graph.Star(graph.GenConfig{N: 512, Seed: 1, MaxWeight: 50})},
+		{"random-n128", benchGraph(128)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			nw, err := congest.NewNetwork(c.g, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dist := graph.FloydWarshall(c.g)
+			if _, err := core.ResolveLastEdges(nw, dist); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.ResolveLastEdges(nw, dist); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFloydWarshallOracle calibrates the sequential oracle used in
 // verification.
 func BenchmarkFloydWarshallOracle(b *testing.B) {

@@ -41,8 +41,9 @@ func fp(res *Result) fingerprint {
 // TestFaultMatrix sweeps injected faults — a forced sub-run error, a
 // sub-run panic, a per-round delay under a context deadline (in step 1, and
 // once in a charged broadcast of step 2), a forced round error inside a
-// charged per-tree run of step 2 and inside a host-executed Bellman-Ford
-// relaxation of step 1, a pre-canceled context, and a panic
+// charged per-tree run of step 2, inside a host-executed Bellman-Ford
+// relaxation of step 1 and inside step 8's host-executed settle wave, a
+// pre-canceled context, and a panic
 // recovered by RetrySequential — across all 4 profiles
 // x both exec modes. Every cell asserts the expected typed error with its
 // stage tag, and that the SAME session's next clean run is bit-identical
@@ -219,6 +220,31 @@ func TestFaultMatrix(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "bford: out-SSSP: ") {
 				t.Fatalf("fired outside the Bellman-Ford relaxation: %v", err)
+			}
+			if inj.Fired() != 1 {
+				t.Fatalf("rule fired %d times, want 1", inj.Fired())
+			}
+		}},
+		{name: "lastedge-round-error-step8", inject: func(t *testing.T, s *Session, opt Options) {
+			// Step 8's settle wave runs on the host and is charged round
+			// by round, outside any sharded dispatch. Round 30 is a drain
+			// round on this n=28 graph: the columns went out in rounds
+			// 0-27. The run must fail there with the rule's tags.
+			inj := faultinject.New(1, faultinject.Rule{
+				Hook: faultinject.HookRound, Stage: "step8-lastedge",
+				Round: 30, SubRun: -1, Once: true,
+			})
+			s.SetFaultInjector(inj)
+			_, err := s.Run(opt)
+			var ie *faultinject.InjectedError
+			if !errors.As(err, &ie) {
+				t.Fatalf("got %T (%v), want *faultinject.InjectedError", err, err)
+			}
+			if ie.Stage != "step8-lastedge" || ie.SubRun != -1 || ie.Round != 30 {
+				t.Fatalf("bad tags (want stage step8-lastedge, sub-run -1, round 30): %+v", ie)
+			}
+			if !strings.HasPrefix(err.Error(), "core: step8-lastedge: ") {
+				t.Fatalf("not wrapped by the step-8 stage: %v", err)
 			}
 			if inj.Fired() != 1 {
 				t.Fatalf("rule fired %d times, want 1", inj.Fired())

@@ -8,9 +8,9 @@ import (
 
 // InterruptError reports a run stopped by its context — canceled or past
 // its deadline — together with how far the pipeline got: the stage that was
-// executing (or about to execute), the simulated rounds completed, and the
-// per-stage timings of every stage finished before the interruption (plus a
-// partial record for the interrupted stage). It unwraps to the context's
+// executing (or about to execute), the charged rounds completed
+// (Stats.Rounds), and the per-stage timings of every stage finished before
+// the interruption (plus a partial record for the interrupted stage). It unwraps to the context's
 // own sentinel, so errors.Is(err, context.Canceled) and
 // errors.Is(err, context.DeadlineExceeded) both work through it.
 //
@@ -21,7 +21,10 @@ import (
 type InterruptError struct {
 	// Stage is the pipeline stage executing when the context fired.
 	Stage string
-	// CompletedRounds is the simulated round count at interruption.
+	// CompletedRounds is the charged round count (Stats.Rounds) at
+	// interruption. Fixed-budget schedules charge rounds they do not
+	// simulate, so it can exceed the simulated rounds that Options.OnRound
+	// saw.
 	CompletedRounds int
 	// Stages is the per-stage cost of the work finished so far, including
 	// a partial StageTiming for the interrupted stage.

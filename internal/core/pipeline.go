@@ -620,7 +620,7 @@ func (p *pipeline) stageLastEdges() error {
 		p.nw.ChargeRounds(ip.snap.rounds("step8-lastedge"))
 		return nil
 	}
-	lh, err := resolveLastEdges(p.nw, p.g, p.out.Dist)
+	lh, err := ResolveLastEdges(p.nw, p.out.Dist)
 	if err != nil {
 		return err
 	}

@@ -257,6 +257,68 @@ func TestRunContextCancelInChargedBellmanFord(t *testing.T) {
 	}
 }
 
+// TestRunContextCancelInChargedLastEdge cancels from OnRound inside step
+// 8's settle wave, which runs on the host and is charged round by round.
+// On this n=28 graph step 8 simulates 58 rounds: columns go out in rounds
+// 0-27 and the settle notices drain after. One cut fires after column
+// round 3 and one after drain round 40. The run must stop at the next
+// round, as the simulated protocol did: the error names step8-lastedge and
+// the completed rounds equal those the simulated run gave. An OnRound hook
+// keeps sharded sub-runs serial, so both exec modes cancel at the same
+// round. The same Runner's next clean run must be bit-identical to a cold
+// run.
+func TestRunContextCancelInChargedLastEdge(t *testing.T) {
+	forceWorkers(t)
+	g := RandomGraph(GenOptions{N: 28, Seed: 9, MaxWeight: 20}, 4*28)
+	type cut struct {
+		at        int // OnRound sequence number that cancels
+		completed int
+	}
+	cases := []struct {
+		algo Algorithm
+		cuts []cut // a column round, then a drain round
+	}{
+		{Deterministic43, []cut{{4680, 5806}, {4717, 5843}}},
+		{Deterministic32, []cut{{949, 1481}, {986, 1518}}},
+		{Randomized43, []cut{{3064, 4823}, {3101, 4860}}},
+		{BroadcastStep6, []cut{{4590, 5515}, {4627, 5552}}},
+	}
+	for _, tc := range cases {
+		for _, parallel := range []bool{false, true} {
+			opt := Options{Algorithm: tc.algo, Parallel: parallel, Seed: 5}
+			cold, err := Run(g, opt)
+			if err != nil {
+				t.Fatalf("%v parallel=%v: cold run: %v", tc.algo, parallel, err)
+			}
+			r, err := NewRunner(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range tc.cuts {
+				ctx, cancel := context.WithCancel(context.Background())
+				_, err = r.RunContext(ctx, cancelAfterRounds(opt, c.at, cancel))
+				cancel()
+				var ie *InterruptError
+				if !errors.As(err, &ie) || !errors.Is(err, ErrCanceled) {
+					t.Fatalf("%v parallel=%v: got %v, want a canceled *InterruptError", tc.algo, parallel, err)
+				}
+				if ie.Stage != "step8-lastedge" || ie.CompletedRounds != c.completed {
+					t.Errorf("%v parallel=%v: canceled after round %d: interrupted in %s after %d rounds, want step8-lastedge after %d",
+						tc.algo, parallel, c.at, ie.Stage, ie.CompletedRounds, c.completed)
+				}
+				warm, err := r.Run(opt)
+				if err != nil {
+					t.Fatalf("%v parallel=%v: clean run after cancel: %v", tc.algo, parallel, err)
+				}
+				if !reflect.DeepEqual(warm.Dist, cold.Dist) || !reflect.DeepEqual(warm.LastHop, cold.LastHop) ||
+					!reflect.DeepEqual(stripHostCost(warm.Stats), stripHostCost(cold.Stats)) {
+					t.Fatalf("%v parallel=%v: run after a cancel at round %d diverges from cold run", tc.algo, parallel, c.at)
+				}
+			}
+		}
+	}
+}
+
 // TestRunContextDeadline pins the deadline path end to end: an
 // already-expired deadline fails with ErrDeadlineExceeded before any round
 // executes, and the Runner stays usable.

@@ -19,7 +19,8 @@ var ErrCanceled = errors.New("apsp: run canceled")
 // whose context deadline passed; the concrete error is an *InterruptError.
 var ErrDeadlineExceeded = errors.New("apsp: run deadline exceeded")
 
-// InterruptError reports a run stopped by its context, with how far it got.
+// InterruptError reports a run stopped by its context, with how far it got:
+// the stage and the charged rounds (Stats.Rounds) completed.
 // It matches both the apsp sentinel for its cause (ErrCanceled or
 // ErrDeadlineExceeded) and the underlying context sentinel
 // (context.Canceled or context.DeadlineExceeded), so callers can branch
@@ -40,7 +41,10 @@ type InterruptError struct {
 	// Stage is the pipeline stage executing (or about to execute) when the
 	// context fired, e.g. "step6-qsink".
 	Stage string
-	// CompletedRounds is the simulated CONGEST round count at interruption.
+	// CompletedRounds is the charged CONGEST round count (Stats.Rounds) at
+	// interruption. Fixed-budget schedules charge rounds they do not
+	// simulate, so it can exceed the simulated rounds that Options.OnRound
+	// saw.
 	CompletedRounds int
 	// Stages is the per-stage cost of the work finished before the
 	// interruption, including a partial record for the interrupted stage.

@@ -3,8 +3,9 @@
 # JSON consumed by CI dashboards and PR descriptions:
 #
 #   BENCH_engine.json  engine-critical microbenchmarks (ns/op, allocs/op),
-#                      including the charged all-to-all broadcast and the
-#                      charged per-tree upcast, one section per GOMAXPROCS
+#                      including the charged all-to-all broadcast, the
+#                      charged per-tree upcast and step 8's charged
+#                      last-edge resolution, one section per GOMAXPROCS
 #                      in {1, 2} (a section above the host's core count is
 #                      skipped)
 #   BENCH_apsp.json    full-pipeline apsp.Run wall-clock + allocs at
@@ -110,7 +111,7 @@ cp BENCH_engine.json "$OLD" 2>/dev/null || : > "$OLD"
       continue
     fi
     GOMAXPROCS=$P go test -run '^$' \
-      -bench 'BenchmarkSimulatorRound|BenchmarkDistributedBellmanFord|BenchmarkAllToAll|BenchmarkTreeUpcast' \
+      -bench 'BenchmarkSimulatorRound|BenchmarkDistributedBellmanFord|BenchmarkAllToAll|BenchmarkTreeUpcast|BenchmarkLastEdges' \
       -benchtime="$BENCHTIME" -benchmem . > "$RAW"
     GOMAXPROCS=$P go test -run '^$' -bench 'BenchmarkEngine' -benchtime="$BENCHTIME" \
       ./internal/congest/ >> "$RAW"
