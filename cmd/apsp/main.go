@@ -144,9 +144,11 @@ func main() {
 	fmt.Printf("algorithm: %v (h=%d)\n", alg, s.H)
 	fmt.Printf("rounds=%d messages=%d words=%d |Q|=%d max-node-congestion=%d\n",
 		s.Rounds, s.Messages, s.Words, s.BlockerSetSize, s.MaxNodeCongestion)
-	fmt.Printf("step rounds: csssp=%d blocker=%d in-sssp=%d bcast=%d qsink=%d extend=%d lastedge=%d\n",
-		s.Steps.Step1CSSSP, s.Steps.Step2Blocker, s.Steps.Step3InSSSP,
-		s.Steps.Step4Bcast, s.Steps.Step6QSink, s.Steps.Step7Extend, s.Steps.Step8LastEdge)
+	fmt.Print("stage rounds:")
+	for _, st := range s.Stages {
+		fmt.Printf(" %s=%d", st.Name, st.Rounds)
+	}
+	fmt.Println()
 	if s.BottleneckCount > 0 || s.QPrimeSize > 0 {
 		fmt.Printf("qsink: |Q'|=%d bottlenecks=%d pipeline-rounds=%d\n", s.QPrimeSize, s.BottleneckCount, s.PipelineRounds)
 	}

@@ -73,7 +73,7 @@ func main() {
 	sizesFlag := flag.String("sizes", "16,24,32,48,64", "comma-separated node counts")
 	seeds := flag.Int("seeds", 2, "seeds per configuration (results averaged)")
 	verify := flag.Bool("verify", true, "cross-check distances against Floyd-Warshall")
-	parallel := flag.Bool("parallel", false, "run the simulator's sharded step/delivery phases (bit-identical results)")
+	parallel := flag.Bool("parallel", false, "source-shard the per-source sub-runs across a worker pool (bit-identical results)")
 	outPath := flag.String("o", "", "write the report atomically to this file instead of stdout (SIGINT flushes partial rows)")
 	timeout := flag.Duration("timeout", 0, "per-cell deadline; a cell that exceeds it is skipped and its row dropped (0 = none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
@@ -235,6 +235,16 @@ func (h harness) session(g *graph.Graph) *core.Session {
 	return s
 }
 
+// stageRounds maps each executed pipeline stage's name to the rounds it
+// charged.
+func stageRounds(res *core.Result) map[string]int {
+	m := make(map[string]int, len(res.Stages))
+	for _, st := range res.Stages {
+		m[st.Name] = st.Rounds
+	}
+	return m
+}
+
 // runVariant runs one deadline-bounded cell on the warm session. A nil
 // result means the cell blew its -timeout budget (already reported on
 // stderr); the caller drops the affected row.
@@ -314,12 +324,12 @@ func (h harness) table1() {
 		if res == nil {
 			continue
 		}
-		st := res.Stats.Steps
+		st := stageRounds(res)
 		fmt.Fprintf(h.out, "| %d | %d | %d | %d | %d | %d | %d |\n", n,
-			st.Step1CSSSP, st.Step2Blocker, st.Step3InSSSP, st.Step4Bcast, st.Step6QSink, st.Step7Extend)
+			st["step1-csssp"], st["step2-blocker"], st["step3-insssp"], st["step4-bcast"], st["step6-qsink"], st["step7-extend"])
 		usedB = append(usedB, n)
-		s1 = append(s1, float64(st.Step1CSSSP))
-		s7 = append(s7, float64(st.Step7Extend))
+		s1 = append(s1, float64(st["step1-csssp"]))
+		s7 = append(s7, float64(st["step7-extend"]))
 	}
 	fmt.Fprintln(h.out)
 	fmt.Fprintf(h.out, "fitted exponents: step1=%.2f step7=%.2f (theory: both n*h = n^1.33 exactly)\n\n",
@@ -716,9 +726,9 @@ func (h harness) hSweep() {
 		if h.handle(err, fmt.Sprintf("hsweep h=%d", hp)) {
 			continue
 		}
-		st := res.Stats.Steps
+		st := stageRounds(res)
 		fmt.Fprintf(h.out, "| %d | %d | %d | %d | %d | %d | %d |\n",
-			hp, res.Stats.Rounds, res.Stats.QSize, st.Step1CSSSP, st.Step2Blocker, st.Step6QSink, st.Step7Extend)
+			hp, res.Stats.Rounds, res.Stats.QSize, st["step1-csssp"], st["step2-blocker"], st["step6-qsink"], st["step7-extend"])
 	}
 	fmt.Fprintln(h.out)
 }
@@ -743,9 +753,9 @@ func (h harness) bandwidthSweep() {
 		if h.handle(err, fmt.Sprintf("bandwidth bw=%d", bw)) {
 			continue
 		}
-		st := res.Stats.Steps
+		st := stageRounds(res)
 		fmt.Fprintf(h.out, "| %d | %d | %d | %d | %d |\n",
-			bw, res.Stats.Rounds, st.Step2Blocker, st.Step6QSink, st.Step1CSSSP+st.Step7Extend)
+			bw, res.Stats.Rounds, st["step2-blocker"], st["step6-qsink"], st["step1-csssp"]+st["step7-extend"])
 	}
 	fmt.Fprintln(h.out)
 }

@@ -13,7 +13,7 @@
 // and the staged executor's per-stage breakdown (stage name, charged
 // rounds, wall-clock); -check additionally validates every distance matrix
 // against the sequential Floyd-Warshall oracle. "sharded" execution uses
-// the work-stealing worker pool (apsp.Options.Parallel, DESIGN.md §2.5),
+// the work-stealing worker pool (apsp.Options.Parallel, DESIGN.md §2.4),
 // whose results are bit-identical to sequential execution; whenever a
 // sweep runs both modes, the runner asserts the distributed columns
 // (rounds, messages, words, congestion, |Q|, h, per-stage rounds) of the
@@ -187,7 +187,7 @@ func main() {
 				}
 			}
 			// Every execution mode must be bit-identical on every distributed
-			// column (DESIGN.md §2.5). Whenever the sweep ran more than one
+			// column (DESIGN.md §2.4). Whenever the sweep ran more than one
 			// mode, enforce it pairwise against the first mode that produced
 			// a row.
 			refMode := ""

@@ -7,21 +7,21 @@ import (
 	"testing"
 
 	"congestapsp/internal/bford"
-	"congestapsp/internal/broadcast"
 	"congestapsp/internal/congest"
 	"congestapsp/internal/core"
+	"congestapsp/internal/csssp"
 	"congestapsp/internal/graph"
 	"congestapsp/internal/qsink"
 )
 
-// TestParallelDeterminism is the engine's bit-identical-execution property
-// test: for random graphs (directed and undirected, several densities),
-// running Bellman-Ford and the broadcast primitives with Parallel on and
-// off must produce identical congest.Stats, identical final distance
-// vectors, and identical gathered item streams. This pins the contract the
-// sharded delivery path promises: per-shard accumulators merged at round
-// end are indistinguishable from sequential execution.
+// TestParallelDeterminism is the generated-input property test of source
+// sharding at the primitive level: over random graphs (directed and
+// undirected, three densities, n up to 128), csssp.Build from every
+// source, one Bellman-Ford sub-run per source dispatched through
+// congest.ShardRuns, must give an identical collection and identical
+// congest.Stats with Parallel on and off.
 func TestParallelDeterminism(t *testing.T) {
+	defer forceWorkers(t)()
 	type scenario struct {
 		n        int
 		extra    int // edges beyond the connecting spine
@@ -37,74 +37,34 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 	}
 	for _, sc := range cases {
-		sc := sc
 		name := fmt.Sprintf("n=%d/m=%d/directed=%v", sc.n, sc.extra, sc.directed)
 		t.Run(name, func(t *testing.T) {
 			g := graph.RandomConnected(graph.GenConfig{
 				N: sc.n, Directed: sc.directed, Seed: sc.seed, MaxWeight: 40,
 			}, sc.extra)
-			h := sc.n/4 + 2
-
-			type outcome struct {
-				stats congest.Stats
-				dist  []int64
-				hops  []int
-				items []broadcast.Item
+			sources := make([]int, sc.n)
+			for v := range sources {
+				sources[v] = v
 			}
-			run := func(parallel bool) outcome {
+			run := func(parallel bool) (*csssp.Collection, congest.Stats) {
 				nw, err := congest.NewNetwork(g, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
 				nw.Parallel = parallel
-				nw.MinShardNodes = 1 // force in-round sharding below the adaptive threshold
-				res, err := bford.Run(nw, g, int(sc.seed)%sc.n, h, bford.Out)
+				c, err := csssp.Build(nw, g, sources, sc.n/4+2, bford.Out)
 				if err != nil {
 					t.Fatal(err)
 				}
-				tree, err := broadcast.BuildBFS(nw, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				perNode := make([][]broadcast.Item, sc.n)
-				for v := 0; v < sc.n; v++ {
-					perNode[v] = []broadcast.Item{{A: int64(v), B: res.Dist[v], C: int64(res.Hops[v])}}
-				}
-				all, err := broadcast.AllToAll(nw, tree, perNode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return outcome{stats: nw.Stats, dist: res.Dist, hops: res.Hops, items: all}
+				return c, nw.Stats
 			}
-
-			seq := run(false)
-			par := run(true)
-
-			if seq.stats.Rounds != par.stats.Rounds ||
-				seq.stats.Messages != par.stats.Messages ||
-				seq.stats.Words != par.stats.Words {
-				t.Fatalf("stats diverge:\n  seq: rounds=%d msgs=%d words=%d\n  par: rounds=%d msgs=%d words=%d",
-					seq.stats.Rounds, seq.stats.Messages, seq.stats.Words,
-					par.stats.Rounds, par.stats.Messages, par.stats.Words)
+			seq, seqStats := run(false)
+			par, parStats := run(true)
+			if !reflect.DeepEqual(seqStats, parStats) {
+				t.Fatalf("stats diverge:\n  seq: %+v\n  par: %+v", seqStats, parStats)
 			}
-			for v := range seq.stats.WordsByNode {
-				if seq.stats.WordsByNode[v] != par.stats.WordsByNode[v] {
-					t.Fatalf("WordsByNode[%d]: seq %d, par %d", v, seq.stats.WordsByNode[v], par.stats.WordsByNode[v])
-				}
-			}
-			for v := 0; v < sc.n; v++ {
-				if seq.dist[v] != par.dist[v] || seq.hops[v] != par.hops[v] {
-					t.Fatalf("node %d: seq (dist=%d hops=%d), par (dist=%d hops=%d)",
-						v, seq.dist[v], seq.hops[v], par.dist[v], par.hops[v])
-				}
-			}
-			if len(seq.items) != len(par.items) {
-				t.Fatalf("gathered %d items sequentially, %d in parallel", len(seq.items), len(par.items))
-			}
-			for i := range seq.items {
-				if seq.items[i] != par.items[i] {
-					t.Fatalf("item %d: seq %+v, par %+v", i, seq.items[i], par.items[i])
-				}
+			if !reflect.DeepEqual(seq, par) {
+				t.Fatal("collections diverge")
 			}
 		})
 	}
@@ -128,9 +88,8 @@ func forceWorkers(t *testing.T) func() {
 // TestPipelineShardedDeterminism is the full-pipeline property test for the
 // source-sharded execution layer: for every Algorithm profile and several
 // random graph families, core.Run with Parallel on (per-source sub-runs of
-// Steps 1/3/7 and the q-sink SSSPs sharded across worker clones, plus the
-// engine's in-round sharding) must be bit-identical to the sequential
-// schedule in Dist, LastHop, and every Stats field — rounds, messages,
+// Steps 1/3/7, the q-sink SSSPs and the per-tree blocker runs sharded
+// across worker clones) must be bit-identical to the sequential schedule in Dist, LastHop, and every Stats field — rounds, messages,
 // words, per-step decomposition, blocker stats, q-sink stats, and the
 // max-node-congestion derived from the merged per-node word vectors. CI
 // runs this under -race, which also certifies the worker-clone ownership
@@ -151,28 +110,22 @@ func TestPipelineShardedDeterminism(t *testing.T) {
 	for _, gc := range graphs {
 		for _, v := range variants {
 			t.Run(fmt.Sprintf("%s/%v", gc.name, v), func(t *testing.T) {
-				run := func(parallel bool, minShard int) *core.Result {
-					res, err := core.Run(gc.g, core.Options{Variant: v, Seed: 11, Parallel: parallel, MinShardNodes: minShard})
+				run := func(parallel bool) *core.Result {
+					res, err := core.Run(gc.g, core.Options{Variant: v, Seed: 11, Parallel: parallel})
 					if err != nil {
 						t.Fatal(err)
 					}
 					return res
 				}
-				seq := run(false, 0)
-				// Source-sharded only (small graphs stay below the in-round
-				// threshold), then with in-round sharding forced for every
-				// round, so -race also covers every protocol family under
-				// the engine's intra-round worker pool.
-				for _, par := range []*core.Result{run(true, 0), run(true, 1)} {
-					if !reflect.DeepEqual(seq.Stats, par.Stats) {
-						t.Fatalf("stats diverge:\n  seq: %+v\n  par: %+v", seq.Stats, par.Stats)
-					}
-					if !reflect.DeepEqual(seq.Dist, par.Dist) {
-						t.Fatal("distance matrices diverge")
-					}
-					if !reflect.DeepEqual(seq.LastHop, par.LastHop) {
-						t.Fatal("last-hop matrices diverge")
-					}
+				seq, par := run(false), run(true)
+				if !reflect.DeepEqual(seq.Stats, par.Stats) {
+					t.Fatalf("stats diverge:\n  seq: %+v\n  par: %+v", seq.Stats, par.Stats)
+				}
+				if !reflect.DeepEqual(seq.Dist, par.Dist) {
+					t.Fatal("distance matrices diverge")
+				}
+				if !reflect.DeepEqual(seq.LastHop, par.LastHop) {
+					t.Fatal("last-hop matrices diverge")
 				}
 			})
 		}
@@ -262,13 +215,12 @@ func TestPartialAPSPShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestQSinkInRoundParallelDeterminism pins the engine's in-round sharded
-// execution of the q-sink delivery protocols, forced below the adaptive
-// MinShardNodes threshold (full pipelines at small n no longer shard
-// individual rounds, so without forcing, this protocol family would lose
-// its -race coverage — it is the one whose global undelivered-message
-// counter had to become atomic).
-func TestQSinkInRoundParallelDeterminism(t *testing.T) {
+// TestQSinkParallelDeterminism pins q-sink under Parallel for each
+// scheduler: the network stats, q-sink stats and AtBlocker matrix must
+// equal the sequential run's. Under the round-robin and frame schedulers
+// the in-CSSSP collection for Q, Case 1's blocker runs and the paired
+// SSSPs are source-sharded across worker clones.
+func TestQSinkParallelDeterminism(t *testing.T) {
 	defer forceWorkers(t)()
 	g := graph.RandomConnected(graph.GenConfig{N: 36, Seed: 31, MaxWeight: 9}, 120)
 	var Q []int
@@ -284,7 +236,6 @@ func TestQSinkInRoundParallelDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 				nw.Parallel = parallel
-				nw.MinShardNodes = 1
 				res, err := qsink.Run(nw, g, Q, delta, qsink.Params{Scheduler: sch})
 				if err != nil {
 					t.Fatal(err)

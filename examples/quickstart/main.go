@@ -56,9 +56,11 @@ func main() {
 	s := res.Stats
 	fmt.Printf("\nCONGEST cost: %d rounds, %d messages, blocker set size %d (h = %d)\n",
 		s.Rounds, s.Messages, s.BlockerSetSize, s.H)
-	fmt.Printf("per-step rounds: CSSSP=%d blocker=%d inSSSP=%d bcast=%d qsink=%d extend=%d lastedge=%d\n",
-		s.Steps.Step1CSSSP, s.Steps.Step2Blocker, s.Steps.Step3InSSSP,
-		s.Steps.Step4Bcast, s.Steps.Step6QSink, s.Steps.Step7Extend, s.Steps.Step8LastEdge)
+	fmt.Print("per-stage rounds:")
+	for _, st := range s.Stages {
+		fmt.Printf(" %s=%d", st.Name, st.Rounds)
+	}
+	fmt.Println()
 
 	// Warm re-run on the same Runner with the PODC'18 baseline profile:
 	// same exact distances, different round complexity, no network rebuild.

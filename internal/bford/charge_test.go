@@ -149,11 +149,10 @@ func multiSeed(n int) []int64 {
 // TestBfordChargeMatchesReference is the differential test of the host
 // execution. Over generated rings, stars, paths and random graphs,
 // directed and undirected, with parallel and zero-weight edges, n from 1
-// to 64, hop bounds 0, 1, 2 and n-1, both modes, bandwidths 1-3, run
-// sequentially and with every engine round sharded, each entry point
-// (Run, RunLabels, RunWithInit and RunLabelsWithInit, the *WithInit ones
-// from a three-seed init and from none) must leave the same Stats,
-// WordsByNode, OnRound stream, error and result as the reference
+// to 64, hop bounds 0, 1, 2 and n-1, both modes and bandwidths 1-3, each
+// entry point (Run, RunLabels, RunWithInit and RunLabelsWithInit, the
+// *WithInit ones from a three-seed init and from none) must leave the same
+// Stats, WordsByNode, OnRound stream, error and result as the reference
 // protocols on the engine. Each run also runs canceled after relaxation
 // rounds 1 and 2 and after wave rounds 1 and 2. Some init must have a
 // seed improved, so the wave's seeds differ from the init's.
@@ -168,10 +167,8 @@ func TestBfordChargeMatchesReference(t *testing.T) {
 				}
 				g := withBundles(base)
 				for bw := 1; bw <= 3; bw++ {
-					for _, parallel := range []bool{false, true} {
-						name := fmt.Sprintf("%s/directed=%v/n=%d/b=%d/parallel=%v", fam.name, directed, n, bw, parallel)
-						checkBfordCase(t, name, g, bw, parallel, &cov)
-					}
+					name := fmt.Sprintf("%s/directed=%v/n=%d/b=%d", fam.name, directed, n, bw)
+					checkBfordCase(t, name, g, bw, &cov)
 				}
 			}
 		}
@@ -190,14 +187,13 @@ type coverage struct {
 
 // checkBfordCase runs every entry point, hop bound, mode and cancel point
 // on g and adds what the runs reached to cov.
-func checkBfordCase(t *testing.T, name string, g *graph.Graph, bw int, parallel bool, cov *coverage) {
+func checkBfordCase(t *testing.T, name string, g *graph.Graph, bw int, cov *coverage) {
 	n := g.N
 	net := func() *congest.Network {
 		nw, err := congest.NewNetwork(g, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nw.Parallel, nw.MinShardNodes = parallel, 1
 		return nw
 	}
 	host, ref := net(), net()

@@ -51,9 +51,8 @@ func observe(nw *congest.Network, cancelAt int, call func() error) observed {
 
 // TestTreeChargeMatchesReference is the differential test of the charged
 // per-tree protocols of this package. Over generated rings, stars, paths
-// and random graphs, directed and undirected, with n from 2 to 64, bandwidths
-// 1-3, run sequentially and with every engine round sharded, and over the
-// removal states reached by RemoveSubtrees with nested members in Z, a root
+// and random graphs, directed and undirected, with n from 2 to 64 and
+// bandwidths 1-3, and over the removal states reached by RemoveSubtrees with nested members in Z, a root
 // in Z, and excludeRoots both ways, every collectAncestors and
 // computePijDowncastInto call must leave the same Stats, WordsByNode,
 // OnRound stream and error as its reference protocol on the engine, and
@@ -87,24 +86,21 @@ func TestTreeChargeMatchesReference(t *testing.T) {
 			for _, n := range []int{2, 3, 7, 16, 41, 64} {
 				g := fam.build(n, directed)
 				for bw := 1; bw <= 3; bw++ {
-					for _, parallel := range []bool{false, true} {
-						name := fmt.Sprintf("%s/directed=%v/n=%d/b=%d/parallel=%v", fam.name, directed, n, bw, parallel)
-						checkTreeCase(t, name, g, bw, parallel)
-					}
+					name := fmt.Sprintf("%s/directed=%v/n=%d/b=%d", fam.name, directed, n, bw)
+					checkTreeCase(t, name, g, bw)
 				}
 			}
 		}
 	}
 }
 
-func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int, parallel bool) {
+func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int) {
 	n := g.N
 	net := func() *congest.Network {
 		nw, err := congest.NewNetwork(g, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nw.Parallel, nw.MinShardNodes = parallel, 1
 		return nw
 	}
 	ch, ref := net(), net()

@@ -76,11 +76,11 @@ var itemPatterns = []struct {
 // primitives: over generated rings, stars, paths and random graphs with n
 // from 2 to 64, two roots, the item patterns above and bandwidths 1-3,
 // every charged call must leave the same Stats, WordsByNode, OnRound stream
-// and result as its reference protocol on the engine, run sequentially and
-// with every round sharded. Each case also runs canceled after round 2,
-// where both must stop with the same error and the same partial Stats. It
-// also checks the gather round bound the doc comment states: at most
-// Height + ceil(K/bandwidth) for the K items below the root.
+// and result as its reference protocol on the engine. Each case also runs
+// canceled after round 2, where both must stop with the same error and the
+// same partial Stats. It also checks the gather round bound the doc comment
+// states: at most Height + ceil(K/bandwidth) for the K items below the
+// root.
 func TestChargeMatchesReference(t *testing.T) {
 	families := []struct {
 		name  string
@@ -105,10 +105,8 @@ func TestChargeMatchesReference(t *testing.T) {
 			for _, root := range []int{0, n / 2} {
 				for _, pat := range itemPatterns {
 					for bw := 1; bw <= 3; bw++ {
-						for _, parallel := range []bool{false, true} {
-							name := fmt.Sprintf("%s/n=%d/bfsroot=%d/%s/b=%d/parallel=%v", fam.name, n, root, pat.name, bw, parallel)
-							checkCase(t, name, g, root, bw, parallel, func(v int) int { return pat.cnt(n, root, v) })
-						}
+						name := fmt.Sprintf("%s/n=%d/bfsroot=%d/%s/b=%d", fam.name, n, root, pat.name, bw)
+						checkCase(t, name, g, root, bw, func(v int) int { return pat.cnt(n, root, v) })
 					}
 				}
 			}
@@ -116,9 +114,8 @@ func TestChargeMatchesReference(t *testing.T) {
 	}
 }
 
-func checkCase(t *testing.T, name string, g *graph.Graph, root, bw int, parallel bool, count func(v int) int) {
+func checkCase(t *testing.T, name string, g *graph.Graph, root, bw int, count func(v int) int) {
 	ref, ch := newNet(t, g, bw), newNet(t, g, bw)
-	ref.Parallel, ref.MinShardNodes = parallel, 1
 	refTree, err := BuildBFS(ref, root)
 	if err != nil {
 		t.Fatal(err)

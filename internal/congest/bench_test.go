@@ -7,14 +7,13 @@ import (
 	"congestapsp/internal/graph"
 )
 
-func benchNet(b *testing.B, n, m int, parallel bool) *Network {
+func benchNet(b *testing.B, n, m int) *Network {
 	b.Helper()
 	g := graph.RandomConnected(graph.GenConfig{N: n, Directed: true, Seed: int64(n), MaxWeight: 50}, m)
 	nw, err := NewNetwork(g, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	nw.Parallel = parallel
 	return nw
 }
 
@@ -24,7 +23,7 @@ func benchNet(b *testing.B, n, m int, parallel bool) *Network {
 func BenchmarkEngineRoundIdle(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			nw := benchNet(b, n, 4*n, false)
+			nw := benchNet(b, n, 4*n)
 			idle := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
 				return false
 			})
@@ -44,32 +43,23 @@ func BenchmarkEngineRoundIdle(b *testing.B) {
 // word to each neighbor: the counting-sort delivery path. Steady-state cost
 // must be 0 allocs/op per delivered message.
 func BenchmarkEngineDelivery(b *testing.B) {
-	for _, cfg := range []struct {
-		name     string
-		parallel bool
-	}{{"seq", false}, {"par", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			nw := benchNet(b, 256, 1024, cfg.parallel)
-			nw.MinShardNodes = 1 // measure the sharded path below the adaptive threshold
-			chatter := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
-				for li := range nw.Neighbors(v) {
-					send(Message{Link: int32(li), Kind: 1, A: int64(round)})
-				}
-				return false
-			})
-			if _, err := nw.Run(chatter, 8); err == nil { // warm arenas to steady state
-				b.Fatal("chatter protocol unexpectedly terminated")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			if _, err := nw.Run(chatter, b.N); err == nil {
-				b.Fatal("chatter protocol unexpectedly terminated")
-			}
-			b.StopTimer()
-			delivered := nw.Stats.Messages
-			b.ReportMetric(float64(delivered)/float64(b.N), "msgs/round")
-		})
+	nw := benchNet(b, 256, 1024)
+	chatter := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
+		for li := range nw.Neighbors(v) {
+			send(Message{Link: int32(li), Kind: 1, A: int64(round)})
+		}
+		return false
+	})
+	if _, err := nw.Run(chatter, 8); err == nil { // warm arenas to steady state
+		b.Fatal("chatter protocol unexpectedly terminated")
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := nw.Run(chatter, b.N); err == nil {
+		b.Fatal("chatter protocol unexpectedly terminated")
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(nw.Stats.Messages)/float64(b.N), "msgs/round")
 }
 
 // BenchmarkEngineHubFanout measures the message path on a high-degree
@@ -114,7 +104,7 @@ func BenchmarkEngineHubFanout(b *testing.B) {
 func BenchmarkEngineActiveSet(b *testing.B) {
 	for _, n := range []int{256, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			nw := benchNet(b, n, 4*n, false)
+			nw := benchNet(b, n, 4*n)
 			pong := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
 				if round == 0 && v == 0 {
 					send(Message{Link: 0, Kind: 1})
@@ -139,7 +129,7 @@ func BenchmarkEngineActiveSet(b *testing.B) {
 // BenchmarkLinkIndex measures the CSR link lookup that replaced the
 // per-node neighbor maps.
 func BenchmarkLinkIndex(b *testing.B) {
-	nw := benchNet(b, 1024, 8192, false)
+	nw := benchNet(b, 1024, 8192)
 	b.ReportAllocs()
 	b.ResetTimer()
 	acc := 0

@@ -14,7 +14,7 @@ import (
 // that share the immutable CSR topology, additive Stats merging, and the
 // ShardRuns work-stealing scheduler that dispatches independent sub-runs
 // (one CONGEST protocol execution per source) across a worker pool. See
-// DESIGN.md §2.5.
+// DESIGN.md §2.4.
 
 // Clone returns a Network over the same communication topology with fresh,
 // zeroed statistics and its own engine and scratch arenas. The input graph,
@@ -22,8 +22,8 @@ import (
 // are shared (they are immutable for the lifetime of a run), so a clone
 // costs O(n) — the per-node stats vector — not O(n + m).
 //
-// The clone starts with Parallel unset (worker clones run the sequential
-// engine; the parallelism lives one level up, across sources) and no
+// The clone starts with Parallel unset (a worker clone runs its sub-runs
+// itself; the parallelism lives one level up, across sources) and no
 // OnRound hook. Bandwidth is inherited. The scratch arena is NOT shared:
 // each clone owns a private one, which is what lets a worker fleet run
 // allocation-free without locks.

@@ -168,61 +168,6 @@ func TestShardRunsFleetReused(t *testing.T) {
 	}
 }
 
-// TestParallelToggleWarmEngine is the regression test for the growing-
-// shards bug: a warm engine that ran sequentially (one shard) and then
-// grows its worker pool (Parallel toggled on between runs, as a session
-// does) must keep delivering messages. The growth path reallocates the
-// shard array, and the pre-grown shards' send closures used to stay bound
-// to the old struct addresses — sends vanished into a ghost struct and a
-// BFS flood reached nobody.
-func TestParallelToggleWarmEngine(t *testing.T) {
-	withWorkers(t, 4)
-	g := graph.RandomConnected(graph.GenConfig{N: 32, Seed: 2, MaxWeight: 9}, 64)
-	flood := func(nw *Network) (reached int) {
-		n := nw.N()
-		seen := make([]bool, n)
-		seen[0] = true
-		p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
-			if round == 0 {
-				if v != 0 {
-					return true
-				}
-			} else {
-				if seen[v] || len(in) == 0 {
-					return true
-				}
-				seen[v] = true
-			}
-			for li := range nw.Neighbors(v) {
-				send(Message{Link: int32(li), Kind: 5})
-			}
-			return v != 0 || round > 0
-		})
-		if _, err := nw.Run(p, n+2); err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range seen {
-			if s {
-				reached++
-			}
-		}
-		return reached
-	}
-	nw, err := NewNetwork(g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := flood(nw); got != g.N {
-		t.Fatalf("sequential flood reached %d of %d", got, g.N)
-	}
-	// Same warm network, worker pool grown: every node must still hear it.
-	nw.Parallel = true
-	nw.MinShardNodes = 1
-	if got := flood(nw); got != g.N {
-		t.Fatalf("flood after growing the warm engine's worker pool reached %d of %d", got, g.N)
-	}
-}
-
 // TestSetBandwidthReachesFleet: a warm session reconfiguring bandwidth
 // must reach the cached worker clones, or sharded stages would validate
 // against a stale budget.

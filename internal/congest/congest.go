@@ -25,19 +25,18 @@
 // table, with no search on the message path. Message delivery moves
 // double-buffered flat message arenas through a two-pass counting sort
 // keyed on receiver (zero allocations per message in steady state), rounds
-// step only the active nodes (non-terminated or with a non-empty inbox), a
-// run may start from a sparse round-0 set (RunFrom), and both the step and
-// delivery phases shard across a worker pool when Parallel is set, with
-// per-shard statistics merged at round end so results are bit-identical to
+// step only the active nodes (non-terminated or with a non-empty inbox), one
+// at a time in ascending id order, and a run may start from a sparse round-0
+// set (RunFrom). Parallelism lives one level up: ShardRuns spreads
+// independent sub-runs (one per source) across cloned networks when
+// Parallel is set, with statistics merged so results are bit-identical to
 // sequential execution.
 package congest
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"congestapsp/internal/graph"
 )
@@ -70,13 +69,6 @@ func (m *Message) cost() int32 {
 	return 1
 }
 
-// defaultMinShardNodes is the default in-round sharding threshold: stepping
-// a node costs tens to hundreds of nanoseconds (more when the round also
-// delivers a message per node, as pipelined protocols do) while
-// dispatching a round to the worker pool costs a few microseconds, so
-// sharding starts paying off around 512 active nodes per round.
-const defaultMinShardNodes = 512
-
 // Proto is a distributed protocol expressed as a per-node step function.
 //
 // Step is invoked once per node per round, in increasing round order. in
@@ -102,8 +94,8 @@ const defaultMinShardNodes = 512
 // this (ErrRoundZero).
 //
 // Step for node v must only read and write state belonging to v (protocols
-// keep per-node state in slices indexed by node id); the engine may execute
-// the Steps of distinct nodes concurrently within a round.
+// keep per-node state in slices indexed by node id). The engine steps the
+// active nodes of a round one at a time, in ascending id order.
 type Proto interface {
 	Step(v int, round int, in []Message, send func(Message)) bool
 }
@@ -149,22 +141,11 @@ type Network struct {
 	// constant number of ids/weights/distances per edge per round.
 	Bandwidth int
 
-	// Parallel selects worker-pool execution. Two independent mechanisms
-	// key off it: ShardRuns partitions whole sub-runs (one per source)
-	// across cloned networks, and the engine shards the step and delivery
-	// phases of a single round — but only when the round's active set is at
-	// least MinShardNodes, since spawning workers for a small round costs
-	// more than it saves. Results are bit-identical to sequential execution
-	// either way.
+	// Parallel lets ShardRuns spread whole sub-runs (one per source) across
+	// a fleet of cloned networks on a worker pool. It does not change how a
+	// single run executes: every round runs on the calling goroutine.
+	// Results are bit-identical to sequential execution either way.
 	Parallel bool
-
-	// MinShardNodes is the minimum active-set size at which a Parallel
-	// round is actually sharded across workers (0 = the package default,
-	// defaultMinShardNodes). Smaller rounds run on one worker; per-round
-	// goroutine dispatch costs a few microseconds, which dominates the
-	// sub-microsecond step loops of small simulations. Tests set 1 to force
-	// the sharded path.
-	MinShardNodes int
 
 	// OnRound, when set, is invoked after every simulated round, and every
 	// round ChargeSchedule or ChargeFixed replays, with a monotonically
@@ -486,44 +467,11 @@ func (e *ErrRoundZero) Error() string {
 	return fmt.Sprintf("congest: node %d is not in the round-0 set but %s in round 0", e.Node, what)
 }
 
-// shard is one worker's slice of the engine state. Senders are partitioned
-// across shards in contiguous id ranges, so everything written here during
-// a round is owned by exactly one goroutine.
-type shard struct {
-	lo, hi int // range of indices into the active list this round
-
-	// out is this shard's half of the double-buffered message arenas: node
-	// v's sends land in out[outStart[i]:outEnd[i]] for v = active[i]. The
-	// arena is reset (not freed) every round, so steady-state rounds do not
-	// allocate per message.
-	out  []Message
-	from int32 // node currently stepping (stamped into Message.From)
-	send func(Message)
-
-	// Counting-sort state: cnt[r] is, during pass 1, the number of messages
-	// this shard sends to receiver r (valid when cstamp[r] is current), and
-	// after the merge, the next arena slot this shard writes for r.
-	cnt     []int32
-	cstamp  []uint64
-	touched []int32 // receivers this shard counted this round
-
-	// Per-shard Stats accumulators, merged into Network.Stats at round end.
-	msgs  int64
-	words int64
-	vio   error
-}
-
-func (s *shard) doSend(m Message) {
-	m.From = s.from
-	s.out = append(s.out, m)
-}
-
-// engine is the reusable scratch of run: allocated once per (n, workers)
-// configuration and reused across rounds and across Run calls, so the
-// steady-state round loop performs no allocations.
+// engine is the reusable scratch of run: allocated once per network size
+// and reused across rounds and across Run calls, so the steady-state round
+// loop performs no allocations.
 type engine struct {
-	n       int
-	workers int
+	n int
 
 	done   []bool  // set by each step, read only for nodes stepped this round: never reset
 	active []int32 // sorted ids stepped this round
@@ -538,14 +486,20 @@ type engine struct {
 	inStamp []uint64
 	stamp   uint64
 
-	// outStart/outEnd[i] delimit active[i]'s sends within its shard's out
-	// arena.
-	outStart []int32
-	outEnd   []int32
+	// out is the other half of the double-buffered message arenas: the
+	// round's sends in stepping order, so each sender's messages are
+	// contiguous and senders ascend. It is reset (not freed) every round,
+	// so steady-state rounds do not allocate per message.
+	out  []Message
+	from int32 // node currently stepping (stamped into Message.From)
+	send func(Message)
 
+	// Counting-sort state: cnt[r] is, during pass 1, the number of messages
+	// sent to receiver r this round (valid when inStamp[r] is current), and
+	// during pass 2, the next arena slot for r.
+	cnt     []int32
+	touched []int32 // receivers this round, in first-send order
 	used    []int32 // per-link words used this round, indexed like nbrs
-	shards  []shard
-	touched []int32 // deduplicated receivers this round, in shard order
 
 	capped cappedProto // reusable RunFor wrapper (avoids one alloc per run)
 
@@ -553,7 +507,16 @@ type engine struct {
 	guardSend func(Message) // bound once; records a send in guardSent
 }
 
-func (e *engine) ensure(n, links, workers int) {
+func (e *engine) doSend(m Message) {
+	m.From = e.from
+	e.out = append(e.out, m)
+}
+
+func (e *engine) ensure(n, links int) {
+	if e.send == nil {
+		e.send = e.doSend
+		e.guardSend = func(Message) { e.guardSent = true }
+	}
 	if e.n != n || len(e.used) != links {
 		e.n = n
 		e.done = make([]bool, n)
@@ -562,31 +525,11 @@ func (e *engine) ensure(n, links, workers int) {
 		e.inStart = make([]int32, n)
 		e.inEnd = make([]int32, n)
 		e.inStamp = make([]uint64, n)
-		e.outStart = make([]int32, n)
-		e.outEnd = make([]int32, n)
-		e.used = make([]int32, links)
+		e.cnt = make([]int32, n)
 		e.touched = make([]int32, 0, n)
-		e.shards = nil
+		e.used = make([]int32, links)
 		e.stamp = 0
-		e.guardSend = func(Message) { e.guardSent = true }
 	}
-	if len(e.shards) < workers {
-		e.shards = append(e.shards, make([]shard, workers-len(e.shards))...)
-		// Rebind EVERY shard's send closure, not just the new ones: append
-		// may have moved the backing array, and a send bound to a shard's
-		// old address would append into a ghost struct — sends from a warm
-		// engine whose worker count just grew (a session toggling Parallel
-		// between runs) would silently vanish.
-		for w := range e.shards {
-			sh := &e.shards[w]
-			if sh.cnt == nil {
-				sh.cnt = make([]int32, n)
-				sh.cstamp = make([]uint64, n)
-			}
-			sh.send = sh.doSend
-		}
-	}
-	e.workers = workers
 }
 
 // Run executes p until global termination or until maxRounds rounds have
@@ -646,18 +589,8 @@ func (nw *Network) RunFrom(p Proto, start []int32, maxRounds int, fixed bool) (i
 // dropping. A Network supports one run at a time.
 func (nw *Network) run(p Proto, start []int32, maxRounds, dropRound int) (int, error) {
 	n := nw.G.N
-	workers := 1
-	if nw.Parallel {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > n {
-			workers = n
-		}
-		if workers < 1 {
-			workers = 1
-		}
-	}
 	e := &nw.eng
-	e.ensure(n, len(nw.nbrs), workers)
+	e.ensure(n, len(nw.nbrs))
 	e.stamp++ // invalidate inbox views from any previous run
 	last := int32(-1)
 	for _, v := range start {
@@ -671,11 +604,6 @@ func (nw *Network) run(p Proto, start []int32, maxRounds, dropRound int) (int, e
 		if err := e.guardRoundZero(p, start); err != nil {
 			return 0, err
 		}
-	}
-
-	minShard := nw.MinShardNodes
-	if minShard == 0 {
-		minShard = defaultMinShardNodes
 	}
 
 	rounds := 0
@@ -698,113 +626,26 @@ func (nw *Network) run(p Proto, start []int32, maxRounds, dropRound int) (int, e
 				return rounds, err
 			}
 		}
-		nA := len(e.active)
-		W := workers
-		if nA < minShard {
-			W = 1 // too small to amortize worker dispatch this round
-		} else if W > nA {
-			W = nA
-		}
-		chunk := (nA + W - 1) / W
-		for w := 0; w < W; w++ {
-			sh := &e.shards[w]
-			sh.lo = w * chunk
-			sh.hi = min((w+1)*chunk, nA)
-		}
 
-		// Step phase: each active node steps once; sends accumulate in its
-		// shard's out arena.
-		if W == 1 {
-			nw.stepShard(p, &e.shards[0], round)
-		} else {
-			var wg sync.WaitGroup
-			for w := 0; w < W; w++ {
-				wg.Add(1)
-				go func(sh *shard, r int) {
-					defer wg.Done()
-					nw.stepShard(p, sh, r)
-				}(&e.shards[w], round)
+		// Step phase: each active node steps once, in ascending id order;
+		// its sends accumulate in the out arena.
+		e.out = e.out[:0]
+		for _, v := range e.active {
+			var in []Message
+			if e.inStamp[v] == e.stamp {
+				in = e.inArena[e.inStart[v]:e.inEnd[v]]
 			}
-			wg.Wait()
+			e.from = v
+			e.done[v] = p.Step(int(v), round, in, e.send)
 		}
 		rounds++
 		nw.Stats.Rounds++
 
-		// Delivery phase, pass 1: validate links and bandwidth, count
-		// messages per receiver, accumulate per-shard stats.
+		// Delivery: validate, account and count (pass 1), then lay out the
+		// inbox segments and place every message (pass 2).
 		e.stamp++
-		deliver := round != dropRound
-		if W == 1 {
-			nw.countShard(&e.shards[0], round, deliver)
-		} else {
-			var wg sync.WaitGroup
-			for w := 0; w < W; w++ {
-				wg.Add(1)
-				go func(sh *shard, r int, d bool) {
-					defer wg.Done()
-					nw.countShard(sh, r, d)
-				}(&e.shards[w], round, deliver)
-			}
-			wg.Wait()
-		}
-
-		// Merge: stats, first violation in global sender order, receiver
-		// arena layout (contiguous per-receiver segments; within a segment,
-		// shard order == sender-id order because shards are contiguous
-		// ranges of the sorted active list).
-		var violation error
-		e.touched = e.touched[:0]
-		total := int32(0)
-		for w := 0; w < W; w++ {
-			sh := &e.shards[w]
-			nw.Stats.Messages += sh.msgs
-			nw.Stats.Words += sh.words
-			if violation == nil {
-				violation = sh.vio
-			}
-			for _, r := range sh.touched {
-				if e.inStamp[r] != e.stamp {
-					e.inStamp[r] = e.stamp
-					e.touched = append(e.touched, r)
-				}
-			}
-		}
-		for _, r := range e.touched {
-			e.inStart[r] = total
-			for w := 0; w < W; w++ {
-				sh := &e.shards[w]
-				if sh.cstamp[r] == e.stamp {
-					c := sh.cnt[r]
-					sh.cnt[r] = total // becomes the shard's write cursor
-					total += c
-				}
-			}
-			e.inEnd[r] = total
-		}
-
-		// Pass 2: place every message into its receiver's arena segment.
-		// Slots are disjoint across shards, so placement parallelizes with
-		// a bit-identical result.
-		if total > 0 {
-			if cap(e.inArena) < int(total) {
-				e.inArena = make([]Message, total, total+total/2)
-			} else {
-				e.inArena = e.inArena[:total]
-			}
-			if W == 1 {
-				placeShard(e, &e.shards[0])
-			} else {
-				var wg sync.WaitGroup
-				for w := 0; w < W; w++ {
-					wg.Add(1)
-					go func(sh *shard) {
-						defer wg.Done()
-						placeShard(e, sh)
-					}(&e.shards[w])
-				}
-				wg.Wait()
-			}
-		}
+		violation := nw.count(round, round != dropRound)
+		total := e.place()
 		if violation != nil {
 			return rounds, violation
 		}
@@ -878,94 +719,95 @@ func mergeDedup(buf []int32, mid int, out []int32) []int32 {
 	return out
 }
 
-// stepShard steps the shard's range of the active list.
-func (nw *Network) stepShard(p Proto, sh *shard, round int) {
+// count is delivery pass 1: for every message sent this round, in sender
+// order, check the link slot, account bandwidth, resolve To and the
+// receiver's slot from the CSR, and count the message toward its receiver.
+// A message on a slot outside [0, Degree) is marked dropped (To = -1) and
+// reported as the round's violation if it is the first in scan order. With
+// deliver == false (RunFor's final round) the schedule is over: sends are
+// still validated, but not counted or delivered.
+func (nw *Network) count(round int, deliver bool) error {
 	e := &nw.eng
-	sh.out = sh.out[:0]
-	for i := sh.lo; i < sh.hi; i++ {
-		v := int(e.active[i])
-		var in []Message
-		if e.inStamp[v] == e.stamp {
-			in = e.inArena[e.inStart[v]:e.inEnd[v]]
-		}
-		sh.from = int32(v)
-		e.outStart[i] = int32(len(sh.out))
-		e.done[v] = p.Step(v, round, in, sh.send)
-		e.outEnd[i] = int32(len(sh.out))
-	}
-}
-
-// countShard is delivery pass 1 for one shard: for every message sent by
-// the shard's senders (in id order), check the link slot, account
-// bandwidth, resolve To and the receiver's slot from the CSR, and count the
-// message toward its receiver. Messages on a slot outside [0, Degree) are
-// marked dropped (To = -1) and reported as the first violation in scan
-// order. With deliver == false (RunFor's final round) the schedule is over:
-// sends are still validated, but not counted or delivered.
-func (nw *Network) countShard(sh *shard, round int, deliver bool) {
-	e := &nw.eng
-	sh.msgs, sh.words, sh.vio = 0, 0, nil
-	sh.touched = sh.touched[:0]
+	e.touched = e.touched[:0]
 	bw := int32(nw.Bandwidth)
-	for i := sh.lo; i < sh.hi; i++ {
-		seg := sh.out[e.outStart[i]:e.outEnd[i]]
-		if len(seg) == 0 {
+	var (
+		vio         error
+		msgs, words int64
+		v           int32 = -1 // current sender: its messages are contiguous
+		off, deg    int32
+	)
+	for k := range e.out {
+		m := &e.out[k]
+		if m.From != v {
+			v = m.From
+			off = nw.nbrOff[v]
+			deg = nw.nbrOff[v+1] - off
+			clear(e.used[off : off+deg])
+		}
+		if uint32(m.Link) >= uint32(deg) {
+			if vio == nil {
+				vio = &ErrNotALink{Round: round, From: int(v), Link: int(m.Link), Degree: int(deg)}
+			}
+			m.To = -1 // dropped; skipped by placement
 			continue
 		}
-		v := int(e.active[i])
-		off, end := nw.nbrOff[v], nw.nbrOff[v+1]
-		deg := uint32(end - off)
-		clear(e.used[off:end])
-		for k := range seg {
-			m := &seg[k]
-			if uint32(m.Link) >= deg {
-				if sh.vio == nil {
-					sh.vio = &ErrNotALink{Round: round, From: v, Link: int(m.Link), Degree: int(deg)}
-				}
-				m.To = -1 // dropped; skipped by placement
-				continue
-			}
-			c := m.cost()
-			slot := off + m.Link
-			to := int32(nw.nbrs[slot])
-			m.To, m.Link = to, nw.rev[slot]
-			e.used[slot] += c
-			if e.used[slot] > bw && sh.vio == nil {
-				sh.vio = &ErrBandwidth{Round: round, From: v, To: int(to), Words: int(e.used[slot]), Limit: nw.Bandwidth}
-			}
-			if !deliver {
-				continue
-			}
-			sh.msgs++
-			sh.words += int64(c)
-			nw.Stats.WordsByNode[v] += int64(c) // senders are shard-partitioned
-			if sh.cstamp[to] != e.stamp {
-				sh.cstamp[to] = e.stamp
-				sh.cnt[to] = 0
-				sh.touched = append(sh.touched, to)
-			}
-			sh.cnt[to]++
+		c := m.cost()
+		slot := off + m.Link
+		to := int32(nw.nbrs[slot])
+		m.To, m.Link = to, nw.rev[slot]
+		e.used[slot] += c
+		if e.used[slot] > bw && vio == nil {
+			vio = &ErrBandwidth{Round: round, From: int(v), To: int(to), Words: int(e.used[slot]), Limit: nw.Bandwidth}
 		}
+		if !deliver {
+			continue
+		}
+		msgs++
+		words += int64(c)
+		nw.Stats.WordsByNode[v] += int64(c)
+		if e.inStamp[to] != e.stamp {
+			e.inStamp[to] = e.stamp
+			e.cnt[to] = 0
+			e.touched = append(e.touched, to)
+		}
+		e.cnt[to]++
 	}
+	nw.Stats.Messages += msgs
+	nw.Stats.Words += words
+	return vio
 }
 
-// placeShard is delivery pass 2 for one shard: copy the shard's messages
-// into the receiver-keyed inbox arena. sh.cnt[r] was rewritten by the merge
-// into this shard's first slot for receiver r; senders are visited in id
-// order, preserving the deterministic (sender id, send order) inbox order.
-func placeShard(e *engine, sh *shard) {
-	for i := sh.lo; i < sh.hi; i++ {
-		seg := sh.out[e.outStart[i]:e.outEnd[i]]
-		for k := range seg {
-			to := seg[k].To
-			if to < 0 {
-				continue
-			}
-			slot := sh.cnt[to]
-			sh.cnt[to] = slot + 1
-			e.inArena[slot] = seg[k]
-		}
+// place is delivery pass 2: it lays the receivers' inbox segments out
+// contiguously in the inbox arena, turns cnt[r] into r's write cursor, and
+// copies every counted message into its receiver's segment. Messages are
+// visited in sender order, preserving the deterministic (sender id, send
+// order) inbox order. It returns the number of messages delivered.
+func (e *engine) place() int32 {
+	total := int32(0)
+	for _, r := range e.touched {
+		e.inStart[r] = total
+		total += e.cnt[r]
+		e.cnt[r] = e.inStart[r]
+		e.inEnd[r] = total
 	}
+	if total == 0 {
+		return 0
+	}
+	if cap(e.inArena) < int(total) {
+		e.inArena = make([]Message, total, total+total/2)
+	} else {
+		e.inArena = e.inArena[:total]
+	}
+	for k := range e.out {
+		to := e.out[k].To
+		if to < 0 {
+			continue
+		}
+		slot := e.cnt[to]
+		e.cnt[to] = slot + 1
+		e.inArena[slot] = e.out[k]
+	}
+	return total
 }
 
 // RunFor executes p for exactly k rounds (protocols with fixed round

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"congestapsp/internal/graph"
@@ -175,56 +176,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// flooder is a deterministic multi-round protocol used to compare parallel
-// and sequential execution bit-for-bit.
-type flooder struct {
-	nw   *Network
-	best []int64
-}
-
-func (f *flooder) Step(v, round int, in []Message, send func(Message)) bool {
-	improved := false
-	if round == 0 && v == 0 {
-		f.best[v] = 1
-		improved = true
-	}
-	for _, m := range in {
-		if f.best[v] == 0 || m.A+int64(v%3) < f.best[v] {
-			f.best[v] = m.A + int64(v%3)
-			improved = true
-		}
-	}
-	if improved && round < 20 {
-		for i := range f.nw.Neighbors(v) {
-			send(Message{Link: int32(i), Kind: 2, A: f.best[v] + 1})
-		}
-	}
-	return round >= 20
-}
-
-func TestParallelMatchesSequential(t *testing.T) {
-	g := graph.RandomConnected(graph.GenConfig{N: 60, Seed: 9, MaxWeight: 10}, 180)
-	run := func(parallel bool) []int64 {
-		nw, err := NewNetwork(g, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw.Parallel = parallel
-		f := &flooder{nw: nw, best: make([]int64, g.N)}
-		if err := nw.RunFor(f, 21); err != nil {
-			t.Fatal(err)
-		}
-		return f.best
-	}
-	seq := run(false)
-	par := run(true)
-	for v := range seq {
-		if seq[v] != par[v] {
-			t.Fatalf("node %d: sequential %d != parallel %d", v, seq[v], par[v])
-		}
-	}
-}
-
 func TestRunForDropsFinalRoundSends(t *testing.T) {
 	// Sends made in the final round of a fixed schedule are dropped by the
 	// schedule: they must not be delivered and must not count in Stats.
@@ -339,72 +290,32 @@ func TestLinkIndexAndDegree(t *testing.T) {
 	}
 }
 
-func TestParallelStatsIdentical(t *testing.T) {
-	g := graph.RandomConnected(graph.GenConfig{N: 80, Seed: 3, MaxWeight: 9}, 240)
-	run := func(parallel bool) (Stats, []int64) {
-		nw, err := NewNetwork(g, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw.Parallel = parallel
-		f := &flooder{nw: nw, best: make([]int64, g.N)}
-		if err := nw.RunFor(f, 21); err != nil {
-			t.Fatal(err)
-		}
-		return nw.Stats, f.best
-	}
-	seq, seqBest := run(false)
-	par, parBest := run(true)
-	if seq.Rounds != par.Rounds || seq.Messages != par.Messages || seq.Words != par.Words {
-		t.Fatalf("stats differ: seq %+v par %+v", seq, par)
-	}
-	for v := range seq.WordsByNode {
-		if seq.WordsByNode[v] != par.WordsByNode[v] {
-			t.Fatalf("WordsByNode[%d]: seq %d par %d", v, seq.WordsByNode[v], par.WordsByNode[v])
-		}
-	}
-	for v := range seqBest {
-		if seqBest[v] != parBest[v] {
-			t.Fatalf("state[%d]: seq %d par %d", v, seqBest[v], parBest[v])
-		}
-	}
-}
-
 func TestInboxSenderOrderDeterministic(t *testing.T) {
-	// Inboxes must be ordered by (sender id, send order) under both
-	// execution modes.
+	// Inboxes must be ordered by (sender id, send order).
 	g := graph.New(5, false)
 	for _, u := range []int{0, 1, 2, 4} {
 		g.MustAddEdge(u, 3, 1)
 	}
-	for _, parallel := range []bool{false, true} {
-		nw, _ := NewNetwork(g, 2)
-		nw.Parallel = parallel
-		var order []int64
-		p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
-			if round == 0 && v != 3 { // a leaf's one link, slot 0, goes to 3
-				send(Message{Link: 0, Kind: 1, A: int64(10 * v)})
-				send(Message{Link: 0, Kind: 1, A: int64(10*v + 1)})
-			}
-			if v == 3 {
-				for _, m := range in {
-					order = append(order, m.A)
-				}
-			}
-			return round >= 1
-		})
-		if _, err := nw.Run(p, 5); err != nil {
-			t.Fatal(err)
+	nw, _ := NewNetwork(g, 2)
+	var order []int64
+	p := ProtoFunc(func(v, round int, in []Message, send func(Message)) bool {
+		if round == 0 && v != 3 { // a leaf's one link, slot 0, goes to 3
+			send(Message{Link: 0, Kind: 1, A: int64(10 * v)})
+			send(Message{Link: 0, Kind: 1, A: int64(10*v + 1)})
 		}
-		want := []int64{0, 1, 10, 11, 20, 21, 40, 41}
-		if len(order) != len(want) {
-			t.Fatalf("parallel=%v: inbox %v, want %v", parallel, order, want)
-		}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("parallel=%v: inbox %v, want %v", parallel, order, want)
+		if v == 3 {
+			for _, m := range in {
+				order = append(order, m.A)
 			}
 		}
+		return round >= 1
+	})
+	if _, err := nw.Run(p, 5); err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{0, 1, 10, 11, 20, 21, 40, 41}
+	if !slices.Equal(order, want) {
+		t.Fatalf("inbox %v, want %v", order, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"unsafe"
@@ -52,14 +53,13 @@ func slotGraphs() []namedGraph {
 	return gs
 }
 
-// checkSlotDelivery runs one round in which every node sends on every link
+// slotDelivery runs one round in which every node sends on every link
 // slot, with garbage in From and To, and checks at each receiver that the
 // engine filled From and To from the topology and rewrote Link to the
 // receiver's slot: Neighbors(v)[m.Link] == m.From, m.To == v, and the
 // sender's own slot (carried in A) leads back to v. Every node must hear
 // once on each of its links.
-func checkSlotDelivery(t *testing.T, nw *Network) {
-	t.Helper()
+func slotDelivery(nw *Network) error {
 	n := nw.N()
 	heard := make([]int, n)
 	bad := make([]string, n)
@@ -85,20 +85,23 @@ func checkSlotDelivery(t *testing.T, nw *Network) {
 		return true
 	})
 	if _, err := nw.Run(p, 4); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	for v := 0; v < n; v++ {
 		if bad[v] != "" {
-			t.Fatal(bad[v])
+			return errors.New(bad[v])
 		}
 		if heard[v] != nw.Degree(v) {
-			t.Fatalf("node %d heard %d messages, want one per link (%d)", v, heard[v], nw.Degree(v))
+			return fmt.Errorf("node %d heard %d messages, want one per link (%d)", v, heard[v], nw.Degree(v))
 		}
 	}
+	return nil
 }
 
-// TestLinkSlotDelivery checks slot addressing on generated graphs, under
-// the sequential engine and the sharded one with every round sharded.
+// TestLinkSlotDelivery checks slot addressing on generated graphs in two
+// ShardRuns sub-runs: sequentially on the network itself, and with Parallel
+// concurrently on two worker clones, which share its CSR and reverse-link
+// table.
 func TestLinkSlotDelivery(t *testing.T) {
 	withWorkers(t, 2)
 	for _, gc := range slotGraphs() {
@@ -108,8 +111,10 @@ func TestLinkSlotDelivery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				nw.Parallel, nw.MinShardNodes = parallel, 1
-				checkSlotDelivery(t, nw)
+				nw.Parallel = parallel
+				if err := nw.ShardRuns(2, func(w *Network, _ int) error { return slotDelivery(w) }); err != nil {
+					t.Fatal(err)
+				}
 			})
 		}
 	}
@@ -164,6 +169,9 @@ func TestLinkSlotDeliveryAfterSyncTopology(t *testing.T) {
 		t.Fatalf("after SyncTopology: link %d-%d present %v (want true), link %d-%d present %v (want false)",
 			u, v, nw.IsLink(u, v), gone.U, gone.V, nw.IsLink(gone.U, gone.V))
 	}
-	checkSlotDelivery(t, nw)
-	checkSlotDelivery(t, nw.fleet[0])
+	for _, w := range []*Network{nw, nw.fleet[0]} {
+		if err := slotDelivery(w); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -76,15 +76,11 @@ type Options struct {
 	H int
 	// Bandwidth is the CONGEST per-link words-per-round budget (default 1).
 	Bandwidth int
-	// Parallel enables the simulator's worker-pool execution: independent
-	// per-source sub-runs dispatch across cloned networks via the
-	// work-stealing scheduler, and large rounds shard internally across
-	// workers.
+	// Parallel enables source sharding: independent per-source sub-runs
+	// dispatch across cloned networks via the work-stealing scheduler
+	// (congest.Network.ShardRuns). Each simulated round still runs on one
+	// goroutine.
 	Parallel bool
-	// MinShardNodes overrides the engine's in-round sharding threshold
-	// (congest.Network.MinShardNodes; 0 = the engine default). Tests set 1
-	// to force every round through the sharded path.
-	MinShardNodes int
 	// RetrySequential opts into graceful degradation on worker panics: a
 	// ShardRuns sub-run that panics is rewound and re-executed sequentially
 	// on a fresh clone after the fleet drains, and a fully-recovered run's
@@ -112,17 +108,6 @@ type Options struct {
 	Sources []int
 }
 
-// StepRounds decomposes the total round count by Algorithm 1 step.
-type StepRounds struct {
-	Step1CSSSP    int
-	Step2Blocker  int
-	Step3InSSSP   int
-	Step4Bcast    int
-	Step6QSink    int
-	Step7Extend   int
-	Step8LastEdge int
-}
-
 // Stats aggregates everything the benchmark harness reports.
 type Stats struct {
 	N, M, H           int
@@ -131,7 +116,6 @@ type Stats struct {
 	Messages          int64
 	Words             int64
 	MaxNodeCongestion int64
-	Steps             StepRounds
 	Blocker           blocker.Stats
 	QSink             qsink.Stats
 }

@@ -128,8 +128,8 @@ type lastEdgeCoverage struct {
 // host execution. Over generated rings, stars, paths, random graphs and
 // zero-weight mixes, directed and undirected, directed acyclic graphs
 // with in-only and out-only nodes and unreachable pairs, and multigraphs
-// with parallel and antiparallel arcs, n from 0 to 64, bandwidths 1-3,
-// run sequentially and with every engine round sharded, the host run must
+// with parallel and antiparallel arcs, n from 0 to 64 and bandwidths 1-3,
+// the host run must
 // leave the same last hops, Stats, WordsByNode, OnRound stream and error
 // as the reference protocol on the engine. Each run also runs canceled
 // after column round 1 and after drain round n+1, and within a budget of
@@ -148,11 +148,9 @@ func TestLastEdgeChargeMatchesReference(t *testing.T) {
 				}
 				dist := graph.FloydWarshall(g)
 				for bw := 1; bw <= 3; bw++ {
-					for _, parallel := range []bool{false, true} {
-						name := fmt.Sprintf("%s/directed=%v/n=%d/b=%d/parallel=%v", fam.name, directed, n, bw, parallel)
-						checkLastEdgeCase(t, name, g, dist, bw, parallel, &cov)
-						checkLastEdgeCase(t, name+"/scrambled", g, scramble(dist), bw, parallel, &cov)
-					}
+					name := fmt.Sprintf("%s/directed=%v/n=%d/b=%d", fam.name, directed, n, bw)
+					checkLastEdgeCase(t, name, g, dist, bw, &cov)
+					checkLastEdgeCase(t, name+"/scrambled", g, scramble(dist), bw, &cov)
 				}
 			}
 		}
@@ -164,14 +162,13 @@ func TestLastEdgeChargeMatchesReference(t *testing.T) {
 
 // checkLastEdgeCase compares the host run with the reference on g at every
 // cancel point and budget, and adds what the runs reached to cov.
-func checkLastEdgeCase(t *testing.T, name string, g *graph.Graph, dist [][]int64, bw int, parallel bool, cov *lastEdgeCoverage) {
+func checkLastEdgeCase(t *testing.T, name string, g *graph.Graph, dist [][]int64, bw int, cov *lastEdgeCoverage) {
 	n := g.N
 	net := func() *congest.Network {
 		nw, err := congest.NewNetwork(g, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nw.Parallel, nw.MinShardNodes = parallel, 1
 		return nw
 	}
 	host, ref := net(), net()

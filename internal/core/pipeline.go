@@ -36,33 +36,30 @@ type StageTiming struct {
 }
 
 // stage is one declarative entry of the executor: a named unit of
-// Algorithm 1 with an optional skip predicate and an optional slot in the
-// legacy per-step round decomposition (StepRounds). Stages run in order;
-// the executor owns all instrumentation and error wrapping.
+// Algorithm 1 with an optional skip predicate. Stages run in order; the
+// executor owns all instrumentation and error wrapping.
 type stage struct {
-	name  string
-	steps func(*StepRounds) *int // nil for local (round-free) stages
-	skip  func(*pipeline) bool
-	run   func(*pipeline) error
+	name string
+	skip func(*pipeline) bool
+	run  func(*pipeline) error
 }
 
 // pipelineStages is Algorithm 1 as data: Steps 1-7 of the paper plus the
 // implementation's last-edge resolution pass. Step 5 is purely local
-// computation — it charges no rounds, so it has no StepRounds slot, but as
-// a stage it is now timed like everything else.
+// computation — it charges no rounds, but as a stage it is timed like
+// everything else.
 var pipelineStages = []stage{
-	{name: "step1-csssp", steps: func(s *StepRounds) *int { return &s.Step1CSSSP }, run: (*pipeline).stageCSSSP},
-	{name: "step2-blocker", steps: func(s *StepRounds) *int { return &s.Step2Blocker }, run: (*pipeline).stageBlocker},
-	{name: "step3-insssp", steps: func(s *StepRounds) *int { return &s.Step3InSSSP }, run: (*pipeline).stageInSSSP},
-	{name: "step4-bcast", steps: func(s *StepRounds) *int { return &s.Step4Bcast }, run: (*pipeline).stageBroadcast},
+	{name: "step1-csssp", run: (*pipeline).stageCSSSP},
+	{name: "step2-blocker", run: (*pipeline).stageBlocker},
+	{name: "step3-insssp", run: (*pipeline).stageInSSSP},
+	{name: "step4-bcast", run: (*pipeline).stageBroadcast},
 	{name: "step5-closure", run: (*pipeline).stageClosure},
-	{name: "step6-qsink", steps: func(s *StepRounds) *int { return &s.Step6QSink }, run: (*pipeline).stageQSink},
-	{name: "step7-extend", steps: func(s *StepRounds) *int { return &s.Step7Extend }, run: (*pipeline).stageExtend},
+	{name: "step6-qsink", run: (*pipeline).stageQSink},
+	{name: "step7-extend", run: (*pipeline).stageExtend},
 	{
-		name:  "step8-lastedge",
-		steps: func(s *StepRounds) *int { return &s.Step8LastEdge },
-		skip:  func(p *pipeline) bool { return p.opt.SkipLastEdges },
-		run:   (*pipeline).stageLastEdges,
+		name: "step8-lastedge",
+		skip: func(p *pipeline) bool { return p.opt.SkipLastEdges },
+		run:  (*pipeline).stageLastEdges,
 	},
 }
 
@@ -102,9 +99,7 @@ type pipeline struct {
 }
 
 // execute runs every non-skipped stage in order, recording per-stage wall
-// clock, charged rounds and heap allocations, and filling the legacy
-// StepRounds decomposition from the same round deltas the old monolith
-// tracked by hand. Allocation counts come from runtime/metrics (no
+// clock, charged rounds and heap allocations. Allocation counts come from runtime/metrics (no
 // stop-the-world, unlike runtime.ReadMemStats — a warm session serves
 // repeated runs, so the executor must not pause the world 16 times per
 // call for a bookkeeping column).
@@ -149,9 +144,6 @@ func (p *pipeline) execute() error {
 				pe.Stage = st.name
 			}
 			return fmt.Errorf("core: %s: %w", st.name, err)
-		}
-		if st.steps != nil {
-			*st.steps(&p.st.Steps) = rounds
 		}
 		p.stages = append(p.stages, StageTiming{
 			Name:   st.name,

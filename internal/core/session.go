@@ -84,7 +84,7 @@ func (s *Session) SetFaultInjector(fi congest.FaultInjector) { s.nw.SetFaultInje
 // begin re-arms the warm network for a fresh logical run: per-run options
 // are (re)applied, statistics are zeroed, and the topology guard checks
 // that the graph was not mutated since NewSession.
-func (s *Session) begin(bandwidth int, parallel bool, minShard int, onRound func(int, int)) error {
+func (s *Session) begin(bandwidth int, parallel bool, onRound func(int, int)) error {
 	if s.g.Version() != s.knownVersion {
 		return fmt.Errorf("core: graph modified outside ApplyUpdates since the session was created (version mismatch; route mutations through Session.ApplyUpdates)")
 	}
@@ -98,7 +98,6 @@ func (s *Session) begin(bandwidth int, parallel bool, minShard int, onRound func
 		return err
 	}
 	s.nw.Parallel = parallel
-	s.nw.MinShardNodes = minShard
 	s.nw.OnRound = onRound
 	s.nw.ResetStats()
 	return nil
@@ -125,7 +124,7 @@ func (s *Session) RunContext(ctx context.Context, opt Options) (*Result, error) 
 	if n == 0 {
 		return &Result{}, nil
 	}
-	if err := s.begin(opt.Bandwidth, opt.Parallel, opt.MinShardNodes, opt.OnRound); err != nil {
+	if err := s.begin(opt.Bandwidth, opt.Parallel, opt.OnRound); err != nil {
 		return nil, err
 	}
 	s.nw.RetrySequential = opt.RetrySequential
@@ -200,7 +199,7 @@ func (s *Session) BlockerOnlyContext(ctx context.Context, opt BlockerOptions) ([
 	if h < 1 {
 		h = int(math.Ceil(math.Pow(float64(s.g.N), 1.0/3)))
 	}
-	if err := s.begin(1, opt.Parallel, 0, nil); err != nil {
+	if err := s.begin(1, opt.Parallel, nil); err != nil {
 		return nil, blocker.Stats{}, err
 	}
 	s.nw.RetrySequential = false

@@ -17,9 +17,8 @@ import (
 
 // snapKey identifies the resolved run configuration a snapshot is valid
 // for. Two option sets with equal keys produce bit-identical pipelines;
-// execution-mode knobs (Parallel, MinShardNodes, RetrySequential, OnRound)
-// are deliberately absent because they never change results or round
-// counts. Partial runs (Options.Sources != nil) are never snapshotted.
+// execution-mode knobs (Parallel, RetrySequential, OnRound) are
+// deliberately absent because they never change results or round counts. Partial runs (Options.Sources != nil) are never snapshotted.
 type snapKey struct {
 	variant  Variant
 	h        int

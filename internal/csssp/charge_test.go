@@ -124,10 +124,10 @@ func restoreRemoved(c *Collection, saved [][]bool) {
 // TestTreeChargeMatchesReference is the differential test of the charged
 // per-tree primitives of this package. Over generated rings, stars, paths
 // and random graphs, directed and undirected, with n from 2 to 64, the
-// removal states of removalSteps, bandwidths 1-3, run sequentially and
-// with every engine round sharded, each UpcastSumInto and RemoveSubtrees
-// call must leave the same Stats, WordsByNode, OnRound stream, error and
-// outputs as its reference protocol on the engine: the sums at the tree's
+// removal states of removalSteps and bandwidths 1-3, built sequentially and
+// source-sharded, each UpcastSumInto and RemoveSubtrees call must leave the
+// same Stats, WordsByNode, OnRound stream, error and outputs as its
+// reference protocol on the engine: the sums at the tree's
 // nodes (the rest of acc untouched) and the Removed bits. Each call also
 // runs canceled after round 1 and after round 2, where the outputs must
 // equal what the reference nodes hold when it stops. The host convergecast
@@ -157,7 +157,7 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int, parallel b
 		if err != nil {
 			t.Fatal(err)
 		}
-		nw.Parallel, nw.MinShardNodes = parallel, 1
+		nw.Parallel = parallel
 		c, err := Build(nw, g, allSources(n), h, bford.Out)
 		if err != nil {
 			t.Fatal(err)

@@ -153,7 +153,7 @@ func Expander(c GenConfig, cycles int) *Graph {
 	g := New(c.N, c.Directed)
 	for k := 0; k < cycles; k++ {
 		perm := r.Perm(c.N)
-		for i := 0; i < c.N; i++ {
+		for i := 0; c.N > 1 && i < c.N; i++ {
 			u, v := perm[i], perm[(i+1)%c.N]
 			g.MustAddEdge(u, v, c.weight(r))
 			if c.Directed {

@@ -5,7 +5,8 @@ import "math/rand"
 // Generators for the workload families used by the tests and the benchmark
 // harness. All generators are deterministic given the seed and always return
 // graphs whose underlying undirected communication network is connected
-// (CONGEST requires connectivity).
+// (CONGEST requires connectivity). A graph of at most one node has no
+// edges: its only candidate edge would be a self-loop.
 
 // GenConfig controls random generation.
 type GenConfig struct {
@@ -42,7 +43,7 @@ func RandomConnected(c GenConfig, m int) *Graph {
 			g.MustAddEdge(v, u, c.weight(r))
 		}
 	}
-	for g.M() < m {
+	for c.N > 1 && g.M() < m {
 		u := r.Intn(c.N)
 		v := r.Intn(c.N)
 		if u == v {
@@ -59,7 +60,7 @@ func RandomConnected(c GenConfig, m int) *Graph {
 func Ring(c GenConfig) *Graph {
 	r := c.rng()
 	g := New(c.N, c.Directed)
-	for i := 0; i < c.N; i++ {
+	for i := 0; c.N > 1 && i < c.N; i++ {
 		j := (i + 1) % c.N
 		g.MustAddEdge(i, j, c.weight(r))
 		if c.Directed {
@@ -142,7 +143,8 @@ func Star(c GenConfig) *Graph {
 
 // DisjointPaths generates k vertex-disjoint directed-agnostic paths of
 // pathLen edges each, their tails linked into a cycle by heavy connector
-// edges (weight connectorW) to keep the communication graph connected.
+// edges (weight connectorW) to keep the communication graph connected (a
+// single path needs none).
 // With light path weights and heavy connectors, shortest-path trees are
 // dominated by the k disjoint paths, so no single vertex covers more than
 // ~1/k of the full-length tree paths — the regime in which Algorithm 2
@@ -161,7 +163,7 @@ func DisjointPaths(k, pathLen int, connectorW int64, c GenConfig) *Graph {
 			}
 		}
 	}
-	for p := 0; p < k; p++ {
+	for p := 0; k > 1 && p < k; p++ {
 		u, v := id(p, 0), id((p+1)%k, 0)
 		g.MustAddEdge(u, v, connectorW)
 		if c.Directed {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,42 @@ func TestGeneratorsConnected(t *testing.T) {
 		}
 		if !IsConnectedUG(tc.g) {
 			t.Errorf("%s: underlying undirected graph disconnected", tc.name)
+		}
+	}
+}
+
+// TestGeneratorsSmallN: every generator, directed and undirected, returns
+// the N-node graph at N = 0, 1 and 2 with a connected underlying graph,
+// and one without edges below two nodes even when asked for edges.
+func TestGeneratorsSmallN(t *testing.T) {
+	gens := []struct {
+		name string
+		gen  func(c GenConfig) *Graph
+	}{
+		{"random", func(c GenConfig) *Graph { return RandomConnected(c, 3) }},
+		{"zeromix", func(c GenConfig) *Graph { return ZeroWeightMix(c, 3) }},
+		{"ring", Ring},
+		{"grid", func(c GenConfig) *Graph { return Grid(1, c.N, c) }},
+		{"layered", func(c GenConfig) *Graph { return Layered(c.N, 1, c) }},
+		{"star", Star},
+		{"disjointpaths", func(c GenConfig) *Graph { return DisjointPaths(1, c.N-1, 9, c) }},
+		{"powerlaw", func(c GenConfig) *Graph { return PowerLaw(c, 3) }},
+		{"geometric", func(c GenConfig) *Graph { return RandomGeometric(c, 0) }},
+		{"expander", func(c GenConfig) *Graph { return Expander(c, 3) }},
+		{"ktree", func(c GenConfig) *Graph { return KTree(c, 4) }},
+	}
+	for _, gc := range gens {
+		for n := 0; n <= 2; n++ {
+			for _, directed := range []bool{false, true} {
+				name := fmt.Sprintf("%s/n=%d/directed=%v", gc.name, n, directed)
+				g := gc.gen(GenConfig{N: n, Directed: directed, Seed: 1, MaxWeight: 9})
+				if err := g.Validate(); err != nil {
+					t.Errorf("%s: invalid: %v", name, err)
+				}
+				if g.N != n || !IsConnectedUG(g) || n <= 1 && g.M() > 0 {
+					t.Errorf("%s: got %d nodes and %d edges, connected %v", name, g.N, g.M(), IsConnectedUG(g))
+				}
+			}
 		}
 	}
 }

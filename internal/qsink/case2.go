@@ -3,7 +3,6 @@ package qsink
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"congestapsp/internal/bford"
 	"congestapsp/internal/broadcast"
@@ -120,20 +119,18 @@ const kindPipe uint8 = 40
 //
 // All per-node state (queues, heads, pending, sent, the at-matrix rows the
 // deliver closure writes — row ci is only written by blocker node Q[ci])
-// is owned by exactly one node's Step, per the engine's parallel contract.
-// The one genuinely global value, the undelivered-message count, is an
-// atomic: blocker nodes on different engine shards decrement it in the
-// same round, and an atomic add is order-independent, so the value each
-// round boundary observes is bit-identical to sequential execution.
+// is owned by exactly one node's Step, per the engine's Proto contract.
+// The one global value is the undelivered-message count, which the engine
+// updates one Step at a time.
 type pipeState struct {
 	nw      *congest.Network
 	cq      *csssp.Collection
 	Q       []int
-	q       int          // len(Q); row stride of the flat spines
-	queues  [][]pipeMsg  // queues[v*q+ci]: messages at v for blocker ci
-	heads   []int32      // heads[v*q+ci]: first unsent index
-	pending []int64      // total unsent messages at v
-	total   atomic.Int64 // undelivered messages across all nodes
+	q       int         // len(Q); row stride of the flat spines
+	queues  [][]pipeMsg // queues[v*q+ci]: messages at v for blocker ci
+	heads   []int32     // heads[v*q+ci]: first unsent index
+	pending []int64     // total unsent messages at v
+	total   int64       // undelivered messages across all nodes
 	deliver func(ci, x int, val int64)
 	sent    []int64 // per-node forwarded count (congestion accounting)
 	cursor  []int32 // round-robin position in the cyclic order O per node
@@ -160,7 +157,7 @@ func newPipeState(nw *congest.Network, cq *csssp.Collection, Q []int, delta *mat
 	ps.pending = congest.Grow(ps.pending, n)
 	ps.sent = congest.Grow(ps.sent, n)
 	ps.cursor = congest.Grow(ps.cursor, n)
-	ps.total.Store(0)
+	ps.total = 0
 	// Seed: every alive node x in pruned tree T_ci sends its own value.
 	for ci := range Q {
 		for x := 0; x < n; x++ {
@@ -171,7 +168,7 @@ func newPipeState(nw *congest.Network, cq *csssp.Collection, Q []int, delta *mat
 				s := x*q + ci
 				ps.queues[s] = append(ps.queues[s], pipeMsg{x: int32(x), ci: int32(ci), dist: d})
 				ps.pending[x]++
-				ps.total.Add(1)
+				ps.total++
 			}
 		}
 	}
@@ -187,7 +184,7 @@ func (ps *pipeState) receive(v int, in []congest.Message) {
 		ci := int(m.B)
 		if ps.Q[ci] == v {
 			ps.deliver(ci, int(m.A), m.C)
-			ps.total.Add(-1)
+			ps.total--
 			continue
 		}
 		s := v*ps.q + ci
@@ -227,20 +224,20 @@ func runRoundRobin(nw *congest.Network, cq *csssp.Collection, Q []int, delta *ma
 
 	n := cq.G.N
 	ps := newPipeState(nw, cq, Q, delta, relax)
-	st.PipelineMessages = ps.total.Load()
-	if ps.total.Load() == 0 {
+	st.PipelineMessages = ps.total
+	if ps.total == 0 {
 		return nil
 	}
 
 	// Lemma 4.3 budget with slack; the protocol stops at global delivery.
-	budget := pipelineBudget(n, len(Q), ps.total.Load())
+	budget := pipelineBudget(n, len(Q), ps.total)
 	ps.rr = roundRobinProto{ps: ps}
 	rounds, err := nw.Run(&ps.rr, budget)
 	if err != nil {
 		return fmt.Errorf("qsink: round-robin pipeline: %w", err)
 	}
-	if left := ps.total.Load(); left != 0 {
-		return fmt.Errorf("qsink: pipeline finished with %d undelivered messages", left)
+	if ps.total != 0 {
+		return fmt.Errorf("qsink: pipeline finished with %d undelivered messages", ps.total)
 	}
 	st.PipelineRounds = rounds
 	return nil
@@ -280,18 +277,18 @@ func runFrames(nw *congest.Network, cq *csssp.Collection, Q []int, delta *mat.Ma
 
 	n := cq.G.N
 	ps := newPipeState(nw, cq, Q, delta, relax)
-	st.PipelineMessages = ps.total.Load()
-	if ps.total.Load() == 0 {
+	st.PipelineMessages = ps.total
+	if ps.total == 0 {
 		return nil
 	}
-	budget := pipelineBudget(n, len(Q), ps.total.Load())
+	budget := pipelineBudget(n, len(Q), ps.total)
 	totalRounds := 0
 	logn := math.Log2(float64(n) + 1)
 	quotaScale := par.FrameQuotaScale
 	if quotaScale <= 0 {
 		quotaScale = 1
 	}
-	for stage := 0; ps.total.Load() > 0; stage++ {
+	for stage := 0; ps.total > 0; stage++ {
 		st.FrameStages = stage + 1
 		// Q_{v,i}: the blockers each node still serves, fixed per stage.
 		qvi := make([][]int, n)
@@ -320,7 +317,7 @@ func runFrames(nw *congest.Network, cq *csssp.Collection, Q []int, delta *mat.Ma
 			stageRounds = budget - totalRounds
 		}
 		if stageRounds <= 0 {
-			return fmt.Errorf("qsink: frame scheduler exceeded budget with %d messages left", ps.total.Load())
+			return fmt.Errorf("qsink: frame scheduler exceeded budget with %d messages left", ps.total)
 		}
 		p := congest.ProtoFunc(func(v, round int, in []congest.Message, send func(congest.Message)) bool {
 			ps.receive(v, in)
@@ -342,8 +339,8 @@ func runFrames(nw *congest.Network, cq *csssp.Collection, Q []int, delta *mat.Ma
 			return fmt.Errorf("qsink: frame stage %d: %w", stage, err)
 		}
 		totalRounds += rounds
-		if left := ps.total.Load(); left > 0 && totalRounds >= budget {
-			return fmt.Errorf("qsink: frame scheduler: %d messages left at budget", left)
+		if ps.total > 0 && totalRounds >= budget {
+			return fmt.Errorf("qsink: frame scheduler: %d messages left at budget", ps.total)
 		}
 	}
 	st.PipelineRounds = totalRounds

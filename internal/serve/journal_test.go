@@ -378,18 +378,21 @@ func TestReadinessGate(t *testing.T) {
 }
 
 // TestLoadRetryBackoff drives RunLoad through a proxy that sheds the first
-// two query attempts with 429: the seeded retry layer must absorb them and
+// two attempts of the first timed query (the second query, after the
+// untimed warm-up) with 429: the seeded retry layer must absorb them and
 // account for every attempt.
 func TestLoadRetryBackoff(t *testing.T) {
 	svc := New(Config{})
 	inner := svc.Handler()
-	var shed int
+	var queries, shed int
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/query") && shed < 2 {
-			shed++
-			w.WriteHeader(http.StatusTooManyRequests)
-			w.Write([]byte(`{"error":"synthetic shed"}`))
-			return
+		if strings.HasSuffix(r.URL.Path, "/query") {
+			if queries++; queries > 1 && shed < 2 {
+				shed++
+				w.WriteHeader(http.StatusTooManyRequests)
+				w.Write([]byte(`{"error":"synthetic shed"}`))
+				return
+			}
 		}
 		inner.ServeHTTP(w, r)
 	}))

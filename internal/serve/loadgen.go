@@ -28,14 +28,16 @@ type LoadConfig struct {
 	Client *http.Client
 	// Seed drives every random choice (pairs, edges, weights).
 	Seed int64
-	// Mix selects the traffic shape: "cached" (one options set, result
-	// cache absorbs everything after the first run), "warmmiss" (each
+	// Mix selects the traffic shape: "cached" (the warm-up's options set,
+	// so the result cache answers every timed query), "warmmiss" (each
 	// query cycles Options.Seed, forcing a fresh warm run per request), or
 	// "postupdate" (seeded weight updates interleaved with queries).
 	Mix string
 	// Scenario is the graph, by corpus name (e.g. "random-n128-s1").
 	Scenario string
-	// Requests is the number of requests after the initial load.
+	// Requests is the number of timed requests. They follow the initial
+	// load and one untimed warm-up query with default options, which pays
+	// the graph's first APSP run outside the sample.
 	Requests int
 	// Concurrency is the number of in-flight workers (forced to 1 when a
 	// Transcript is set).
@@ -58,9 +60,10 @@ type LoadConfig struct {
 	RetryBase time.Duration
 }
 
-// LoadReport summarizes a run: status-code census and latency percentiles
-// over the post-load requests, plus the daemon-side pool counters scraped
-// from /metrics after the run.
+// LoadReport summarizes a run: status-code census, retry counts and latency
+// percentiles over the timed requests, plus the daemon-side pool counters
+// scraped from /metrics after the run (those include the load and the
+// warm-up query).
 type LoadReport struct {
 	Mix       string         `json:"mix"`
 	Scenario  string         `json:"scenario"`
@@ -221,6 +224,40 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if retryBase <= 0 {
 		retryBase = 25 * time.Millisecond
 	}
+	// send posts request i (-1 for the warm-up) through the retry layer,
+	// logging every attempt to the transcript, and returns the final
+	// status and the number of retries it took.
+	send := func(i int, req genRequest) (code, retries int, err error) {
+		var out []byte
+		for {
+			code, out, err = post(req.path, req.body)
+			if cfg.Transcript != nil {
+				fmt.Fprintf(cfg.Transcript, "POST %s\n%s\n%d %s\n", req.path, req.body, code, out)
+			}
+			// Retry only what the daemon told us to come back for: 429
+			// (shed) and 503 (recovering). Transport errors and every
+			// other status are final.
+			if err != nil || (code != http.StatusTooManyRequests && code != http.StatusServiceUnavailable) || retries >= maxRetries {
+				break
+			}
+			time.Sleep(retryDelay(cfg.Seed, i, retries, retryBase))
+			retries++
+		}
+		if retries > 0 && cfg.Transcript != nil {
+			fmt.Fprintf(cfg.Transcript, "RETRIED %d\n", retries)
+		}
+		return code, retries, err
+	}
+
+	// The warm-up: without it the first timed requests wait for the
+	// graph's first APSP run, and a cached mix's p99 reads that run.
+	warm := genRequest{"/v1/graphs/" + lr.Graph + "/query", []byte(`{"pairs":[[0,0]]}`)}
+	if code, _, err := send(-1, warm); err != nil {
+		return nil, fmt.Errorf("serve: warm-up query: %w", err)
+	} else if code != http.StatusOK {
+		return nil, fmt.Errorf("serve: warm-up query returned %d", code)
+	}
+
 	durations := make([]float64, len(reqs))
 	codes := make([]int, len(reqs))
 	errorsAt := make([]error, len(reqs))
@@ -232,29 +269,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			defer wg.Done()
 			for i := w; i < len(reqs); i += cfg.Concurrency {
 				t0 := time.Now()
-				attempt := 0
-				var code int
-				var out []byte
-				var err error
-				for {
-					code, out, err = post(reqs[i].path, reqs[i].body)
-					if cfg.Transcript != nil {
-						fmt.Fprintf(cfg.Transcript, "POST %s\n%s\n%d %s\n", reqs[i].path, reqs[i].body, code, out)
-					}
-					// Retry only what the daemon told us to come back for:
-					// 429 (shed) and 503 (recovering). Transport errors and
-					// every other status are final.
-					if err != nil || (code != http.StatusTooManyRequests && code != http.StatusServiceUnavailable) || attempt >= maxRetries {
-						break
-					}
-					time.Sleep(retryDelay(cfg.Seed, i, attempt, retryBase))
-					attempt++
-				}
+				codes[i], retriesAt[i], errorsAt[i] = send(i, reqs[i])
 				durations[i] = float64(time.Since(t0).Microseconds()) / 1000
-				codes[i], errorsAt[i], retriesAt[i] = code, err, attempt
-				if attempt > 0 && cfg.Transcript != nil {
-					fmt.Fprintf(cfg.Transcript, "RETRIED %d\n", attempt)
-				}
 			}
 		}(w)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -34,7 +35,8 @@ func loadTranscript(t *testing.T, mix string) []byte {
 // contract: a fixed-seed apspload run against a fresh daemon produces a
 // byte-stable transcript — across repeated runs AND across GOMAXPROCS
 // values, because every wire answer is a pure function of the request
-// sequence, never of scheduling.
+// sequence, never of scheduling. Each transcript also starts with the
+// default-options warm-up query, ahead of the 12 timed requests.
 func TestLoadgenTranscriptDeterministic(t *testing.T) {
 	mixes := Mixes()
 	if testing.Short() {
@@ -43,8 +45,13 @@ func TestLoadgenTranscriptDeterministic(t *testing.T) {
 	for _, mix := range mixes {
 		t.Run(mix, func(t *testing.T) {
 			base := loadTranscript(t, mix)
-			if len(base) == 0 {
-				t.Fatal("empty transcript")
+			_, first, _ := strings.Cut(string(base), "POST ")
+			if entry := strings.SplitN(first, "\n", 3); len(entry) < 3 || !strings.HasSuffix(entry[0], "/query") ||
+				entry[1] != `{"pairs":[[0,0]]}` || !strings.HasPrefix(entry[2], "200 ") {
+				t.Fatalf("the first request is not the warm-up query:\n%s", base)
+			}
+			if posts := bytes.Count(base, []byte("POST ")); posts != 12+1 {
+				t.Fatalf("%d requests, want the 12 timed ones and the warm-up", posts)
 			}
 			if again := loadTranscript(t, mix); !bytes.Equal(base, again) {
 				t.Fatalf("transcript differs between two identical runs:\n--- first\n%s\n--- second\n%s", base, again)

@@ -127,8 +127,11 @@ type Options struct {
 	// Bandwidth is the number of words per link per direction per round
 	// (default 1, the classic CONGEST budget).
 	Bandwidth int
-	// Parallel executes node steps on a worker pool; results are
-	// bit-identical to sequential execution.
+	// Parallel runs the independent per-source sub-runs (the CSSSP and
+	// extension SSSPs, the q-sink SSSP pairs, the per-tree blocker runs)
+	// source-sharded across a worker pool; each simulated round still runs
+	// on one goroutine, and results are bit-identical to sequential
+	// execution.
 	Parallel bool
 	// RetrySequential opts into graceful degradation under Parallel: a
 	// worker sub-run that panics is re-executed sequentially on a fresh
@@ -155,9 +158,6 @@ type Options struct {
 	Sources []int
 }
 
-// StepRounds breaks the round count down by Algorithm 1 step.
-type StepRounds = core.StepRounds
-
 // StageTiming is the per-stage cost record of the staged pipeline
 // executor: the stage name, the CONGEST rounds it charged
 // (deterministic), and the host wall-clock and heap allocations it
@@ -172,7 +172,6 @@ type Stats struct {
 	Messages          int64
 	Words             int64
 	MaxNodeCongestion int64
-	Steps             StepRounds
 	// Stages is the executed pipeline stages in order, each with its
 	// charged rounds, wall-clock and allocations (skipped stages absent).
 	Stages []StageTiming
@@ -243,7 +242,6 @@ func fromCore(res *core.Result) *Result {
 			Messages:          res.Stats.Messages,
 			Words:             res.Stats.Words,
 			MaxNodeCongestion: res.Stats.MaxNodeCongestion,
-			Steps:             res.Stats.Steps,
 			Stages:            res.Stages,
 			BottleneckCount:   res.Stats.QSink.BottleneckCount,
 			QPrimeSize:        res.Stats.QSink.QPrimeSize,

@@ -143,7 +143,7 @@ func RunFromSources(g *Graph, sources []int, opt Options) (*SourcesResult, error
 		Rounds:         res.Stats.Rounds,
 		Messages:       res.Stats.Messages,
 		Words:          res.Stats.Words,
-		Steps:          res.Stats.Steps,
+		Stages:         res.Stages,
 	}
 	return out, nil
 }

@@ -12,10 +12,9 @@ func runnerTestGraph(n int) *Graph {
 }
 
 // forceWorkers raises GOMAXPROCS to at least 4 for the duration of a test:
-// warm sessions toggle Parallel between runs on one engine, and that
-// transition is only real when the worker pool genuinely grows (the
-// growing-shards engine bug was invisible on 1-core CI exactly because
-// ShardRuns and the round loop both collapse to one worker there).
+// warm sessions toggle Parallel between runs on one network, and that
+// transition is only real when the ShardRuns worker fleet genuinely grows
+// (on 1-core CI it collapses to one worker).
 func forceWorkers(t *testing.T) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(0)
@@ -185,8 +184,8 @@ func TestRunnerRejectsMutatedGraph(t *testing.T) {
 }
 
 // TestRunnerStagesExposed: per-stage timings reach the public Stats with
-// the full stage list, in execution order, and their rounds sum to the
-// total (step5-closure is local, so its rounds are zero).
+// the full stage list, in execution order, every stage but the local
+// step5-closure charges rounds, and their rounds sum to the total.
 func TestRunnerStagesExposed(t *testing.T) {
 	g := runnerTestGraph(24)
 	r, err := NewRunner(g)
@@ -206,6 +205,9 @@ func TestRunnerStagesExposed(t *testing.T) {
 	for i, st := range res.Stats.Stages {
 		if st.Name != want[i] {
 			t.Fatalf("stage %d = %q, want %q", i, st.Name, want[i])
+		}
+		if (st.Rounds == 0) != (st.Name == "step5-closure") {
+			t.Errorf("stage %s charged %d rounds", st.Name, st.Rounds)
 		}
 		sum += st.Rounds
 	}

@@ -100,8 +100,9 @@ RAW="$(mktemp)"
 OLD="$(mktemp)"
 trap 'rm -f "$RAW" "$OLD"' EXIT
 
-# Engine microbenchmarks, one section per GOMAXPROCS (the sharded engine
-# rows only shard when the workers exist).
+# Engine microbenchmarks, one section per GOMAXPROCS. A simulated round
+# runs on one goroutine, so the engine rows differ between sections only
+# by the runtime's own background work.
 cp BENCH_engine.json "$OLD" 2>/dev/null || : > "$OLD"
 {
   printf '{\n  "suite": "engine",\n  "benchtime": "%s",\n  "cores": %s,\n  "sections": [\n' "$BENCHTIME" "$CORES"
@@ -221,9 +222,10 @@ report_deltas "$OLD" BENCH_update.json
 # GOMAXPROCS in {1, 2} (a section above the host's core count is skipped):
 # the deterministic load generator drives an in-process daemon (cmd/apspload
 # -selfhost) for each traffic mix at n in {128, 256}. Request counts are
-# scaled to the cost of a miss in each mix: cached queries are ~free after
-# the first run, a warmmiss request is a full warm APSP run, postupdate
-# alternates incremental re-runs with cache hits.
+# scaled to the cost of a miss in each mix: cached queries are ~free (an
+# untimed warm-up query pays the graph's first run), a warmmiss request is
+# a full warm APSP run, postupdate alternates incremental re-runs with
+# cache hits.
 {
   printf '{\n  "suite": "serve",\n  "cores": %s,\n  "sections": [\n' "$CORES"
   FIRST=1
@@ -280,7 +282,7 @@ go run ./cmd/experiment \
 # Per-stage wall breakdown of the regenerated sweep: where the host time
 # goes inside the paper's pipeline, for each family's largest sequential
 # det43 cell (the staged executor records this per row; see DESIGN.md
-# §2.5/§6.3).
+# §2.4/§6.3).
 if command -v jq >/dev/null 2>&1; then
   echo "per-stage wall breakdown (det43, seq, largest n per family):"
   jq -r '
