@@ -1,9 +1,9 @@
 // Package bench is the benchmark harness required by DESIGN.md: one
-// testing.B benchmark per experiment table (E1-E8, see EXPERIMENTS.md),
-// each reporting the simulated CONGEST round counts as custom metrics
-// ("rounds", "qsize", ...) alongside wall-clock time. The richer sweeps
-// with markdown output live in cmd/congestbench; these benches pin the same
-// quantities into `go test -bench`.
+// testing.B benchmark per experiment table (E1-E8), each reporting the
+// simulated CONGEST round counts as custom metrics ("rounds", "qsize",
+// ...) alongside wall-clock time. `cmd/experiment -lemmas` prints the
+// tables themselves as markdown; these benches pin the same quantities
+// into `go test -bench`.
 package bench
 
 import (

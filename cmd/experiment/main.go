@@ -19,12 +19,17 @@
 // (rounds, messages, words, congestion, |Q|, h, per-stage rounds) of the
 // seq and sharded rows match and aborts on divergence.
 //
+// With -lemmas the command prints the per-lemma markdown tables instead
+// (lemmas.go): Table 1 and the paper's quantitative lemmas, over the same
+// scenario registry, cells and oracles. It writes no JSON or CSV.
+//
 // Examples:
 //
 //	experiment                                   # default corpus, EXPERIMENTS.json
 //	experiment -sizes 64,128 -check              # acceptance sweep with oracle check
 //	experiment -scenarios powerlaw,expander -algorithms det43 -csv out.csv
 //	experiment -scenarios powerlaw-n96-s3        # one explicit scenario
+//	experiment -lemmas table1,qsink -sizes 16,24,32 -seeds 1,2 -check
 package main
 
 import (
@@ -40,13 +45,13 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
 
 	"congestapsp/internal/graph"
 	"congestapsp/internal/graphio"
-	"congestapsp/internal/profiling"
 	"congestapsp/pkg/apsp"
 )
 
@@ -56,8 +61,8 @@ func main() {
 		sizesFlag      = flag.String("sizes", "64,128", "comma-separated vertex counts (ignored for explicit scenario names)")
 		seedsFlag      = flag.String("seeds", "1", "comma-separated generator seeds (ignored for explicit scenario names)")
 		algorithmsFlag = flag.String("algorithms", "det43,det32,rand43,bcast6", "comma-separated algorithm profiles")
-		execFlag       = flag.String("exec", "seq,sharded", "execution modes: seq, sharded (source-sharded worker pool)")
-		check          = flag.Bool("check", false, "validate every distance matrix against the Floyd-Warshall oracle")
+		execFlag       = flag.String("exec", "seq,sharded", "execution modes: seq, sharded (source-sharded worker pool); -lemmas renders its report once per mode and aborts if they differ")
+		check          = flag.Bool("check", false, "validate every distance matrix against the Floyd-Warshall oracle; -lemmas also checks q-sink deliveries, blocker coverage and the bottleneck bounds")
 		checkSamples   = flag.Int("check-samples", 0, "with -check, validate this many sampled source rows against on-demand Dijkstra instead of the full Floyd-Warshall matrix (the O(n²)-memory oracle big-n runs cannot afford)")
 		skipLastHops   = flag.Bool("skip-lasthops", false, "skip the stage-8 last-edge pass (distances only); big-n runs use this to drop both the n² last-hop table and stage 8's L·n neighbor-distance working set")
 		jsonPath       = flag.String("json", "EXPERIMENTS.json", "JSON output path (empty to skip)")
@@ -66,15 +71,29 @@ func main() {
 		timeout        = flag.Duration("timeout", 0, "per-cell deadline; a cell that exceeds it is skipped with a warning (0 = none)")
 		cpuProfile     = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 		memProfile     = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		lemmasFlag     = flag.String("lemmas", "", "print these per-lemma tables to stdout instead of running the JSON sweep: all, or a comma list of "+lemmaNames())
 	)
 	flag.Parse()
 
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	var lemmas []lemmaTable
+	if *lemmasFlag != "" {
+		rejectFlagConflicts("-lemmas (the tables fix their workloads and print to stdout)",
+			"scenarios", "algorithms", "json", "csv")
+		*jsonPath = "" // the report streams to stdout; never overwrite EXPERIMENTS.json
+		var err error
+		if lemmas, err = parseLemmas(*lemmasFlag); err != nil {
+			log.Fatal(err)
+		}
+	}
+	sizes, err := parseInts(*sizesFlag, "size")
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	scenarios, err := expandScenarios(*scenariosFlag, *sizesFlag, *seedsFlag)
+	seeds, err := parseSeeds(*seedsFlag)
+	if err != nil {
+		log.Fatal(err)
+	}
+	scenarios, err := expandScenarios(*scenariosFlag, sizes, seeds)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,6 +102,10 @@ func main() {
 		log.Fatal(err)
 	}
 	execModes, err := parseExecModes(*execFlag)
+	if err != nil {
+		log.Fatal(err)
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,14 +146,25 @@ func main() {
 		return context.WithCancel(ctx)
 	}
 
+	if lemmas != nil {
+		runLemmas(lemmas, execModes, *quiet, lemmaRun{
+			sizes: sizes, seeds: seeds, check: *check, samples: *checkSamples,
+			skipLastHops: *skipLastHops, ctx: ctx, cellCtx: cellCtx, interrupted: interrupted,
+		})
+		if err := stopProfiles(); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
+
 	for _, sc := range scenarios {
 		g, err := sc.Build()
 		if err != nil {
 			log.Fatal(err)
 		}
-		var oracle func(*apsp.Result) error
+		var oracle func([][]int64) error
 		if *check {
-			oracle = oracleFor(g, *checkSamples, sc.Seed)
+			oracle = oracleFor(internalGraph(g), *checkSamples, sc.Seed)
 		}
 		// One warm Runner per scenario: every profile x exec-mode cell of
 		// this graph reuses the same network, arenas and worker fleet. One
@@ -164,7 +198,7 @@ func main() {
 			byMode := make(map[string]row, len(execModes))
 			for _, mode := range execModes {
 				wctx, cancel := cellCtx()
-				r, err := runCell(wctx, sc, runner, alg, mode, *skipLastHops, oracle)
+				r, err := runCell(wctx, sc, runner, cellOptions(alg, mode, sc.Seed, *skipLastHops), oracle)
 				cancel()
 				if err != nil {
 					if ctx.Err() != nil {
@@ -254,14 +288,22 @@ func cellOptions(alg apsp.Algorithm, mode string, seed int64, skipLastHops bool)
 	}
 }
 
+// execMode names the execution mode cellOptions maps onto Parallel.
+func execMode(parallel bool) string {
+	if parallel {
+		return "sharded"
+	}
+	return "seq"
+}
+
 // runCell executes one sweep cell on the scenario's warm Runner under the
 // cell's context (deadline and SIGINT) and, when oracle is non-nil,
 // validates the distances against it.
-func runCell(ctx context.Context, sc apsp.Scenario, runner *apsp.Runner, alg apsp.Algorithm, mode string, skipLastHops bool, oracle func(*apsp.Result) error) (row, error) {
+func runCell(ctx context.Context, sc apsp.Scenario, runner *apsp.Runner, opt apsp.Options, oracle func([][]int64) error) (row, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	res, err := runner.RunContext(ctx, cellOptions(alg, mode, sc.Seed, skipLastHops))
+	res, err := runner.RunContext(ctx, opt)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {
@@ -269,7 +311,7 @@ func runCell(ctx context.Context, sc apsp.Scenario, runner *apsp.Runner, alg aps
 	}
 	checked := false
 	if oracle != nil {
-		if err := oracle(res); err != nil {
+		if err := oracle(res.Dist); err != nil {
 			return row{}, err
 		}
 		checked = true
@@ -285,8 +327,8 @@ func runCell(ctx context.Context, sc apsp.Scenario, runner *apsp.Runner, alg aps
 		N:                 s.N,
 		M:                 s.M,
 		Seed:              sc.Seed,
-		Algorithm:         alg.String(),
-		Exec:              mode,
+		Algorithm:         opt.Algorithm.String(),
+		Exec:              execMode(opt.Parallel),
 		H:                 s.H,
 		BlockerSetSize:    s.BlockerSetSize,
 		Rounds:            s.Rounds,
@@ -334,6 +376,14 @@ func diffDistributedColumns(seq, sharded row) error {
 	return nil
 }
 
+// internalGraph copies a public graph into the internal representation
+// the oracles and the protocol-level lemma tables take.
+func internalGraph(g *apsp.Graph) *graph.Graph {
+	og := graph.New(g.N(), g.Directed())
+	g.Edges(func(u, v int, w int64) { og.MustAddEdge(u, v, w) })
+	return og
+}
+
 // oracleFor builds the per-scenario distance validator. The default is the
 // full Floyd-Warshall matrix (exact, all pairs, all cells). With samples >
 // 0 it instead draws that many sources (deterministically from the
@@ -341,15 +391,13 @@ func diffDistributedColumns(seq, sharded row) error {
 // — O(samples · m log n) time and O(n) oracle memory, which is what lets an
 // n=4096 run oracle-check at all without a second set of O(n²)
 // Floyd-Warshall tables.
-func oracleFor(g *apsp.Graph, samples int, seed int64) func(*apsp.Result) error {
-	og := graph.New(g.N(), g.Directed())
-	g.Edges(func(u, v int, w int64) { og.MustAddEdge(u, v, w) })
+func oracleFor(og *graph.Graph, samples int, seed int64) func(dist [][]int64) error {
 	if samples <= 0 {
 		oracle := graph.FloydWarshall(og)
-		return func(res *apsp.Result) error {
+		return func(dist [][]int64) error {
 			for x := range oracle {
 				for t := range oracle[x] {
-					if got := res.Dist[x][t]; got != oracle[x][t] {
+					if got := dist[x][t]; got != oracle[x][t] {
 						return fmt.Errorf("distance mismatch at (%d,%d): got %d, oracle %d",
 							x, t, got, oracle[x][t])
 					}
@@ -364,7 +412,7 @@ func oracleFor(g *apsp.Graph, samples int, seed int64) func(*apsp.Result) error 
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed0bac1e))
 	srcs := rng.Perm(og.N)[:samples]
 	rows := make(map[int][]int64, samples)
-	return func(res *apsp.Result) error {
+	return func(dist [][]int64) error {
 		for _, src := range srcs {
 			want, ok := rows[src]
 			if !ok {
@@ -372,7 +420,7 @@ func oracleFor(g *apsp.Graph, samples int, seed int64) func(*apsp.Result) error 
 				rows[src] = want
 			}
 			for t, w := range want {
-				if got := res.Dist[src][t]; got != w {
+				if got := dist[src][t]; got != w {
 					return fmt.Errorf("distance mismatch at sampled (%d,%d): got %d, Dijkstra %d",
 						src, t, got, w)
 				}
@@ -385,15 +433,7 @@ func oracleFor(g *apsp.Graph, samples int, seed int64) func(*apsp.Result) error 
 // expandScenarios turns the -scenarios/-sizes/-seeds flags into the corpus:
 // explicit scenario names pass through, family names cross with every size
 // and seed.
-func expandScenarios(scenarios, sizes, seeds string) ([]apsp.Scenario, error) {
-	sizeList, err := parseInts(sizes, "size")
-	if err != nil {
-		return nil, err
-	}
-	seedList, err := parseSeeds(seeds)
-	if err != nil {
-		return nil, err
-	}
+func expandScenarios(scenarios string, sizes []int, seeds []int64) ([]apsp.Scenario, error) {
 	var out []apsp.Scenario
 	for _, tok := range splitList(scenarios) {
 		if strings.Contains(tok, "-n") {
@@ -407,16 +447,23 @@ func expandScenarios(scenarios, sizes, seeds string) ([]apsp.Scenario, error) {
 		if apsp.FamilyDescription(tok) == "" {
 			return nil, fmt.Errorf("unknown scenario family %q (have %v)", tok, apsp.Families())
 		}
-		for _, n := range sizeList {
-			for _, s := range seedList {
-				out = append(out, apsp.Scenario{Family: tok, N: n, Seed: s})
-			}
-		}
+		out = append(out, familyScenarios(tok, sizes, seeds)...)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty scenario list")
 	}
 	return out, nil
+}
+
+// familyScenarios crosses one registered family with every size and seed.
+func familyScenarios(family string, sizes []int, seeds []int64) []apsp.Scenario {
+	var out []apsp.Scenario
+	for _, n := range sizes {
+		for _, s := range seeds {
+			out = append(out, apsp.Scenario{Family: family, N: n, Seed: s})
+		}
+	}
+	return out
 }
 
 func parseAlgorithms(s string) ([]apsp.Algorithm, error) {
@@ -552,4 +599,55 @@ func writeCSV(path string, rows []row) error {
 		return err
 	}
 	return graphio.WriteFileAtomic(path, buf.Bytes())
+}
+
+// rejectFlagConflicts aborts when any of the named flags was explicitly
+// set: the mode named in `with` would silently ignore it.
+func rejectFlagConflicts(with string, names ...string) {
+	flag.Visit(func(f *flag.Flag) {
+		for _, n := range names {
+			if f.Name == n {
+				log.Fatalf("-%s conflicts with %s", f.Name, with)
+			}
+		}
+	})
+}
+
+// startProfiles begins CPU profiling to cpuPath (when non-empty) and
+// returns a stop function that ends the CPU profile and writes a heap
+// profile to memPath (when non-empty). The returned stop is never nil and
+// must be called exactly once, after the workload; a run that dies early
+// through log.Fatal writes no profiles.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("profiling: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("profiling: start CPU profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return fmt.Errorf("profiling: close CPU profile: %w", err)
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return fmt.Errorf("profiling: %w", err)
+		}
+		defer f.Close()
+		runtime.GC() // materialize the steady-state heap before snapshotting
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			return fmt.Errorf("profiling: write heap profile: %w", err)
+		}
+		return f.Close()
+	}, nil
 }

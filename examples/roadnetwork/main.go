@@ -50,6 +50,6 @@ func main() {
 	if ratio < 1 {
 		fmt.Println("(at this small n the baseline's lighter polylog constants win;")
 		fmt.Println(" the paper's asymptotic advantage shows in the component scaling —")
-		fmt.Println(" see EXPERIMENTS.md)")
+		fmt.Println(" see `go run ./cmd/experiment -lemmas table1`)")
 	}
 }

@@ -45,6 +45,10 @@ func (m Mode) String() string {
 	}
 }
 
+// sampleMult sets the deterministic search's sample: it enumerates
+// sampleMult*n points of the affine space unless Params.UseFullSpace is set.
+const sampleMult = 4
+
 // Params configures the construction. Zero values select the paper's
 // defaults (eps = delta = 1/12, linear-size sample enumeration).
 type Params struct {
@@ -53,9 +57,6 @@ type Params struct {
 	// in (0, 1/12] by the analysis; the implementation accepts up to 1/2
 	// for experimentation.
 	Eps, Delta float64
-	// SampleMult: the deterministic search enumerates SampleMult*n sample
-	// points of the affine space (default 4), unless UseFullSpace is set.
-	SampleMult int
 	// UseFullSpace enumerates the entire 2^(2K)-point affine space
 	// (exhaustive search; small n only).
 	UseFullSpace bool
@@ -73,14 +74,11 @@ func (p Params) withDefaults() Params {
 	if p.Delta <= 0 || p.Delta > 0.5 {
 		p.Delta = 1.0 / 12
 	}
-	if p.SampleMult <= 0 {
-		p.SampleMult = 4
-	}
 	return p
 }
 
-// Stats reports what the construction did; the benchmark harness turns
-// these into the EXPERIMENTS.md series.
+// Stats reports what the construction did; the blocker tables of
+// `cmd/experiment -lemmas` (E2-E4, E7) print these series.
 type Stats struct {
 	SelectionSteps    int // iterations of the while loop (Steps 6-16)
 	SingleSelections  int // Step 9/10 firings (one high-coverage node)

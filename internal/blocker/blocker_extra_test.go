@@ -16,9 +16,6 @@ func TestParamsDefaults(t *testing.T) {
 	if p.Eps != 1.0/12 || p.Delta != 1.0/12 {
 		t.Errorf("defaults eps=%v delta=%v, want 1/12", p.Eps, p.Delta)
 	}
-	if p.SampleMult != 4 {
-		t.Errorf("default SampleMult = %d, want 4", p.SampleMult)
-	}
 	// Out-of-range values reset to the paper defaults.
 	p = Params{Eps: 0.9, Delta: -1}.withDefaults()
 	if p.Eps != 1.0/12 || p.Delta != 1.0/12 {

@@ -38,7 +38,7 @@ func (st *state) selectGoodSet(stage, phase int, stageHi float64, pijLeaf [][]bo
 	if st.par.UseFullSpace {
 		pts = space.FullEnum()
 	} else {
-		pts = space.LinearEnum(st.par.SampleMult * st.n)
+		pts = space.LinearEnum(sampleMult * st.n)
 	}
 	m := len(pts)
 

@@ -89,11 +89,6 @@ type Options struct {
 	RetrySequential bool
 	// Seed drives the randomized variants.
 	Seed int64
-	// BlockerParams tunes the blocker construction. For the Det43 and
-	// BroadcastStep6 variants an explicit Mode is honored (e.g. the
-	// pairwise-independent randomized Algorithm 2); Det32 and Rand43 force
-	// their own constructions.
-	BlockerParams blocker.Params
 	// SkipLastEdges disables the final last-edge resolution pass.
 	SkipLastEdges bool
 	// OnRound is forwarded to the simulator's per-round trace hook.

@@ -114,26 +114,3 @@ func TestBandwidthScalesDown(t *testing.T) {
 		t.Errorf("bandwidth 8 slower: %d vs %d rounds", r8.Stats.Rounds, r1.Stats.Rounds)
 	}
 }
-
-func TestBlockerModeOverride(t *testing.T) {
-	// Det43 with the pairwise-independent randomized blocker (Algorithm 2
-	// as written) must still be exact end-to-end.
-	g := graph.RandomConnected(graph.GenConfig{N: 18, Seed: 9, MaxWeight: 9}, 60)
-	res, err := Run(g, Options{
-		Variant:       Det43,
-		Seed:          3,
-		SkipLastEdges: true,
-		BlockerParams: blocker.Params{Mode: blocker.Randomized},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := graph.FloydWarshall(g)
-	for x := 0; x < g.N; x++ {
-		for v := 0; v < g.N; v++ {
-			if res.Dist[x][v] != want[x][v] {
-				t.Fatalf("dist(%d,%d) wrong with randomized blocker", x, v)
-			}
-		}
-	}
-}

@@ -245,10 +245,8 @@ func (p *pipeline) stageCSSSP() error {
 	return nil
 }
 
-// stageBlocker is Step 2: the blocker set Q for the collection. The
-// variant picks the construction; an explicit BlockerParams.Mode (e.g. the
-// pairwise-independent randomized Algorithm 2) wins over the Det43 default
-// so ablations can drive the full pipeline with any blocker.
+// stageBlocker is Step 2: the blocker set Q for the collection, built by
+// the variant's construction.
 func (p *pipeline) stageBlocker() error {
 	if ip := p.inc; ip != nil && !ip.cascade {
 		// The collection is bit-identical to the snapshot run's, so the
@@ -260,17 +258,12 @@ func (p *pipeline) stageBlocker() error {
 		p.nw.ChargeRounds(ip.snap.rounds("step2-blocker"))
 		return nil
 	}
-	bp := p.opt.BlockerParams
+	var bp blocker.Params // Det43 and BroadcastStep6: Algorithm 2'
 	switch p.opt.Variant {
 	case Det32:
 		bp.Mode = blocker.Greedy
 	case Rand43:
-		bp.Mode = blocker.RandomSample
-		bp.Seed = p.opt.Seed
-	default:
-		if bp.Mode != blocker.Deterministic {
-			bp.Seed = p.opt.Seed
-		}
+		bp = blocker.Params{Mode: blocker.RandomSample, Seed: p.opt.Seed}
 	}
 	bres, err := blocker.Compute(p.nw, p.coll, bp)
 	if err != nil {

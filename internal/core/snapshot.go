@@ -2,7 +2,6 @@ package core
 
 import (
 	"congestapsp/internal/bford"
-	"congestapsp/internal/blocker"
 	"congestapsp/internal/csssp"
 	"congestapsp/internal/mat"
 	"congestapsp/internal/qsink"
@@ -24,7 +23,6 @@ type snapKey struct {
 	h        int
 	bw       int
 	seed     int64
-	blocker  blocker.Params
 	skipLast bool
 }
 
@@ -260,7 +258,6 @@ func snapKeyOf(opt Options, h int) snapKey {
 		h:        h,
 		bw:       bw,
 		seed:     opt.Seed,
-		blocker:  opt.BlockerParams,
 		skipLast: opt.SkipLastEdges,
 	}
 }

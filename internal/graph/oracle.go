@@ -196,7 +196,7 @@ func IsConnectedUG(g *Graph) bool {
 // BlockerDelta builds the exact Step-5 input of the q-sink machinery:
 // element (x, ci) = dist(x, Q[ci]) in g, computed as dist(Q[ci], x) in the
 // reversed graph. It is the shared oracle of the qsink tests, benchmarks,
-// and cmd/congestbench.
+// and the q-sink tables of `cmd/experiment -lemmas`.
 func BlockerDelta(g *Graph, Q []int) *mat.Matrix {
 	rev := g
 	if g.Directed {

@@ -1,6 +1,7 @@
 package qsink
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -44,12 +45,14 @@ func run(t *testing.T, g *graph.Graph, Q []int, par Params) *Result {
 	return res
 }
 
+type qsinkCase struct {
+	name string
+	g    *graph.Graph
+	Q    []int
+}
+
 func TestRoundRobinExactAllFamilies(t *testing.T) {
-	cases := []struct {
-		name string
-		g    *graph.Graph
-		Q    []int
-	}{
+	cases := []qsinkCase{
 		{"random-undir", graph.RandomConnected(graph.GenConfig{N: 26, Seed: 1, MaxWeight: 9}, 70), []int{2, 7, 19}},
 		{"random-dir", graph.RandomConnected(graph.GenConfig{N: 24, Directed: true, Seed: 2, MaxWeight: 9}, 80), []int{0, 11, 17, 23}},
 		{"ring", graph.Ring(graph.GenConfig{N: 20, Seed: 3, MaxWeight: 9}), []int{0, 9}},
@@ -57,10 +60,49 @@ func TestRoundRobinExactAllFamilies(t *testing.T) {
 		{"star", graph.Star(graph.GenConfig{N: 18, Seed: 5, MaxWeight: 9}), []int{0, 4, 9}},
 		{"zeromix", graph.ZeroWeightMix(graph.GenConfig{N: 22, Seed: 6, MaxWeight: 9}, 66), []int{1, 8, 14}},
 	}
+	// Generated cells: the star, grid, random and powerlaw scenario
+	// families at six sizes and three seeds, with every 2nd, 3rd or 4th
+	// node in Q.
+	for _, fam := range []string{"star", "grid", "random", "powerlaw"} {
+		for _, n := range []int{16, 24, 32, 48, 64, 96} {
+			for seed := int64(1); seed <= 3; seed++ {
+				cfg := graph.GenConfig{N: n, Seed: seed, MaxWeight: 50}
+				var g *graph.Graph
+				switch fam {
+				case "star":
+					g = graph.Star(cfg)
+				case "grid":
+					rows := int(math.Sqrt(float64(n)))
+					g = graph.Grid(rows, (n+rows-1)/rows, cfg)
+				case "random":
+					g = graph.RandomConnected(cfg, 4*n)
+				case "powerlaw":
+					g = graph.PowerLaw(cfg, 3)
+				}
+				for step := 2; step <= 4; step++ {
+					var Q []int
+					for v := 0; v < g.N; v += step {
+						Q = append(Q, v)
+					}
+					name := fmt.Sprintf("%s-n%d-s%d-q%d", fam, n, seed, step)
+					cases = append(cases, qsinkCase{name, g, Q})
+				}
+			}
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res := run(t, tc.g, tc.Q, Params{Scheduler: RoundRobin})
 			checkExact(t, tc.g, tc.Q, res)
+			// Lemmas A.15-A.16 at the default multiplier: at most sqrt(|Q|)
+			// bottlenecks, and no node's load above the bound once they go.
+			st := res.Stats
+			if float64(st.BottleneckCount) > math.Sqrt(float64(len(tc.Q))) {
+				t.Errorf("|B| = %d > sqrt(|Q|) = %.2f", st.BottleneckCount, math.Sqrt(float64(len(tc.Q))))
+			}
+			if st.MaxLoadAfter > st.CongestionBound {
+				t.Errorf("load after bottleneck removal %d > bound %d", st.MaxLoadAfter, st.CongestionBound)
+			}
 		})
 	}
 }

@@ -2,7 +2,6 @@ package apsp
 
 import (
 	"congestapsp/internal/congest"
-	"congestapsp/internal/core"
 	"congestapsp/internal/unweighted"
 )
 
@@ -112,38 +111,14 @@ type SourcesResult struct {
 // sources, saving (n - |sources|) * h rounds. Last-hop resolution is
 // skipped in this mode.
 func RunFromSources(g *Graph, sources []int, opt Options) (*SourcesResult, error) {
-	v := core.Det43
-	switch opt.Algorithm {
-	case Deterministic32:
-		v = core.Det32
-	case Randomized43:
-		v = core.Rand43
-	case BroadcastStep6:
-		v = core.BroadcastStep6
-	}
-	res, err := core.Run(g.g, core.Options{
-		Variant:   v,
-		H:         opt.HopParam,
-		Bandwidth: opt.Bandwidth,
-		Parallel:  opt.Parallel,
-		Seed:      opt.Seed,
-		Sources:   sources,
-		OnRound:   opt.OnRound,
-	})
+	opt.Sources = sources
+	res, err := Run(g, opt)
 	if err != nil {
 		return nil, err
 	}
-	out := &SourcesResult{Sources: append([]int(nil), sources...)}
+	out := &SourcesResult{Sources: append([]int(nil), sources...), Stats: res.Stats}
 	for _, x := range sources {
 		out.Dist = append(out.Dist, res.Dist[x])
-	}
-	out.Stats = Stats{
-		N: res.Stats.N, M: res.Stats.M, H: res.Stats.H,
-		BlockerSetSize: res.Stats.QSize,
-		Rounds:         res.Stats.Rounds,
-		Messages:       res.Stats.Messages,
-		Words:          res.Stats.Words,
-		Stages:         res.Stages,
 	}
 	return out, nil
 }

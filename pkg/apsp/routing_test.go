@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"reflect"
 	"testing"
 
 	"congestapsp/internal/graph"
@@ -104,22 +105,43 @@ func TestRunUnweighted(t *testing.T) {
 	}
 }
 
+// TestRunFromSourcesExact checks the partial-APSP rows against
+// Floyd-Warshall and every distributed Stats field against Run with the
+// same Options.Sources, including the q-sink counters.
 func TestRunFromSourcesExact(t *testing.T) {
-	g := RandomGraph(GenOptions{N: 20, Directed: true, Seed: 12, MaxWeight: 9}, 70)
-	sources := []int{2, 9, 17}
-	res, err := RunFromSources(g, sources, Options{})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		g       *Graph
+		sources []int
+		opt     Options
+	}{
+		{RandomGraph(GenOptions{N: 20, Directed: true, Seed: 12, MaxWeight: 9}, 70), []int{2, 9, 17}, Options{}},
+		{RandomGraph(GenOptions{N: 24, Seed: 13, MaxWeight: 9}, 72), []int{0, 5}, Options{}},
+		{RandomGraph(GenOptions{N: 24, Seed: 13, MaxWeight: 9}, 72), []int{0, 5}, Options{Algorithm: Randomized43, Seed: 2, Parallel: true}},
 	}
-	want := graph.FloydWarshall(g.g)
-	if len(res.Dist) != len(sources) {
-		t.Fatalf("%d rows, want %d", len(res.Dist), len(sources))
-	}
-	for i, x := range sources {
-		for v := 0; v < g.N(); v++ {
-			if res.Dist[i][v] != want[x][v] {
-				t.Fatalf("dist(%d,%d) = %d, want %d", x, v, res.Dist[i][v], want[x][v])
+	for _, tc := range cases {
+		res, err := RunFromSources(tc.g, tc.sources, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := graph.FloydWarshall(tc.g.g)
+		if len(res.Dist) != len(tc.sources) {
+			t.Fatalf("%d rows, want %d", len(res.Dist), len(tc.sources))
+		}
+		for i, x := range tc.sources {
+			for v := 0; v < tc.g.N(); v++ {
+				if res.Dist[i][v] != want[x][v] {
+					t.Fatalf("dist(%d,%d) = %d, want %d", x, v, res.Dist[i][v], want[x][v])
+				}
 			}
+		}
+		opt := tc.opt
+		opt.Sources = tc.sources
+		full, err := Run(tc.g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stripHostCost(res.Stats), stripHostCost(full.Stats); !reflect.DeepEqual(got, want) {
+			t.Errorf("RunFromSources stats diverge from Run with Sources:\n  got:  %+v\n  want: %+v", got, want)
 		}
 	}
 }
