@@ -144,8 +144,9 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 	return s.Run(opt)
 }
 
-// BlockerOptions configures BlockerOnly. The zero value selects the
-// paper's deterministic construction with the default hop parameter.
+// BlockerOptions configures Session.BlockerOnlyContext. The zero value
+// selects the paper's deterministic construction with the default hop
+// parameter.
 type BlockerOptions struct {
 	// H is the hop parameter (0 or negative = ceil(n^(1/3))).
 	H int
@@ -157,17 +158,6 @@ type BlockerOptions struct {
 	// worker pool (the blocker construction itself follows the sequential
 	// schedule either way, and the result is bit-identical).
 	Parallel bool
-}
-
-// BlockerOnly builds just the h-hop CSSSP collection for all sources and a
-// blocker set over it with a one-shot session; it exists for the public
-// BlockerSet API and the blocker experiments.
-func BlockerOnly(g *graph.Graph, opt BlockerOptions) ([]int, blocker.Stats, error) {
-	s, err := NewSession(g)
-	if err != nil {
-		return nil, blocker.Stats{}, err
-	}
-	return s.BlockerOnly(opt)
 }
 
 // validateSources bounds-checks a partial-APSP source list and drops

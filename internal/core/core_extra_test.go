@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"congestapsp/internal/blocker"
@@ -9,8 +10,12 @@ import (
 
 func TestBlockerOnly(t *testing.T) {
 	g := graph.Ring(graph.GenConfig{N: 18, Seed: 3, MaxWeight: 5})
+	s, err := NewSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mode := range []blocker.Mode{blocker.Deterministic, blocker.Greedy, blocker.RandomSample} {
-		q, stats, err := BlockerOnly(g, BlockerOptions{H: 3, Mode: mode, Seed: 7})
+		q, stats, err := s.BlockerOnlyContext(context.Background(), BlockerOptions{H: 3, Mode: mode, Seed: 7})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -22,8 +27,16 @@ func TestBlockerOnly(t *testing.T) {
 		}
 	}
 	// H = 0 selects the default ceil(n^(1/3)).
-	if _, _, err := BlockerOnly(g, BlockerOptions{}); err != nil {
+	if _, _, err := s.BlockerOnlyContext(context.Background(), BlockerOptions{}); err != nil {
 		t.Errorf("default h: %v", err)
+	}
+	// An empty graph has an empty blocker set, as Run has an empty Result.
+	empty, err := NewSession(graph.New(0, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, stats, err := empty.BlockerOnlyContext(context.Background(), BlockerOptions{}); err != nil || q != nil || stats != (blocker.Stats{}) {
+		t.Errorf("empty graph: q=%v stats=%+v err=%v", q, stats, err)
 	}
 }
 

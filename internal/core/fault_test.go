@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"congestapsp/internal/blocker"
 	"congestapsp/internal/congest"
 	"congestapsp/internal/faultinject"
 	"congestapsp/internal/graph"
@@ -43,12 +44,15 @@ func fp(res *Result) fingerprint {
 // once in a charged broadcast of step 2), a forced round error inside a
 // charged per-tree run of step 2, inside a host-executed Bellman-Ford
 // relaxation of step 1 and inside step 8's host-executed settle wave, a
-// pre-canceled context, and a panic
-// recovered by RetrySequential — across all 4 profiles
-// x both exec modes. Every cell asserts the expected typed error with its
-// stage tag, and that the SAME session's next clean run is bit-identical
-// (rounds/messages/words/|Q|/h and distances) to an uninjected cold run:
-// the session-reuse-after-error contract.
+// panic in step 2 outside any sharded dispatch, a pre-canceled context,
+// and a panic recovered by RetrySequential — across two columns of
+// session calls, each in both exec modes: Run for all 4 profiles, and
+// BlockerOnlyContext for all 4 blocker constructions (the cells aimed at
+// the two stages it runs). Every cell asserts the expected typed error
+// with its stage tag, and that the SAME session's next clean call equals
+// an uninjected cold one — for Run bit-identical rounds, messages, words,
+// |Q|, h and distances; for BlockerOnlyContext the same Q and every
+// blocker.Stats field: the session-reuse-after-error contract.
 func TestFaultMatrix(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	if prev < 4 {
@@ -58,19 +62,29 @@ func TestFaultMatrix(t *testing.T) {
 	g := graph.RandomConnected(graph.GenConfig{N: 28, Seed: 11, MaxWeight: 9}, 84)
 	variants := []Variant{Det43, Det32, Rand43, BroadcastStep6}
 
+	// call is one session call under test: a Run of one profile or a
+	// BlockerOnlyContext of one construction. mode is the construction its
+	// step 2 runs, and step2Rounds the round at which the
+	// delay-deadline-step2 cell interrupts it.
+	type call struct {
+		run         func(ctx context.Context, s *Session) error
+		mode        blocker.Mode
+		step2Rounds int
+	}
 	type cell struct {
-		name string
-		// inject arms the session and runs once, returning the injected
-		// run's error for the cell's assertions.
-		inject func(t *testing.T, s *Session, opt Options)
+		name  string
+		stage string // the stage the cell's fault lands in
+		// inject arms the session and makes the call once, asserting on
+		// the injected call's error.
+		inject func(t *testing.T, s *Session, c call)
 	}
 	cells := []cell{
-		{name: "forced-error", inject: func(t *testing.T, s *Session, opt Options) {
+		{name: "forced-error", stage: "step3-insssp", inject: func(t *testing.T, s *Session, c call) {
 			inj := faultinject.New(1, faultinject.Rule{
 				Hook: faultinject.HookSubRun, Stage: "step3-insssp", SubRun: 0, Once: true,
 			})
 			s.SetFaultInjector(inj)
-			_, err := s.Run(opt)
+			err := c.run(context.Background(), s)
 			if err == nil {
 				t.Fatal("forced error did not surface")
 			}
@@ -88,13 +102,13 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("rule fired %d times, want 1", inj.Fired())
 			}
 		}},
-		{name: "subrun-panic", inject: func(t *testing.T, s *Session, opt Options) {
+		{name: "subrun-panic", stage: "step7-extend", inject: func(t *testing.T, s *Session, c call) {
 			inj := faultinject.New(1, faultinject.Rule{
 				Hook: faultinject.HookSubRun, Stage: "step7-extend", SubRun: 0,
 				Kind: faultinject.Panic, Once: true,
 			})
 			s.SetFaultInjector(inj)
-			_, err := s.Run(opt)
+			err := c.run(context.Background(), s)
 			var pe *congest.PanicError
 			if !errors.As(err, &pe) {
 				t.Fatalf("got %T (%v), want *congest.PanicError", err, err)
@@ -106,7 +120,7 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("panic value is %T, want *faultinject.InjectedPanic", pe.Value)
 			}
 		}},
-		{name: "delay-deadline", inject: func(t *testing.T, s *Session, opt Options) {
+		{name: "delay-deadline", stage: "step1-csssp", inject: func(t *testing.T, s *Session, c call) {
 			inj := faultinject.New(1, faultinject.Rule{
 				Hook: faultinject.HookRound, Stage: "step1-csssp",
 				Round: faultinject.RoundAny, SubRun: -1,
@@ -116,7 +130,7 @@ func TestFaultMatrix(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, err := s.RunContext(ctx, opt)
+			err := c.run(ctx, s)
 			elapsed := time.Since(start)
 			var ie *InterruptError
 			if !errors.As(err, &ie) {
@@ -141,7 +155,7 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("cancellation took %v, want well under 2s", elapsed)
 			}
 		}},
-		{name: "delay-deadline-step2", inject: func(t *testing.T, s *Session, opt Options) {
+		{name: "delay-deadline-step2", stage: "step2-blocker", inject: func(t *testing.T, s *Session, c call) {
 			// Round 20 of step 2 is first reached in the downward flood of
 			// its first all-to-all broadcast, whose rounds are charged
 			// rather than simulated. The deadline passes during the one
@@ -154,33 +168,33 @@ func TestFaultMatrix(t *testing.T) {
 			s.SetFaultInjector(inj)
 			ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 			defer cancel()
-			_, err := s.RunContext(ctx, opt)
+			err := c.run(ctx, s)
 			var ie *InterruptError
 			if !errors.As(err, &ie) || !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("got %T (%v), want *InterruptError past its deadline", err, err)
 			}
-			if want := step2DelayRounds[opt.Variant]; ie.Stage != "step2-blocker" || ie.CompletedRounds != want {
+			if want := c.step2Rounds; ie.Stage != "step2-blocker" || ie.CompletedRounds != want {
 				t.Fatalf("interrupted in %s after %d rounds, want step2-blocker after %d", ie.Stage, ie.CompletedRounds, want)
 			}
 			if inj.Fired() != 1 {
 				t.Fatalf("rule fired %d times, want 1", inj.Fired())
 			}
 		}},
-		{name: "tree-run-error-step2", inject: func(t *testing.T, s *Session, opt Options) {
+		{name: "tree-run-error-step2", stage: "step2-blocker", inject: func(t *testing.T, s *Session, c call) {
 			// Round 2 of sub-run 1 in step 2 is first reached in the
 			// Ancestors run of tree 1, which is charged from the tree
 			// rather than simulated. The set-cover blockers must fail
 			// there with the rule's tags. The greedy and random-sample
-			// blockers of Det32 and Rand43 run their per-tree protocols
-			// outside ShardRuns, so no sub-run matches and the run
+			// blockers (Det32's and Rand43's) run their per-tree protocols
+			// outside ShardRuns, so no sub-run matches and the call
 			// succeeds.
 			inj := faultinject.New(1, faultinject.Rule{
 				Hook: faultinject.HookRound, Stage: "step2-blocker",
 				Round: 2, SubRun: 1, Once: true,
 			})
 			s.SetFaultInjector(inj)
-			_, err := s.Run(opt)
-			if opt.Variant == Det32 || opt.Variant == Rand43 {
+			err := c.run(context.Background(), s)
+			if c.mode == blocker.Greedy || c.mode == blocker.RandomSample {
 				if err != nil || inj.Fired() != 0 {
 					t.Fatalf("got %v with the rule fired %d times, want a clean run", err, inj.Fired())
 				}
@@ -200,7 +214,7 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("rule fired %d times, want 1", inj.Fired())
 			}
 		}},
-		{name: "bford-round-error-step1", inject: func(t *testing.T, s *Session, opt Options) {
+		{name: "bford-round-error-step1", stage: "step1-csssp", inject: func(t *testing.T, s *Session, c call) {
 			// Round 2 of sub-run 1 in step 1 is first reached in the
 			// relaxation of source 1's out-SSSP, which runs on the host and
 			// is charged round by round. The run must fail there with the
@@ -210,7 +224,7 @@ func TestFaultMatrix(t *testing.T) {
 				Round: 2, SubRun: 1, Once: true,
 			})
 			s.SetFaultInjector(inj)
-			_, err := s.Run(opt)
+			err := c.run(context.Background(), s)
 			var ie *faultinject.InjectedError
 			if !errors.As(err, &ie) {
 				t.Fatalf("got %T (%v), want *faultinject.InjectedError", err, err)
@@ -225,7 +239,7 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("rule fired %d times, want 1", inj.Fired())
 			}
 		}},
-		{name: "lastedge-round-error-step8", inject: func(t *testing.T, s *Session, opt Options) {
+		{name: "lastedge-round-error-step8", stage: "step8-lastedge", inject: func(t *testing.T, s *Session, c call) {
 			// Step 8's settle wave runs on the host and is charged round
 			// by round, outside any sharded dispatch. Round 30 is a drain
 			// round on this n=28 graph: the columns went out in rounds
@@ -235,7 +249,7 @@ func TestFaultMatrix(t *testing.T) {
 				Round: 30, SubRun: -1, Once: true,
 			})
 			s.SetFaultInjector(inj)
-			_, err := s.Run(opt)
+			err := c.run(context.Background(), s)
 			var ie *faultinject.InjectedError
 			if !errors.As(err, &ie) {
 				t.Fatalf("got %T (%v), want *faultinject.InjectedError", err, err)
@@ -250,10 +264,34 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("rule fired %d times, want 1", inj.Fired())
 			}
 		}},
-		{name: "pre-canceled", inject: func(t *testing.T, s *Session, opt Options) {
+		{name: "step2-panic-round0", stage: "step2-blocker", inject: func(t *testing.T, s *Session, c call) {
+			// Round 0 of step 2 is first reached outside any sharded
+			// dispatch, so the panic escapes the stage body and the
+			// executor recovers it, tagged with the stage and sub-run -1.
+			inj := faultinject.New(1, faultinject.Rule{
+				Hook: faultinject.HookRound, Stage: "step2-blocker",
+				Round: 0, SubRun: -1, Kind: faultinject.Panic, Once: true,
+			})
+			s.SetFaultInjector(inj)
+			err := c.run(context.Background(), s)
+			var pe *congest.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("got %T (%v), want *congest.PanicError", err, err)
+			}
+			if pe.Stage != "step2-blocker" || pe.SubRun != -1 {
+				t.Fatalf("bad panic tags (want stage step2-blocker, sub-run -1): %+v", pe)
+			}
+			if _, ok := pe.Value.(*faultinject.InjectedPanic); !ok {
+				t.Fatalf("panic value is %T, want *faultinject.InjectedPanic", pe.Value)
+			}
+			if inj.Fired() != 1 {
+				t.Fatalf("rule fired %d times, want 1", inj.Fired())
+			}
+		}},
+		{name: "pre-canceled", stage: "step1-csssp", inject: func(t *testing.T, s *Session, c call) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := s.RunContext(ctx, opt)
+			err := c.run(ctx, s)
 			var ie *InterruptError
 			if !errors.As(err, &ie) {
 				t.Fatalf("got %T (%v), want *InterruptError", err, err)
@@ -262,7 +300,7 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("does not match context.Canceled: %v", err)
 			}
 			if ie.Stage != "step1-csssp" || ie.CompletedRounds != 0 {
-				t.Fatalf("pre-canceled run reports stage %q after %d rounds, want step1-csssp after 0", ie.Stage, ie.CompletedRounds)
+				t.Fatalf("pre-canceled call reports stage %q after %d rounds, want step1-csssp after 0", ie.Stage, ie.CompletedRounds)
 			}
 		}},
 	}
@@ -275,13 +313,21 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("%v parallel=%v: cold run: %v", v, parallel, err)
 			}
 			want := fp(cold)
+			run := call{
+				run: func(ctx context.Context, s *Session) error {
+					_, err := s.RunContext(ctx, opt)
+					return err
+				},
+				mode:        runConstruction[v],
+				step2Rounds: step2DelayRounds[v],
+			}
 			for _, c := range cells {
 				t.Run(c.name+"/"+v.String()+"/parallel="+boolName(parallel), func(t *testing.T) {
 					s, err := NewSession(g)
 					if err != nil {
 						t.Fatal(err)
 					}
-					c.inject(t, s, opt)
+					c.inject(t, s, run)
 					// Disarm and re-run on the SAME session: the recovery
 					// contract is that it comes back bit-identical to cold.
 					s.SetFaultInjector(nil)
@@ -324,12 +370,68 @@ func TestFaultMatrix(t *testing.T) {
 			})
 		}
 	}
+
+	// The blocker-only column: BlockerOnlyContext runs stages 1 and 2 on
+	// the same executor, so the cells aimed at those stages apply to it.
+	for _, mode := range []blocker.Mode{blocker.Deterministic, blocker.Randomized, blocker.Greedy, blocker.RandomSample} {
+		for _, parallel := range []bool{false, true} {
+			bo := BlockerOptions{Mode: mode, Seed: 7, Parallel: parallel}
+			coldS, err := NewSession(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldQ, coldStats, err := coldS.BlockerOnlyContext(context.Background(), bo)
+			if err != nil {
+				t.Fatalf("%v parallel=%v: cold blocker set: %v", mode, parallel, err)
+			}
+			only := call{
+				run: func(ctx context.Context, s *Session) error {
+					_, _, err := s.BlockerOnlyContext(ctx, bo)
+					return err
+				},
+				mode:        mode,
+				step2Rounds: blockerStep2DelayRounds[mode],
+			}
+			for _, c := range cells {
+				if c.stage != "step1-csssp" && c.stage != "step2-blocker" {
+					continue
+				}
+				t.Run("blocker-only/"+c.name+"/"+mode.String()+"/parallel="+boolName(parallel), func(t *testing.T) {
+					s, err := NewSession(g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c.inject(t, s, only)
+					s.SetFaultInjector(nil)
+					q, stats, err := s.BlockerOnlyContext(context.Background(), bo)
+					if err != nil {
+						t.Fatalf("clean blocker set after injected fault: %v", err)
+					}
+					if !reflect.DeepEqual(q, coldQ) || stats != coldStats {
+						t.Fatalf("post-fault blocker set diverges from cold\n  got:  %v %+v\n  want: %v %+v", q, stats, coldQ, coldStats)
+					}
+				})
+			}
+		}
+	}
 }
 
 // step2DelayRounds is, per profile, the round count at which the
 // delay-deadline-step2 cell interrupts the fault-matrix graph: the rounds
 // before step 2's first all-to-all, plus its gather and 21 flood rounds.
 var step2DelayRounds = map[Variant]int{Det43: 847, Det32: 986, Rand43: 566, BroadcastStep6: 847}
+
+// runConstruction is the blocker construction each profile's step 2 runs
+// (Det43 and BroadcastStep6: the zero Mode, Algorithm 2').
+var runConstruction = map[Variant]blocker.Mode{Det32: blocker.Greedy, Rand43: blocker.RandomSample}
+
+// blockerStep2DelayRounds is step2DelayRounds for the blocker-only column,
+// per construction at the default h = ceil(28^(1/3)) = 4. Deterministic
+// matches Det43 and RandomSample matches Rand43, which share that h;
+// Greedy runs at a smaller h than Det32's 6.
+var blockerStep2DelayRounds = map[blocker.Mode]int{
+	blocker.Deterministic: 847, blocker.Randomized: 847, blocker.Greedy: 707, blocker.RandomSample: 566,
+}
 
 func boolName(b bool) string {
 	if b {

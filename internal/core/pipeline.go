@@ -72,6 +72,7 @@ type pipeline struct {
 	opt Options
 	n   int
 	h   int
+	bp  blocker.Params // Step 2's construction, resolved by the caller
 
 	sources      []int             // 0..n-1 (Step 1 builds one tree per node)
 	coll         *csssp.Collection // Step 1: h-hop CSSSP collection
@@ -98,18 +99,19 @@ type pipeline struct {
 	out    *Result
 }
 
-// execute runs every non-skipped stage in order, recording per-stage wall
-// clock, charged rounds and heap allocations. Allocation counts come from runtime/metrics (no
-// stop-the-world, unlike runtime.ReadMemStats — a warm session serves
-// repeated runs, so the executor must not pause the world 16 times per
-// call for a bookkeeping column).
-func (p *pipeline) execute() error {
+// execute runs every non-skipped stage of stages in order, recording
+// per-stage wall clock, charged rounds and heap allocations. Allocation
+// counts come from runtime/metrics (no stop-the-world, unlike
+// runtime.ReadMemStats — a warm session serves repeated runs, so the
+// executor must not pause the world 16 times per call for a bookkeeping
+// column).
+func (p *pipeline) execute(stages []stage) error {
 	sample := [1]metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
 	allocs := func() uint64 {
 		metrics.Read(sample[:])
 		return sample[0].Value.Uint64()
 	}
-	for _, st := range pipelineStages {
+	for _, st := range stages {
 		if st.skip != nil && st.skip(p) {
 			continue
 		}
@@ -194,7 +196,7 @@ func (p *pipeline) run() (*Result, error) {
 		p.opt.SkipLastEdges = true
 	}
 	p.out = &Result{}
-	if err := p.execute(); err != nil {
+	if err := p.execute(pipelineStages); err != nil {
 		return nil, err
 	}
 	p.st.Rounds = p.nw.Stats.Rounds
@@ -246,7 +248,7 @@ func (p *pipeline) stageCSSSP() error {
 }
 
 // stageBlocker is Step 2: the blocker set Q for the collection, built by
-// the variant's construction.
+// the construction the caller resolved into p.bp.
 func (p *pipeline) stageBlocker() error {
 	if ip := p.inc; ip != nil && !ip.cascade {
 		// The collection is bit-identical to the snapshot run's, so the
@@ -258,14 +260,7 @@ func (p *pipeline) stageBlocker() error {
 		p.nw.ChargeRounds(ip.snap.rounds("step2-blocker"))
 		return nil
 	}
-	var bp blocker.Params // Det43 and BroadcastStep6: Algorithm 2'
-	switch p.opt.Variant {
-	case Det32:
-		bp.Mode = blocker.Greedy
-	case Rand43:
-		bp = blocker.Params{Mode: blocker.RandomSample, Seed: p.opt.Seed}
-	}
-	bres, err := blocker.Compute(p.nw, p.coll, bp)
+	bres, err := blocker.Compute(p.nw, p.coll, p.bp)
 	if err != nil {
 		return err
 	}
@@ -500,66 +495,31 @@ func (p *pipeline) stageQSink() error {
 // (not n x n: partial runs with few sources must not pay the full matrix).
 // On an incremental run only the sources the plan marks dirty re-extend;
 // clean rows are copied out of the snapshot (Result matrices stay
-// caller-owned, so the snapshot arrays are never handed out directly).
+// caller-owned, so the snapshot arrays are never handed out directly). An
+// incremental run is always full APSP, so there row index == source id and
+// each re-run costs exactly h+1 rounds; the reused rows charge the
+// recorded remainder.
 func (p *pipeline) stageExtend() error {
-	if ip := p.inc; ip != nil && !ip.cascade {
-		return p.stageExtendIncremental(ip)
+	n := p.n
+	xs := p.step7Sources
+	p.distM = mat.New(len(xs), n)
+	ip := p.inc
+	reuse := ip != nil && !ip.cascade
+	if reuse {
+		xs = nil
+		for x := 0; x < n; x++ {
+			if ip.dirty7[x] {
+				xs = append(xs, x)
+			} else {
+				copy(p.distM.Row(x), ip.snap.distFlat[x*n:(x+1)*n])
+			}
+		}
 	}
-	p.distM = mat.New(len(p.step7Sources), p.n)
-	err := p.nw.ShardRuns(len(p.step7Sources), func(w *congest.Network, k int) error {
-		x := p.step7Sources[k] // Step 1 built one tree per node, indexed by id
+	err := p.nw.ShardRuns(len(xs), func(w *congest.Network, k int) error {
+		x := xs[k] // Step 1 built one tree per node, indexed by id
 		// The seed vector comes from the worker's scratch arena (reset per
 		// sub-run by ShardRuns); RunLabelsWithInit is the non-resetting
 		// bford entry point, so the checkout stays live through the run.
-		init := w.Scratch().Int64s(p.n)
-		copy(init, p.coll.Label[x])
-		for ci := range p.Q {
-			if v := p.qres.AtBlocker[ci][x]; v < init[p.Q[ci]] {
-				init[p.Q[ci]] = v
-			}
-		}
-		res, err := bford.RunLabelsWithInit(w, p.g, init, p.h, bford.Out)
-		if err != nil {
-			return err
-		}
-		copy(p.distM.Row(k), res.Dist)
-		return nil
-	})
-	if err != nil {
-		return p.tagSource(err, func(i int) int { return p.step7Sources[i] })
-	}
-	p.publishDist()
-	return nil
-}
-
-// publishDist assembles the Result's public [][]int64 distance surface:
-// rows are zero-copy views of the flat matrix, nil for sources Step 7 did
-// not run.
-func (p *pipeline) publishDist() {
-	dist := make([][]int64, p.n)
-	for k, x := range p.step7Sources {
-		dist[x] = p.distM.Row(k)
-	}
-	p.out.Dist = dist
-}
-
-// stageExtendIncremental re-extends only the dirty sources. An eligible
-// (snapshot-armed) run is always full APSP, so row index == source id and
-// len(step7Sources) == n; each re-run costs exactly h+1 rounds, and the
-// reused rows charge the recorded remainder.
-func (p *pipeline) stageExtendIncremental(ip *incPlan) error {
-	n := p.n
-	p.distM = mat.New(n, n)
-	var dirty []int
-	for x := 0; x < n; x++ {
-		if ip.dirty7[x] {
-			dirty = append(dirty, x)
-		} else {
-			copy(p.distM.Row(x), ip.snap.distFlat[x*n:(x+1)*n])
-		}
-	}
-	err := p.nw.ShardRuns(len(dirty), func(w *congest.Network, k int) error {
-		x := dirty[k]
 		init := w.Scratch().Int64s(n)
 		copy(init, p.coll.Label[x])
 		for ci := range p.Q {
@@ -571,14 +531,25 @@ func (p *pipeline) stageExtendIncremental(ip *incPlan) error {
 		if err != nil {
 			return err
 		}
-		copy(p.distM.Row(x), res.Dist)
+		if reuse {
+			k = x // the incremental matrix's rows are indexed by source id
+		}
+		copy(p.distM.Row(k), res.Dist)
 		return nil
 	})
 	if err != nil {
-		return p.tagSource(err, func(i int) int { return dirty[i] })
+		return p.tagSource(err, func(i int) int { return xs[i] })
 	}
-	p.nw.ChargeRounds(ip.snap.rounds("step7-extend") - len(dirty)*(p.h+1))
-	p.publishDist()
+	if reuse {
+		p.nw.ChargeRounds(ip.snap.rounds("step7-extend") - len(xs)*(p.h+1))
+	}
+	// The public [][]int64 surface: rows are zero-copy views of the flat
+	// matrix, nil for sources Step 7 did not run.
+	dist := make([][]int64, n)
+	for k, x := range p.step7Sources {
+		dist[x] = p.distM.Row(k)
+	}
+	p.out.Dist = dist
 	return nil
 }
 

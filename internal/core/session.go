@@ -5,17 +5,15 @@ import (
 	"fmt"
 	"math"
 
-	"congestapsp/internal/bford"
 	"congestapsp/internal/blocker"
 	"congestapsp/internal/congest"
-	"congestapsp/internal/csssp"
 	"congestapsp/internal/graph"
 	"congestapsp/internal/qsink"
 )
 
 // Session is a warm execution context pinned to one graph: the CONGEST
 // network (CSR adjacency, engine arenas, scratch slabs) is built once, and
-// every Run or BlockerOnly call on the session reuses it — including the
+// every Run or BlockerOnlyContext call on the session reuses it — including the
 // cached worker-clone fleet and its private arenas, which ShardRuns grows
 // on the first parallel stage and then keeps warm forever. Repeated runs
 // therefore skip the network build and the arena cold start entirely; the
@@ -81,26 +79,51 @@ func (s *Session) ArenaFootprint() int64 { return s.nw.ArenaFootprint() }
 // replaced, so one armed session can serve a whole fault matrix.
 func (s *Session) SetFaultInjector(fi congest.FaultInjector) { s.nw.SetFaultInjector(fi) }
 
-// begin re-arms the warm network for a fresh logical run: per-run options
-// are (re)applied, statistics are zeroed, and the topology guard checks
-// that the graph was not mutated since NewSession.
-func (s *Session) begin(bandwidth int, parallel bool, onRound func(int, int)) error {
+// begin is the prologue every session call shares. It checks that the
+// graph was not mutated since NewSession or the last ApplyUpdates, re-arms
+// the warm network with the call's options (bandwidth, exec mode, retry
+// policy, round hook, zeroed statistics), resolves the hop parameter, and
+// arms ctx on the network; the caller disarms it when the call returns.
+func (s *Session) begin(ctx context.Context, opt Options) (*pipeline, error) {
 	if s.g.Version() != s.knownVersion {
-		return fmt.Errorf("core: graph modified outside ApplyUpdates since the session was created (version mismatch; route mutations through Session.ApplyUpdates)")
+		return nil, fmt.Errorf("core: graph modified outside ApplyUpdates since the session was created (version mismatch; route mutations through Session.ApplyUpdates)")
 	}
 	if paranoidGraphCheck && graphDigest(s.g) != s.digest {
-		return fmt.Errorf("core: graph content diverged from the session digest (matcheck: a mutation bypassed both ApplyUpdates and the graph API)")
+		return nil, fmt.Errorf("core: graph content diverged from the session digest (matcheck: a mutation bypassed both ApplyUpdates and the graph API)")
 	}
+	bandwidth := opt.Bandwidth
 	if bandwidth == 0 {
 		bandwidth = 1
 	}
 	if err := s.nw.SetBandwidth(bandwidth); err != nil {
-		return err
+		return nil, err
 	}
-	s.nw.Parallel = parallel
-	s.nw.OnRound = onRound
+	s.nw.Parallel = opt.Parallel
+	s.nw.RetrySequential = opt.RetrySequential
+	s.nw.OnRound = opt.OnRound
 	s.nw.ResetStats()
-	return nil
+	n := s.g.N
+	h := opt.H
+	if h == 0 {
+		switch opt.Variant {
+		case Det32:
+			h = int(math.Ceil(math.Sqrt(float64(n))))
+		default:
+			h = int(math.Ceil(math.Pow(float64(n), 1.0/3)))
+		}
+	}
+	if h < 1 {
+		h = 1
+	}
+	s.nw.SetContext(ctx)
+	return &pipeline{
+		g:   s.g,
+		nw:  s.nw,
+		opt: opt,
+		n:   n,
+		h:   h,
+		st:  Stats{N: n, M: s.g.M(), H: h},
+	}, nil
 }
 
 // Run executes the selected APSP variant on the session's graph, reusing
@@ -120,37 +143,23 @@ func (s *Session) Run(opt Options) (*Result, error) {
 // as after a successful one. A context that can never be canceled
 // (context.Background, context.TODO) arms nothing and costs nothing.
 func (s *Session) RunContext(ctx context.Context, opt Options) (*Result, error) {
-	n := s.g.N
-	if n == 0 {
+	if s.g.N == 0 {
 		return &Result{}, nil
 	}
-	if err := s.begin(opt.Bandwidth, opt.Parallel, opt.OnRound); err != nil {
+	p, err := s.begin(ctx, opt)
+	if err != nil {
 		return nil, err
 	}
-	s.nw.RetrySequential = opt.RetrySequential
-	s.nw.SetContext(ctx)
 	defer s.nw.SetContext(nil)
-	h := opt.H
-	if h == 0 {
-		switch opt.Variant {
-		case Det32:
-			h = int(math.Ceil(math.Sqrt(float64(n))))
-		default:
-			h = int(math.Ceil(math.Pow(float64(n), 1.0/3)))
-		}
+	// The variant picks step 2's construction; Det43 and BroadcastStep6
+	// use Algorithm 2' (the zero Params).
+	switch opt.Variant {
+	case Det32:
+		p.bp.Mode = blocker.Greedy
+	case Rand43:
+		p.bp = blocker.Params{Mode: blocker.RandomSample, Seed: opt.Seed}
 	}
-	if h < 1 {
-		h = 1
-	}
-	p := &pipeline{
-		g:   s.g,
-		nw:  s.nw,
-		opt: opt,
-		n:   n,
-		h:   h,
-		st:  Stats{N: n, M: s.g.M(), H: h},
-	}
-	key := snapKeyOf(opt, h)
+	key := snapKeyOf(opt, p.h)
 	// Snapshot eligibility: full-APSP runs only. Partial runs neither arm
 	// nor consume snapshots (and leave an armed one untouched and valid).
 	eligible := opt.Sources == nil
@@ -182,40 +191,26 @@ func (s *Session) RunContext(ctx context.Context, opt Options) (*Result, error) 
 	return res, nil
 }
 
-// BlockerOnly builds just the h-hop CSSSP collection for all sources and a
-// blocker set over it on the warm network; it is the session form of the
-// package-level BlockerOnly (and backs apsp.Runner.BlockerSet).
-func (s *Session) BlockerOnly(opt BlockerOptions) ([]int, blocker.Stats, error) {
-	return s.BlockerOnlyContext(context.Background(), opt)
-}
-
-// BlockerOnlyContext is BlockerOnly under a context, observed at round
-// granularity; an interrupted construction returns the context's error (the
-// blocker path has no staged executor, so there is no InterruptError
-// envelope — match with errors.Is against the context sentinels). The
-// session remains reusable afterwards.
+// BlockerOnlyContext builds just the h-hop CSSSP collection for all
+// sources and a blocker set over it: the staged executor run over its
+// first two stages (step1-csssp, step2-blocker) after RunContext's
+// prologue. It fails the way RunContext does — an *InterruptError naming
+// the stage, a *congest.PanicError for a recovered panic, stage-wrapped
+// ordinary errors — and leaves the session reusable. It neither consumes
+// the updates pending since ApplyUpdates nor touches the result snapshot,
+// so the next Run stays incremental.
 func (s *Session) BlockerOnlyContext(ctx context.Context, opt BlockerOptions) ([]int, blocker.Stats, error) {
-	h := opt.H
-	if h < 1 {
-		h = int(math.Ceil(math.Pow(float64(s.g.N), 1.0/3)))
+	if s.g.N == 0 {
+		return nil, blocker.Stats{}, nil
 	}
-	if err := s.begin(1, opt.Parallel, nil); err != nil {
+	p, err := s.begin(ctx, Options{H: max(opt.H, 0), Parallel: opt.Parallel})
+	if err != nil {
 		return nil, blocker.Stats{}, err
 	}
-	s.nw.RetrySequential = false
-	s.nw.SetContext(ctx)
 	defer s.nw.SetContext(nil)
-	sources := make([]int, s.g.N)
-	for i := range sources {
-		sources[i] = i
-	}
-	coll, err := csssp.Build(s.nw, s.g, sources, h, bford.Out)
-	if err != nil {
+	p.bp = blocker.Params{Mode: opt.Mode, Seed: opt.Seed}
+	if err := p.execute(pipelineStages[:2]); err != nil {
 		return nil, blocker.Stats{}, err
 	}
-	res, err := blocker.Compute(s.nw, coll, blocker.Params{Mode: opt.Mode, Seed: opt.Seed})
-	if err != nil {
-		return nil, blocker.Stats{}, err
-	}
-	return res.Q, res.Stats, nil
+	return p.Q, p.st.Blocker, nil
 }

@@ -76,16 +76,6 @@ func (sn *snapshot) rounds(name string) int {
 	return 0
 }
 
-// wall returns the recorded host wall-clock of the named stage, in ms.
-func (sn *snapshot) wall(name string) float64 {
-	for i := range sn.stages {
-		if sn.stages[i].Name == name {
-			return sn.stages[i].WallMS
-		}
-	}
-	return 0
-}
-
 // damage folds one weight update (edge index eIdx joining u,v, weight
 // wOld -> wNew) into the dirty sets, testing every tracked label system
 // against its snapshot rows. Hop-UNBOUNDED systems (the Step-7 final

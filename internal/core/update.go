@@ -119,50 +119,30 @@ func (s *Session) ApplyUpdates(ups []EdgeUpdate) (UpdateStats, error) {
 		return err
 	}
 	for i, up := range ups {
+		idx, prev, err := ApplyUpdate(s.g, up)
+		if err != nil {
+			ferr := finalize()
+			return s.updateStats(), firstErr(&UpdateError{i, err}, ferr)
+		}
 		switch up.Op {
 		case SetWeight:
-			idx := s.g.FindEdge(up.U, up.V)
-			if idx < 0 {
-				ferr := finalize()
-				return s.updateStats(), firstErr(&UpdateError{i, fmt.Errorf("no edge (%d,%d) to set", up.U, up.V)}, ferr)
-			}
-			old := s.g.Edges()[idx]
-			if old.W == up.W {
+			if prev.W == up.W {
 				continue
 			}
-			if err := s.g.SetEdgeWeight(idx, up.W); err != nil {
-				ferr := finalize()
-				return s.updateStats(), firstErr(&UpdateError{i, err}, ferr)
-			}
 			mutated = true
-			s.digest += edgeTerm(idx, old.U, old.V, up.W) - edgeTerm(idx, old.U, old.V, old.W)
+			s.digest += edgeTerm(idx, prev.U, prev.V, up.W) - edgeTerm(idx, prev.U, prev.V, prev.W)
 			if s.snap.valid && !s.snap.fellBack && !topo {
-				s.damage(idx, up.U, up.V, old.W, up.W)
+				s.damage(idx, up.U, up.V, prev.W, up.W)
 			}
 		case InsertEdge:
-			if err := s.g.AddEdge(up.U, up.V, up.W); err != nil {
-				ferr := finalize()
-				return s.updateStats(), firstErr(&UpdateError{i, err}, ferr)
-			}
 			mutated, topo = true, true
-			e := s.g.Edges()[s.g.M()-1]
-			s.digest += edgeTerm(s.g.M()-1, e.U, e.V, e.W)
-		case DeleteEdge:
-			idx := s.g.FindEdge(up.U, up.V)
-			if idx < 0 {
-				ferr := finalize()
-				return s.updateStats(), firstErr(&UpdateError{i, fmt.Errorf("no edge (%d,%d) to delete", up.U, up.V)}, ferr)
-			}
-			if err := s.g.RemoveEdge(idx); err != nil {
-				ferr := finalize()
-				return s.updateStats(), firstErr(&UpdateError{i, err}, ferr)
-			}
-			mutated, topo = true, true
-			// Later edge indices shifted; the digest is rebuilt wholesale in
-			// finalize (topology changes fall back to a cold run anyway).
+			e := s.g.Edges()[idx]
+			s.digest += edgeTerm(idx, e.U, e.V, e.W)
 		default:
-			ferr := finalize()
-			return s.updateStats(), firstErr(&UpdateError{i, fmt.Errorf("unknown op %d", int(up.Op))}, ferr)
+			// A delete shifts later edge indices; the digest is rebuilt
+			// wholesale in finalize (topology changes fall back to a cold
+			// run anyway).
+			mutated, topo = true, true
 		}
 	}
 	if err := finalize(); err != nil {
@@ -170,6 +150,38 @@ func (s *Session) ApplyUpdates(ups []EdgeUpdate) (UpdateStats, error) {
 	}
 	s.snap.adaptiveFallback()
 	return s.updateStats(), nil
+}
+
+// ApplyUpdate mutates g by one update with the edge addressing every
+// update path shares: SetWeight and DeleteEdge act on the first U-V edge
+// FindEdge returns (either orientation on undirected graphs), a SetWeight
+// to the current weight is a no-op, and InsertEdge appends. It returns the
+// index of the edge the update addressed (the new index for InsertEdge)
+// and that edge as it was before the update (zero for InsertEdge).
+// Session.ApplyUpdates wraps it with its digest and damage bookkeeping;
+// replay tooling calls it on a graph no session is pinned to.
+func ApplyUpdate(g *graph.Graph, up EdgeUpdate) (idx int, prev graph.Edge, err error) {
+	switch up.Op {
+	case SetWeight:
+		if idx = g.FindEdge(up.U, up.V); idx < 0 {
+			return idx, prev, fmt.Errorf("no edge (%d,%d) to set", up.U, up.V)
+		}
+		prev = g.Edges()[idx]
+		if prev.W == up.W {
+			return idx, prev, nil
+		}
+		return idx, prev, g.SetEdgeWeight(idx, up.W)
+	case InsertEdge:
+		idx = g.M()
+		return idx, prev, g.AddEdge(up.U, up.V, up.W)
+	case DeleteEdge:
+		if idx = g.FindEdge(up.U, up.V); idx < 0 {
+			return idx, prev, fmt.Errorf("no edge (%d,%d) to delete", up.U, up.V)
+		}
+		prev = g.Edges()[idx]
+		return idx, prev, g.RemoveEdge(idx)
+	}
+	return -1, prev, fmt.Errorf("unknown update op %d", int(up.Op))
 }
 
 func firstErr(a, b error) error {

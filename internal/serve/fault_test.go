@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -121,8 +122,10 @@ func TestServeFaultBlamesOnlyItsCallers(t *testing.T) {
 }
 
 // TestServeFaultMatrixDaemon sweeps the fault matrix through the daemon
-// path: error and panic faults at assorted stages each surface as one
-// typed 5xx, after which the same Runner serves a bit-exact answer. This
+// path, on the query and the blocker endpoints: error and panic faults at
+// assorted stages each surface as one typed 5xx, after which the same
+// Runner serves a bit-exact answer. The blocker call runs stages 1 and 2
+// only, so it takes the rules aimed at those stages or at any stage. This
 // extends the core TestFaultMatrix contract (internal/core/fault_test.go)
 // to the HTTP serving stack.
 func TestServeFaultMatrixDaemon(t *testing.T) {
@@ -131,33 +134,70 @@ func TestServeFaultMatrixDaemon(t *testing.T) {
 		{Hook: faultinject.HookRound, Stage: "step6-qsink", Round: faultinject.RoundAny, SubRun: -1, Kind: faultinject.Panic, Once: true},
 		{Hook: faultinject.HookRound, Stage: "step3-insssp", Round: 0, SubRun: -1, Kind: faultinject.Error, Once: true},
 		{Hook: faultinject.HookRound, Round: 10, SubRun: -1, Kind: faultinject.Error, Once: true},
+		// Round 0 of step 2 runs outside any sharded sub-run: the panic
+		// escapes the stage body and the executor recovers it.
+		{Hook: faultinject.HookRound, Stage: "step2-blocker", Round: 0, SubRun: -1, Kind: faultinject.Panic, Once: true},
 	}
 	if testing.Short() {
 		cases = cases[:2]
 	}
 	const scen = "random-n24-s1"
 	cold := coldResult(t, scen, apsp.Options{})
+	sc, err := apsp.ParseScenario(scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldQ, coldB, err := apsp.BlockerSet(g, apsp.BlockerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, rule := range cases {
-		svc, srv := testDaemon(t, Config{})
-		key := loadScenario(t, srv, scen)
-		if !svc.Pool().SetFaultInjector(key, faultinject.New(0, rule)) {
-			t.Fatalf("case %d: key not pooled", i)
-		}
-		code, out := postRaw(t, srv, "/v1/graphs/"+key+"/query", `{"full":true}`)
-		if code != http.StatusInternalServerError {
-			t.Fatalf("case %d (%s at %s): got %d (%s) want 500", i, rule.Kind, rule.Stage, code, strings.TrimSpace(out))
-		}
-		var qr queryResponse
-		if code := post(t, srv, "/v1/graphs/"+key+"/query", queryRequest{Full: true}, &qr); code != http.StatusOK {
-			t.Fatalf("case %d recovery: status %d", i, code)
-		}
-		if qr.Rounds != cold.Stats.Rounds {
-			t.Errorf("case %d recovery rounds %d, cold %d", i, qr.Rounds, cold.Stats.Rounds)
-		}
-		for x := range qr.Matrix {
-			for y, got := range qr.Matrix[x] {
-				if want := wantWire(cold.Dist[x][y]); got != want {
-					t.Fatalf("case %d recovery diverges at [%d][%d]", i, x, y)
+		for _, ep := range []string{"query", "blocker"} {
+			if ep == "blocker" && rule.Stage != "" && rule.Stage != "step1-csssp" && rule.Stage != "step2-blocker" {
+				continue
+			}
+			svc, srv := testDaemon(t, Config{})
+			key := loadScenario(t, srv, scen)
+			if !svc.Pool().SetFaultInjector(key, faultinject.New(0, rule)) {
+				t.Fatalf("case %d: key not pooled", i)
+			}
+			path, body := "/v1/graphs/"+key+"/"+ep, `{"full":true}`
+			if ep == "blocker" {
+				body = `{}`
+			}
+			code, out := postRaw(t, srv, path, body)
+			if code != http.StatusInternalServerError {
+				t.Fatalf("case %d /%s (%s at %s): got %d (%s) want 500", i, ep, rule.Kind, rule.Stage, code, strings.TrimSpace(out))
+			}
+			if rule.Kind == faultinject.Panic && !strings.Contains(out, "recovered panic in "+rule.Stage) {
+				t.Fatalf("case %d /%s: error should name the recovered panic in %s, got %s", i, ep, rule.Stage, strings.TrimSpace(out))
+			}
+			if ep == "blocker" {
+				var br blockerResponse
+				if code := post(t, srv, path, blockerRequestWire{}, &br); code != http.StatusOK {
+					t.Fatalf("case %d /blocker recovery: status %d", i, code)
+				}
+				if !reflect.DeepEqual(br.Q, coldQ) || br.Rounds != coldB.Rounds {
+					t.Fatalf("case %d /blocker recovery: Q %v in %d rounds, cold %v in %d", i, br.Q, br.Rounds, coldQ, coldB.Rounds)
+				}
+				continue
+			}
+			var qr queryResponse
+			if code := post(t, srv, path, queryRequest{Full: true}, &qr); code != http.StatusOK {
+				t.Fatalf("case %d recovery: status %d", i, code)
+			}
+			if qr.Rounds != cold.Stats.Rounds {
+				t.Errorf("case %d recovery rounds %d, cold %d", i, qr.Rounds, cold.Stats.Rounds)
+			}
+			for x := range qr.Matrix {
+				for y, got := range qr.Matrix[x] {
+					if want := wantWire(cold.Dist[x][y]); got != want {
+						t.Fatalf("case %d recovery diverges at [%d][%d]", i, x, y)
+					}
 				}
 			}
 		}

@@ -23,7 +23,6 @@ package apsp
 import (
 	"fmt"
 
-	"congestapsp/internal/blocker"
 	"congestapsp/internal/core"
 	"congestapsp/internal/graph"
 )
@@ -151,10 +150,10 @@ type Options struct {
 	// charged in full even when every node has terminated early.
 	OnRound func(round, delivered int)
 	// Sources, when non-nil, restricts the output to shortest paths FROM
-	// these sources (partial APSP): Dist rows for other vertices are nil,
-	// and last-hop resolution is skipped (LastHop is nil). Out-of-range
-	// sources are an error; duplicates are dropped. See also
-	// RunFromSources for a compact result shape.
+	// these sources (partial APSP): Steps 1-6 are unchanged, the
+	// per-source extension runs only for these sources, Dist rows for
+	// other vertices are nil, and last-hop resolution is skipped (LastHop
+	// is nil). Out-of-range sources are an error; duplicates are dropped.
 	Sources []int
 }
 
@@ -318,28 +317,12 @@ type BlockerOptions struct {
 
 // BlockerSet computes an h-hop blocker set of g directly (a building block
 // exposed for experimentation): a vertex set hitting every h-hop shortest
-// path of the h-hop consistent SSSP collection of all sources.
+// path of the h-hop consistent SSSP collection of all sources. It is
+// Runner.BlockerSet on a one-shot Runner.
 func BlockerSet(g *Graph, opt BlockerOptions) ([]int, BlockerStats, error) {
-	q, stats, err := core.BlockerOnly(g.g, core.BlockerOptions{
-		H:        opt.HopParam,
-		Mode:     blocker.Mode(opt.Mode),
-		Seed:     opt.Seed,
-		Parallel: opt.Parallel,
-	})
+	r, err := NewRunner(g)
 	if err != nil {
-		return nil, BlockerStats{}, translateErr(err)
+		return nil, BlockerStats{}, err
 	}
-	return q, blockerStats(q, stats), nil
-}
-
-// blockerStats maps the internal blocker stats onto the public shape
-// (shared by BlockerSet and Runner.BlockerSet).
-func blockerStats(q []int, stats blocker.Stats) BlockerStats {
-	return BlockerStats{
-		Size:           len(q),
-		Rounds:         stats.Rounds,
-		SelectionSteps: stats.SelectionSteps,
-		GoodSets:       stats.GoodSetSelections,
-		Fallbacks:      stats.FallbackSteps,
-	}
+	return r.BlockerSet(opt)
 }

@@ -343,36 +343,9 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestRunManyContextStopsBatch: one context governs the whole batch, and a
-// cancellation mid-batch stops it with the typed error.
-func TestRunManyContextStopsBatch(t *testing.T) {
-	g := RandomGraph(GenOptions{N: 16, Seed: 3, MaxWeight: 9}, 48)
-	r, err := NewRunner(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	batch := []Options{
-		{}, // runs to completion
-		cancelAfterRounds(Options{Algorithm: Deterministic32}, 2, cancel),
-		{Algorithm: Randomized43}, // never reached
-	}
-	res, err := r.RunManyContext(ctx, batch)
-	cancel()
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled batch returned %v", err)
-	}
-	if res != nil {
-		t.Fatal("failed batch returned partial results")
-	}
-	out, err := r.RunMany([]Options{{}, {Algorithm: Deterministic32}})
-	if err != nil || len(out) != 2 {
-		t.Fatalf("Runner unusable after canceled batch: %v", err)
-	}
-}
-
 // TestBlockerSetContextCanceled: the blocker-only path observes its context
-// too, surfacing the apsp sentinel, and the Runner stays usable.
+// at the executor's first stage boundary, surfacing the InterruptError a
+// Run returns, and the Runner stays usable.
 func TestBlockerSetContextCanceled(t *testing.T) {
 	g := RandomGraph(GenOptions{N: 24, Seed: 4, MaxWeight: 9}, 72)
 	r, err := NewRunner(g)
@@ -381,8 +354,10 @@ func TestBlockerSetContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := r.BlockerSetContext(ctx, BlockerOptions{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled BlockerSetContext returned %v", err)
+	_, _, err = r.BlockerSetContext(ctx, BlockerOptions{})
+	var ie *InterruptError
+	if !errors.Is(err, ErrCanceled) || !errors.As(err, &ie) || ie.Stage != "step1-csssp" || ie.CompletedRounds != 0 {
+		t.Fatalf("canceled BlockerSetContext returned %v, want an interrupt in step1-csssp after 0 rounds", err)
 	}
 	q, _, err := r.BlockerSet(BlockerOptions{})
 	if err != nil || len(q) == 0 {

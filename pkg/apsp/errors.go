@@ -70,11 +70,12 @@ func (e *InterruptError) Unwrap() []error {
 }
 
 // PanicError reports a panic recovered inside the execution stack — a
-// ShardRuns worker or a pipeline stage — converted to an error instead of
-// crashing the process, and tagged with where it happened. The Runner
-// remains reusable afterwards; with Options.RetrySequential set, runs
-// recover from worker panics automatically and no PanicError surfaces
-// unless the sequential retry fails too.
+// ShardRuns worker or a pipeline stage, in a Run or a BlockerSet call —
+// converted to an error instead of crashing the process, and tagged with
+// where it happened. The Runner remains reusable afterwards; with
+// Options.RetrySequential set, runs recover from worker panics
+// automatically and no PanicError surfaces unless the sequential retry
+// fails too.
 type PanicError struct {
 	// Stage is the pipeline stage that was executing.
 	Stage string
@@ -120,9 +121,10 @@ func (e *UpdateError) Unwrap() error { return e.Err }
 
 // translateErr maps internal error shapes onto the public taxonomy:
 // core.InterruptError becomes *InterruptError (with both sentinels),
-// congest.PanicError becomes *PanicError, raw context errors (possible on
-// the blocker path, which has no staged executor) gain the apsp sentinel,
-// and everything else passes through unchanged.
+// core.UpdateError becomes *UpdateError, congest.PanicError becomes
+// *PanicError, and everything else passes through unchanged. Every
+// session call runs the staged executor, so a context error always
+// arrives as a core.InterruptError.
 func translateErr(err error) error {
 	if err == nil {
 		return nil
@@ -149,9 +151,6 @@ func translateErr(err error) error {
 			Value:  pe.Value,
 			Stack:  pe.Stack,
 		}
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return &InterruptError{Stage: "blocker", Cause: err}
 	}
 	return err
 }

@@ -94,31 +94,3 @@ func RunUnweighted(g *Graph) (*HopResult, error) {
 	}
 	return &HopResult{Hops: res.Dist, Rounds: res.Rounds}, nil
 }
-
-// SourcesResult is the output of RunFromSources: distances from a subset
-// of sources to every node.
-type SourcesResult struct {
-	// Dist[i][t] is the exact distance from Sources[i] to t.
-	Dist    [][]int64
-	Sources []int
-	Stats   Stats
-}
-
-// RunFromSources computes exact shortest paths from the given source
-// subset to every node (partial APSP). Steps 1-6 of the pipeline are
-// unchanged — the blocker machinery needs the full tree collection either
-// way — but the per-source extension step runs only for the requested
-// sources, saving (n - |sources|) * h rounds. Last-hop resolution is
-// skipped in this mode.
-func RunFromSources(g *Graph, sources []int, opt Options) (*SourcesResult, error) {
-	opt.Sources = sources
-	res, err := Run(g, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := &SourcesResult{Sources: append([]int(nil), sources...), Stats: res.Stats}
-	for _, x := range sources {
-		out.Dist = append(out.Dist, res.Dist[x])
-	}
-	return out, nil
-}

@@ -105,9 +105,10 @@ func TestRunUnweighted(t *testing.T) {
 	}
 }
 
-// TestRunFromSourcesExact checks the partial-APSP rows against
-// Floyd-Warshall and every distributed Stats field against Run with the
-// same Options.Sources, including the q-sink counters.
+// TestRunFromSourcesExact checks the partial-APSP rows of Run with
+// Options.Sources against Floyd-Warshall, that other rows and LastHop stay
+// nil, and that steps 1-6 (their stage rounds, h, |Q| and the q-sink
+// counters) equal a full run's.
 func TestRunFromSourcesExact(t *testing.T) {
 	cases := []struct {
 		g       *Graph
@@ -119,29 +120,38 @@ func TestRunFromSourcesExact(t *testing.T) {
 		{RandomGraph(GenOptions{N: 24, Seed: 13, MaxWeight: 9}, 72), []int{0, 5}, Options{Algorithm: Randomized43, Seed: 2, Parallel: true}},
 	}
 	for _, tc := range cases {
-		res, err := RunFromSources(tc.g, tc.sources, tc.opt)
+		opt := tc.opt
+		opt.Sources = tc.sources
+		res, err := Run(tc.g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := graph.FloydWarshall(tc.g.g)
-		if len(res.Dist) != len(tc.sources) {
-			t.Fatalf("%d rows, want %d", len(res.Dist), len(tc.sources))
-		}
-		for i, x := range tc.sources {
+		isSource := map[int]bool{}
+		for _, x := range tc.sources {
+			isSource[x] = true
 			for v := 0; v < tc.g.N(); v++ {
-				if res.Dist[i][v] != want[x][v] {
-					t.Fatalf("dist(%d,%d) = %d, want %d", x, v, res.Dist[i][v], want[x][v])
+				if res.Dist[x][v] != want[x][v] {
+					t.Fatalf("dist(%d,%d) = %d, want %d", x, v, res.Dist[x][v], want[x][v])
 				}
 			}
 		}
-		opt := tc.opt
-		opt.Sources = tc.sources
-		full, err := Run(tc.g, opt)
+		for x, row := range res.Dist {
+			if !isSource[x] && row != nil {
+				t.Fatalf("row %d is not a source but has distances", x)
+			}
+		}
+		if res.LastHop != nil {
+			t.Fatal("partial run resolved last hops")
+		}
+		full, err := Run(tc.g, tc.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := stripHostCost(res.Stats), stripHostCost(full.Stats); !reflect.DeepEqual(got, want) {
-			t.Errorf("RunFromSources stats diverge from Run with Sources:\n  got:  %+v\n  want: %+v", got, want)
+		p, f := stripHostCost(res.Stats), stripHostCost(full.Stats)
+		if !reflect.DeepEqual(p.Stages[:6], f.Stages[:6]) || p.H != f.H || p.BlockerSetSize != f.BlockerSetSize ||
+			p.BottleneckCount != f.BottleneckCount || p.QPrimeSize != f.QPrimeSize || p.PipelineRounds != f.PipelineRounds {
+			t.Errorf("partial run's steps 1-6 diverge from a full run's:\n  got:  %+v\n  want: %+v", p, f)
 		}
 	}
 }
@@ -152,7 +162,7 @@ func TestRunFromSourcesCheaperStep7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := RunFromSources(g, []int{0, 5}, Options{})
+	part, err := Run(g, Options{Sources: []int{0, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +174,7 @@ func TestRunFromSourcesCheaperStep7(t *testing.T) {
 
 func TestRunFromSourcesValidation(t *testing.T) {
 	g := RingGraph(GenOptions{N: 8, Seed: 14, MaxWeight: 5})
-	if _, err := RunFromSources(g, []int{99}, Options{}); err == nil {
+	if _, err := Run(g, Options{Sources: []int{99}}); err == nil {
 		t.Error("out-of-range source accepted")
 	}
 }

@@ -15,8 +15,11 @@ import (
 // repeated runs with different algorithms, sources, bandwidths or
 // execution modes skip the per-call cold start that apsp.Run pays every
 // time. This is the intended surface for serving repeated traffic against
-// one graph: build a Runner per graph, then call Run / RunMany /
-// BlockerSet as often as needed.
+// one graph: build a Runner per graph, then call Run (full or, with
+// Options.Sources, partial APSP) and BlockerSet as often as needed. Each
+// call runs the session's one staged executor — BlockerSet over its first
+// two stages — so cancellation, typed errors and panic isolation are the
+// same for both.
 //
 //	r, err := apsp.NewRunner(g)                                       // builds the network
 //	det, err := r.Run(apsp.Options{})                                 // first run grows the arenas
@@ -91,41 +94,18 @@ func (r *Runner) RunContext(ctx context.Context, opt Options) (*Result, error) {
 	return fromCore(res), nil
 }
 
-// RunMany executes one Run per options entry, in order, on the warm
-// session, and returns the results in the same order. It stops at the
-// first error. The batch form exists for sweep-shaped callers (profile x
-// execution-mode grids over one graph) so they state the whole batch in
-// one call.
-func (r *Runner) RunMany(opts []Options) ([]*Result, error) {
-	return r.RunManyContext(context.Background(), opts)
-}
-
-// RunManyContext is RunMany under one context governing the whole batch: a
-// deadline spans every entry, and cancellation stops the batch at the next
-// round or stage boundary of whichever run is executing. Completed entries
-// are not returned once an error stops the batch (the error's
-// *InterruptError payload identifies how far the failing run got).
-func (r *Runner) RunManyContext(ctx context.Context, opts []Options) ([]*Result, error) {
-	out := make([]*Result, len(opts))
-	for i, opt := range opts {
-		res, err := r.RunContext(ctx, opt)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
 // BlockerSet computes an h-hop blocker set of the Runner's graph on the
-// warm session (the session form of apsp.BlockerSet).
+// warm session (the session form of apsp.BlockerSet). It does not consume
+// the updates pending since ApplyUpdates: the next Run stays incremental.
 func (r *Runner) BlockerSet(opt BlockerOptions) ([]int, BlockerStats, error) {
 	return r.BlockerSetContext(context.Background(), opt)
 }
 
-// BlockerSetContext is BlockerSet under a context, observed at round
-// granularity; an interrupted construction returns an error matching
-// ErrCanceled/ErrDeadlineExceeded, and the Runner remains reusable.
+// BlockerSetContext is BlockerSet under a context, observed as RunContext
+// observes it: at round granularity and at the boundary of its two stages
+// (step1-csssp, step2-blocker). It fails with RunContext's typed errors —
+// an *InterruptError naming the stage, a *PanicError for a recovered
+// panic — and the Runner remains reusable.
 func (r *Runner) BlockerSetContext(ctx context.Context, opt BlockerOptions) ([]int, BlockerStats, error) {
 	q, stats, err := r.s.BlockerOnlyContext(ctx, core.BlockerOptions{
 		H:        opt.HopParam,
@@ -136,5 +116,11 @@ func (r *Runner) BlockerSetContext(ctx context.Context, opt BlockerOptions) ([]i
 	if err != nil {
 		return nil, BlockerStats{}, translateErr(err)
 	}
-	return q, blockerStats(q, stats), nil
+	return q, BlockerStats{
+		Size:           len(q),
+		Rounds:         stats.Rounds,
+		SelectionSteps: stats.SelectionSteps,
+		GoodSets:       stats.GoodSetSelections,
+		Fallbacks:      stats.FallbackSteps,
+	}, nil
 }

@@ -105,8 +105,9 @@ func TestRunnerResultsOutliveLaterRuns(t *testing.T) {
 	}
 }
 
-// TestRunnerRunMany: the batch entry point runs every option set in order
-// and returns matching results.
+// TestRunnerRunMany: one warm Runner runs many option sets in turn —
+// profiles, exec modes and a partial-source run — and each result matches
+// a cold run with the same options.
 func TestRunnerRunMany(t *testing.T) {
 	forceWorkers(t)
 	g := runnerTestGraph(24)
@@ -120,12 +121,11 @@ func TestRunnerRunMany(t *testing.T) {
 		{Parallel: true},
 		{Sources: []int{0, 5}},
 	}
-	results, err := r.RunMany(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(opts) {
-		t.Fatalf("got %d results, want %d", len(results), len(opts))
+	results := make([]*Result, len(opts))
+	for i, opt := range opts {
+		if results[i], err = r.Run(opt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, opt := range opts {
 		cold, err := Run(g, opt)
@@ -133,7 +133,7 @@ func TestRunnerRunMany(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(cold.Dist, results[i].Dist) {
-			t.Fatalf("RunMany[%d] distances diverge from cold run", i)
+			t.Fatalf("warm run %d distances diverge from cold run", i)
 		}
 	}
 }

@@ -51,22 +51,6 @@ type UpdateStats struct {
 	FellBack   bool
 }
 
-// ApplyUpdates applies the batch to the Runner's graph, in order, patching
-// the warm network in place and arming the next Run to reflect the mutated
-// graph. It is the Runner's sanctioned mutation path — the inversion of
-// the old "the graph must not change" rule.
-//
-// The next Run after ApplyUpdates is bit-identical in results (Dist,
-// LastHop), round count, |Q| and h to a cold run on the mutated graph.
-// When it can reuse snapshot state it skips simulating work whose outcome
-// is provably unchanged, so message/word counters may legitimately be
-// lower than a cold run's; runs after that are plain warm runs and match
-// cold runs exactly, counters included.
-//
-// On error the batch stops at the failing update; earlier updates remain
-// applied, the Runner stays consistent with the partially-mutated graph,
-// and the returned UpdateStats describes that state. Updates that set a
-// weight to its current value are accepted and ignored.
 // ReadUpdates parses a newline-delimited update stream (the `apsp -update`
 // file format): one update per line — `w u v weight` sets a weight,
 // `a u v weight` inserts an edge, `d u v` deletes one — with '#'-prefixed
@@ -91,39 +75,39 @@ func ReadUpdates(r io.Reader) ([]EdgeUpdate, error) {
 }
 
 // ApplyUpdate mutates g directly with exactly the edge addressing of
-// Runner.ApplyUpdates — SetWeight and DeleteEdge act on the first existing
-// U-V edge (either orientation on undirected graphs), InsertEdge appends,
-// and setting a weight to its current value is accepted and ignored — but
-// without any session: no damage tracking, no warm network, just the graph
-// content. It exists for replay tooling (the serving layer's journal
-// recovery) that reconstructs a graph from a recorded update stream before
-// building a Runner on the result; applying the same updates here and
-// through a Runner lands on the same Digest. A graph pinned to a live
-// Runner must NOT be mutated this way — that is exactly the out-of-band
-// mutation the Runner's version guard refuses.
+// Runner.ApplyUpdates (both call one function) — SetWeight and DeleteEdge
+// act on the first existing U-V edge (either orientation on undirected
+// graphs), InsertEdge appends, and setting a weight to its current value
+// is accepted and ignored — but without any session: no damage tracking,
+// no warm network, just the graph content. It exists for replay tooling
+// (the serving layer's journal recovery) that reconstructs a graph from a
+// recorded update stream before building a Runner on the result; applying
+// the same updates here and through a Runner lands on the same Digest. A
+// graph pinned to a live Runner must NOT be mutated this way — that is
+// exactly the out-of-band mutation the Runner's version guard refuses.
 func (g *Graph) ApplyUpdate(up EdgeUpdate) error {
-	switch up.Op {
-	case SetWeight:
-		idx := g.g.FindEdge(up.U, up.V)
-		if idx < 0 {
-			return fmt.Errorf("apsp: no edge (%d,%d) to set", up.U, up.V)
-		}
-		if g.g.Edges()[idx].W == up.W {
-			return nil
-		}
-		return g.g.SetEdgeWeight(idx, up.W)
-	case InsertEdge:
-		return g.g.AddEdge(up.U, up.V, up.W)
-	case DeleteEdge:
-		idx := g.g.FindEdge(up.U, up.V)
-		if idx < 0 {
-			return fmt.Errorf("apsp: no edge (%d,%d) to delete", up.U, up.V)
-		}
-		return g.g.RemoveEdge(idx)
+	if _, _, err := core.ApplyUpdate(g.g, core.EdgeUpdate{Op: core.UpdateOp(up.Op), U: up.U, V: up.V, W: up.W}); err != nil {
+		return fmt.Errorf("apsp: %w", err)
 	}
-	return fmt.Errorf("apsp: unknown update op %d", int(up.Op))
+	return nil
 }
 
+// ApplyUpdates applies the batch to the Runner's graph, in order, patching
+// the warm network in place and arming the next Run to reflect the mutated
+// graph. It is the Runner's sanctioned mutation path — the inversion of
+// the old "the graph must not change" rule.
+//
+// The next Run after ApplyUpdates is bit-identical in results (Dist,
+// LastHop), round count, |Q| and h to a cold run on the mutated graph.
+// When it can reuse snapshot state it skips simulating work whose outcome
+// is provably unchanged, so message/word counters may legitimately be
+// lower than a cold run's; runs after that are plain warm runs and match
+// cold runs exactly, counters included.
+//
+// On error the batch stops at the failing update; earlier updates remain
+// applied, the Runner stays consistent with the partially-mutated graph,
+// and the returned UpdateStats describes that state. Updates that set a
+// weight to its current value are accepted and ignored.
 func (r *Runner) ApplyUpdates(ups []EdgeUpdate) (UpdateStats, error) {
 	cups := make([]core.EdgeUpdate, len(ups))
 	for i, u := range ups {
