@@ -26,6 +26,15 @@ import (
 
 var benchSizes = []int{16, 24, 32}
 
+// coreRun runs opt on a fresh core session for g.
+func coreRun(g *graph.Graph, opt core.Options) (*core.Result, error) {
+	s, err := core.NewSession(g)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(opt)
+}
+
 func benchGraph(n int) *graph.Graph {
 	return graph.RandomConnected(graph.GenConfig{N: n, Directed: true, Seed: int64(n), MaxWeight: 50}, 4*n)
 }
@@ -67,7 +76,7 @@ func BenchmarkTable1RoundComparison(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", vt.name, n), func(b *testing.B) {
 				var rounds, msgs float64
 				for i := 0; i < b.N; i++ {
-					res, err := core.Run(g, core.Options{Variant: vt.v, SkipLastEdges: true})
+					res, err := coreRun(g, core.Options{Variant: vt.v, SkipLastEdges: true})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -91,7 +100,7 @@ func BenchmarkStepDecomposition(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				if res, err = core.Run(g, core.Options{Variant: core.Det43, SkipLastEdges: true}); err != nil {
+				if res, err = coreRun(g, core.Options{Variant: core.Det43, SkipLastEdges: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -458,7 +467,7 @@ func BenchmarkHSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
 			var rounds, qsize float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, core.Options{Variant: core.Det43, H: h, SkipLastEdges: true})
+				res, err := coreRun(g, core.Options{Variant: core.Det43, H: h, SkipLastEdges: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -480,7 +489,7 @@ func BenchmarkBandwidthSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("B=%d", bw), func(b *testing.B) {
 			var rounds float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, core.Options{Variant: core.Det43, Bandwidth: bw, SkipLastEdges: true})
+				res, err := coreRun(g, core.Options{Variant: core.Det43, Bandwidth: bw, SkipLastEdges: true})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -33,7 +33,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "generator / algorithm seed (a -scenario name overrides it)")
 		maxW      = flag.Int64("maxweight", 100, "maximum edge weight")
 		algorithm = flag.String("algorithm", "det43", "det43|det32|rand43|bcast6")
-		hopParam  = flag.Int("h", 0, "hop parameter override (0 = default)")
+		hopParam  = flag.Int("h", 0, "hop parameter override (0 or negative = default)")
 		parallel  = flag.Bool("parallel", false, "source-sharded worker-pool execution (bit-identical results; ignored with -trace)")
 		printMat  = flag.Bool("print", false, "print the distance matrix")
 		pathFrom  = flag.Int("from", -1, "print a shortest path from this node")

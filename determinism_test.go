@@ -87,7 +87,7 @@ func forceWorkers(t *testing.T) func() {
 
 // TestPipelineShardedDeterminism is the full-pipeline property test for the
 // source-sharded execution layer: for every Algorithm profile and several
-// random graph families, core.Run with Parallel on (per-source sub-runs of
+// random graph families, a core run with Parallel on (per-source sub-runs of
 // Steps 1/3/7, the q-sink SSSPs and the per-tree blocker runs sharded
 // across worker clones) must be bit-identical to the sequential schedule in Dist, LastHop, and every Stats field — rounds, messages,
 // words, per-step decomposition, blocker stats, q-sink stats, and the
@@ -111,7 +111,7 @@ func TestPipelineShardedDeterminism(t *testing.T) {
 		for _, v := range variants {
 			t.Run(fmt.Sprintf("%s/%v", gc.name, v), func(t *testing.T) {
 				run := func(parallel bool) *core.Result {
-					res, err := core.Run(gc.g, core.Options{Variant: v, Seed: 11, Parallel: parallel})
+					res, err := coreRun(gc.g, core.Options{Variant: v, Seed: 11, Parallel: parallel})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -144,7 +144,7 @@ func TestPipelineShardedDeterminism(t *testing.T) {
 func TestWorkStealingDeterminism(t *testing.T) {
 	g := graph.PowerLaw(graph.GenConfig{N: 48, Seed: 9, MaxWeight: 25}, 3)
 	run := func() *core.Result {
-		res, err := core.Run(g, core.Options{Variant: core.Det43, Parallel: runtime.GOMAXPROCS(0) > 1})
+		res, err := coreRun(g, core.Options{Variant: core.Det43, Parallel: runtime.GOMAXPROCS(0) > 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,47 +171,6 @@ func TestWorkStealingDeterminism(t *testing.T) {
 					par.Stages[i].Name, par.Stages[i].Rounds, seq.Stages[i].Name, seq.Stages[i].Rounds)
 			}
 		}
-	}
-}
-
-// TestPartialAPSPShardedDeterminism extends the property to partial runs:
-// restricted (deduplicated) source sets must produce identical rows and
-// stats under sharded and sequential execution, and non-source rows stay
-// nil.
-func TestPartialAPSPShardedDeterminism(t *testing.T) {
-	defer forceWorkers(t)()
-	g := graph.RandomConnected(graph.GenConfig{N: 30, Directed: true, Seed: 9, MaxWeight: 25}, 100)
-	sources := []int{17, 3, 17, 8, 3} // duplicates must be dropped, not double-charged
-	run := func(parallel bool) *core.Result {
-		res, err := core.Run(g, core.Options{Variant: core.Det43, Sources: sources, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(false)
-	par := run(true)
-	if !reflect.DeepEqual(seq.Stats, par.Stats) {
-		t.Fatalf("stats diverge:\n  seq: %+v\n  par: %+v", seq.Stats, par.Stats)
-	}
-	if !reflect.DeepEqual(seq.Dist, par.Dist) {
-		t.Fatal("distance rows diverge")
-	}
-	for x := 0; x < g.N; x++ {
-		want := x == 17 || x == 3 || x == 8
-		if got := seq.Dist[x] != nil; got != want {
-			t.Fatalf("row %d presence = %v, want %v", x, got, want)
-		}
-	}
-	// A deduplicated run must charge exactly what a pre-deduplicated one
-	// does (the satellite bug: duplicates used to run Step 7 twice).
-	clean, err := core.Run(g, core.Options{Variant: core.Det43, Sources: []int{17, 3, 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Stats.Rounds != seq.Stats.Rounds || clean.Stats.Words != seq.Stats.Words {
-		t.Fatalf("duplicate sources changed the charge: rounds %d vs %d, words %d vs %d",
-			seq.Stats.Rounds, clean.Stats.Rounds, seq.Stats.Words, clean.Stats.Words)
 	}
 }
 

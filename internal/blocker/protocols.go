@@ -8,6 +8,15 @@
 // 2.2). The deterministic algorithm runs in O~(|S| * h) rounds
 // (Corollary 3.13), removing the n*|Q| term of the earlier greedy
 // constructions.
+//
+// At the default constants delta = eps = 1/12, the derandomized good-set
+// search (Algorithm 7, Steps 11-14 of Algorithm 2) is unreachable for
+// n < (1+eps)/delta^3 = 1,872. Step 9 commits a single node when the best
+// scoreij exceeds delta^3/(1+eps) * |P_ij| = |P_ij|/1,872, and since every
+// path of P_ij holds a node of V_i, pigeonhole gives a best scoreij of at
+// least |P_ij|/|V_i| >= |P_ij|/n. So below that size every selection step
+// commits one node through Step 10; only a larger Params.Delta (the tests
+// use 1/2, outside the analysis) reaches the search.
 package blocker
 
 import (

@@ -33,10 +33,7 @@
 package core
 
 import (
-	"fmt"
-
 	"congestapsp/internal/blocker"
-	"congestapsp/internal/graph"
 	"congestapsp/internal/qsink"
 )
 
@@ -71,8 +68,9 @@ func (v Variant) String() string {
 // Options configures a run.
 type Options struct {
 	Variant Variant
-	// H overrides the hop parameter (0 = the variant's default: ceil of
-	// n^(1/3) for the n^(4/3) profiles, ceil of sqrt(n) for Det32).
+	// H overrides the hop parameter (0 or negative = the variant's
+	// default: ceil of n^(1/3) for the n^(4/3) profiles, ceil of sqrt(n)
+	// for Det32).
 	H int
 	// Bandwidth is the CONGEST per-link words-per-round budget (default 1).
 	Bandwidth int
@@ -93,14 +91,6 @@ type Options struct {
 	SkipLastEdges bool
 	// OnRound is forwarded to the simulator's per-round trace hook.
 	OnRound func(round, delivered int)
-	// Sources, when non-nil, restricts the output to shortest paths FROM
-	// these sources (partial APSP): Step 7's per-source extension runs only
-	// for them, saving (n - |Sources|) * h rounds. Steps 1-6 are unchanged
-	// (the blocker machinery needs the full collection either way), and
-	// Dist rows for non-sources are nil. Out-of-range sources are an error;
-	// duplicates are dropped (each source's extension runs — and is charged
-	// — once). Implies SkipLastEdges.
-	Sources []int
 }
 
 // Stats aggregates everything the benchmark harness reports.
@@ -117,9 +107,8 @@ type Stats struct {
 
 // Result is the APSP output: exact distances (and last edges) for every
 // ordered pair, as known distributedly at the target nodes. The row slices
-// are zero-copy views of flat row-major matrices (internal/mat); rows for
-// non-sources are nil when Options.Sources restricted the run. A Result is
-// caller-owned — it stays valid after later runs on the same Session.
+// are zero-copy views of flat row-major matrices (internal/mat). A Result
+// is caller-owned — it stays valid after later runs on the same Session.
 type Result struct {
 	// Dist[x][t] = delta(x, t); graph.Inf when t is unreachable from x.
 	Dist [][]int64
@@ -130,18 +119,6 @@ type Result struct {
 	// Stages is the per-stage cost breakdown recorded by the staged
 	// pipeline executor, in execution order (skipped stages are absent).
 	Stages []StageTiming
-}
-
-// Run executes the selected APSP variant on g with a one-shot session.
-// Callers that run the same graph repeatedly should hold a Session (or the
-// public apsp.Runner) instead: it reuses the network, engine arenas and
-// worker-clone fleet across runs.
-func Run(g *graph.Graph, opt Options) (*Result, error) {
-	s, err := NewSession(g)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(opt)
 }
 
 // BlockerOptions configures Session.BlockerOnlyContext. The zero value
@@ -158,22 +135,4 @@ type BlockerOptions struct {
 	// worker pool (the blocker construction itself follows the sequential
 	// schedule either way, and the result is bit-identical).
 	Parallel bool
-}
-
-// validateSources bounds-checks a partial-APSP source list and drops
-// duplicates (preserving first-occurrence order), so each requested source
-// runs — and is charged for — exactly one Step-7 extension.
-func validateSources(sources []int, n int) ([]int, error) {
-	seen := make(map[int]bool, len(sources))
-	out := make([]int, 0, len(sources))
-	for _, x := range sources {
-		if x < 0 || x >= n {
-			return nil, fmt.Errorf("core: source %d out of range [0, %d)", x, n)
-		}
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out, nil
 }

@@ -44,7 +44,7 @@ func TestOnRoundForwarded(t *testing.T) {
 	g := graph.Ring(graph.GenConfig{N: 10, Seed: 4, MaxWeight: 5})
 	calls := 0
 	lastRound := -1
-	_, err := Run(g, Options{Variant: Det43, SkipLastEdges: true, OnRound: func(r, d int) {
+	_, err := runCold(g, Options{Variant: Det43, SkipLastEdges: true, OnRound: func(r, d int) {
 		calls++
 		if r <= lastRound {
 			t.Fatalf("round indices not increasing: %d after %d", r, lastRound)
@@ -61,14 +61,14 @@ func TestOnRoundForwarded(t *testing.T) {
 
 func TestVariantDefaultsH(t *testing.T) {
 	g := graph.RandomConnected(graph.GenConfig{N: 27, Seed: 5, MaxWeight: 9}, 81)
-	r43, err := Run(g, Options{Variant: Det43, SkipLastEdges: true})
+	r43, err := runCold(g, Options{Variant: Det43, SkipLastEdges: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r43.Stats.H != 3 { // ceil(27^(1/3)) = 3
 		t.Errorf("det43 default h = %d, want 3", r43.Stats.H)
 	}
-	r32, err := Run(g, Options{Variant: Det32, SkipLastEdges: true})
+	r32, err := runCold(g, Options{Variant: Det32, SkipLastEdges: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestVariantDefaultsH(t *testing.T) {
 
 func TestCongestionAccountingPopulated(t *testing.T) {
 	g := graph.Star(graph.GenConfig{N: 14, Seed: 6, MaxWeight: 5})
-	res, err := Run(g, Options{Variant: Det43, SkipLastEdges: true})
+	res, err := runCold(g, Options{Variant: Det43, SkipLastEdges: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestMediumIntegration(t *testing.T) {
 	g := graph.RandomConnected(graph.GenConfig{N: 60, Directed: true, Seed: 77, MaxWeight: 40}, 240)
 	want := graph.FloydWarshall(g)
 	for _, v := range []Variant{Det43, Det32, Rand43} {
-		res, err := Run(g, Options{Variant: v, Seed: 13, SkipLastEdges: true})
+		res, err := runCold(g, Options{Variant: v, Seed: 13, SkipLastEdges: true})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -115,11 +115,11 @@ func TestMediumIntegration(t *testing.T) {
 
 func TestBandwidthScalesDown(t *testing.T) {
 	g := graph.RandomConnected(graph.GenConfig{N: 20, Seed: 8, MaxWeight: 9}, 60)
-	r1, err := Run(g, Options{Variant: Det43, Bandwidth: 1, SkipLastEdges: true})
+	r1, err := runCold(g, Options{Variant: Det43, Bandwidth: 1, SkipLastEdges: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Run(g, Options{Variant: Det43, Bandwidth: 8, SkipLastEdges: true})
+	r8, err := runCold(g, Options{Variant: Det43, Bandwidth: 8, SkipLastEdges: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,15 @@ import (
 	"congestapsp/internal/graph"
 )
 
+// runCold runs opt on a fresh session for g.
+func runCold(g *graph.Graph, opt Options) (*Result, error) {
+	s, err := NewSession(g)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(opt)
+}
+
 func checkAPSP(t *testing.T, g *graph.Graph, res *Result) {
 	t.Helper()
 	want := graph.FloydWarshall(g)
@@ -82,7 +91,7 @@ func families() []struct {
 func TestDet43ExactEverywhere(t *testing.T) {
 	for _, tc := range families() {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(tc.g, Options{Variant: Det43})
+			res, err := runCold(tc.g, Options{Variant: Det43})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +104,7 @@ func TestDet43ExactEverywhere(t *testing.T) {
 func TestDet32ExactEverywhere(t *testing.T) {
 	for _, tc := range families() {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(tc.g, Options{Variant: Det32})
+			res, err := runCold(tc.g, Options{Variant: Det32})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +116,7 @@ func TestDet32ExactEverywhere(t *testing.T) {
 func TestRand43Exact(t *testing.T) {
 	for _, tc := range families()[:4] {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(tc.g, Options{Variant: Rand43, Seed: 11})
+			res, err := runCold(tc.g, Options{Variant: Rand43, Seed: 11})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +127,7 @@ func TestRand43Exact(t *testing.T) {
 
 func TestBroadcastStep6Exact(t *testing.T) {
 	g := graph.RandomConnected(graph.GenConfig{N: 20, Directed: true, Seed: 12, MaxWeight: 9}, 70)
-	res, err := Run(g, Options{Variant: BroadcastStep6})
+	res, err := runCold(g, Options{Variant: BroadcastStep6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +140,7 @@ func TestDisconnectedDirectedPairs(t *testing.T) {
 	g := graph.New(3, true)
 	g.MustAddEdge(0, 1, 4)
 	g.MustAddEdge(1, 2, 5)
-	res, err := Run(g, Options{Variant: Det43})
+	res, err := runCold(g, Options{Variant: Det43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +152,11 @@ func TestDisconnectedDirectedPairs(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	g := graph.RandomConnected(graph.GenConfig{N: 18, Directed: true, Seed: 13, MaxWeight: 9}, 60)
-	a, err := Run(g, Options{Variant: Det43})
+	a, err := runCold(g, Options{Variant: Det43})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, Options{Variant: Det43})
+	b, err := runCold(g, Options{Variant: Det43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +170,11 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	g := graph.RandomConnected(graph.GenConfig{N: 18, Seed: 14, MaxWeight: 9}, 55)
-	seq, err := Run(g, Options{Variant: Det43})
+	seq, err := runCold(g, Options{Variant: Det43})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(g, Options{Variant: Det43, Parallel: true})
+	par, err := runCold(g, Options{Variant: Det43, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +193,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestHOverride(t *testing.T) {
 	g := graph.Ring(graph.GenConfig{N: 12, Seed: 16, MaxWeight: 9})
 	for _, h := range []int{1, 2, 5} {
-		res, err := Run(g, Options{Variant: Det43, H: h})
+		res, err := runCold(g, Options{Variant: Det43, H: h})
 		if err != nil {
 			t.Fatalf("h=%d: %v", h, err)
 		}
@@ -197,7 +206,7 @@ func TestHOverride(t *testing.T) {
 
 func TestSkipLastEdges(t *testing.T) {
 	g := graph.Ring(graph.GenConfig{N: 10, Seed: 17, MaxWeight: 9})
-	res, err := Run(g, Options{Variant: Det43, SkipLastEdges: true})
+	res, err := runCold(g, Options{Variant: Det43, SkipLastEdges: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +217,7 @@ func TestSkipLastEdges(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	res, err := Run(graph.New(0, false), Options{Variant: Det43})
+	res, err := runCold(graph.New(0, false), Options{Variant: Det43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +227,7 @@ func TestEmptyGraph(t *testing.T) {
 }
 
 func TestSingleNode(t *testing.T) {
-	res, err := Run(graph.New(1, true), Options{Variant: Det43})
+	res, err := runCold(graph.New(1, true), Options{Variant: Det43})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,7 +308,7 @@ func TestFaultMatrix(t *testing.T) {
 	for _, v := range variants {
 		for _, parallel := range []bool{false, true} {
 			opt := Options{Variant: v, Parallel: parallel, Seed: 7}
-			cold, err := Run(g, opt)
+			cold, err := runCold(g, opt)
 			if err != nil {
 				t.Fatalf("%v parallel=%v: cold run: %v", v, parallel, err)
 			}

@@ -28,11 +28,18 @@ import (
 // StageTiming is the host-and-model cost record of one executed pipeline
 // stage. Rounds is deterministic (it follows the paper's charged
 // schedules); WallMS and Allocs are host-side observations.
+//
+// Allocs is the change in runtime/metrics' /gc/heap/allocs:objects across
+// the stage, not an exact count: the metric leaves out tiny objects
+// (pointer-free, under 16 bytes) and counts a small object only when its
+// span cache hands the span back (go1.24 mcache.refill), so one stage can
+// be charged for another's allocations. testing.AllocsPerRun gives exact
+// counts.
 type StageTiming struct {
 	Name   string  // stage name as it appears in EXPERIMENTS.json rows
 	Rounds int     // CONGEST rounds charged by the stage
 	WallMS float64 // host wall-clock spent in the stage
-	Allocs uint64  // heap allocations performed during the stage
+	Allocs uint64  // heap objects the runtime metric counted during the stage
 }
 
 // stage is one declarative entry of the executor: a named unit of
@@ -74,16 +81,15 @@ type pipeline struct {
 	h   int
 	bp  blocker.Params // Step 2's construction, resolved by the caller
 
-	sources      []int             // 0..n-1 (Step 1 builds one tree per node)
-	coll         *csssp.Collection // Step 1: h-hop CSSSP collection
-	Q            []int             // Step 2: blocker set
-	deltaH       *mat.Matrix       // Step 3: |Q| x n, deltaH.At(ci, x) = delta_h(x, Q[ci])
-	deltaHops    [][]int           // Step 3: hop counts realizing deltaH rows (convergence levels; damage-test metadata, no protocol input)
-	allPairsQ    []broadcast.Item  // Step 4: gathered (ci, cj, delta_h(cj, ci)) triples
-	delta        *mat.Matrix       // Step 5: n x |Q|, the exact delta(x, c) known at x
-	qres         *qsink.Result     // Step 6: q-sink delivery output
-	step7Sources []int             // Step 7: validated, deduplicated source list
-	distM        *mat.Matrix       // Step 7: one row per requested source
+	sources   []int             // 0..n-1 (Step 1 builds one tree per node)
+	coll      *csssp.Collection // Step 1: h-hop CSSSP collection
+	Q         []int             // Step 2: blocker set
+	deltaH    *mat.Matrix       // Step 3: |Q| x n, deltaH.At(ci, x) = delta_h(x, Q[ci])
+	deltaHops [][]int           // Step 3: hop counts realizing deltaH rows (convergence levels; damage-test metadata, no protocol input)
+	allPairsQ []broadcast.Item  // Step 4: gathered (ci, cj, delta_h(cj, ci)) triples
+	delta     *mat.Matrix       // Step 5: n x |Q|, the exact delta(x, c) known at x
+	qres      *qsink.Result     // Step 6: q-sink delivery output
+	distM     *mat.Matrix       // Step 7: n x n, row x = delta(x, .)
 
 	// inc, when non-nil, is the damage-scoped plan of an incremental run
 	// (the first Run after Session.ApplyUpdates with a valid snapshot):
@@ -101,10 +107,10 @@ type pipeline struct {
 
 // execute runs every non-skipped stage of stages in order, recording
 // per-stage wall clock, charged rounds and heap allocations. Allocation
-// counts come from runtime/metrics (no stop-the-world, unlike
-// runtime.ReadMemStats — a warm session serves repeated runs, so the
-// executor must not pause the world 16 times per call for a bookkeeping
-// column).
+// counts come from runtime/metrics (approximate, see StageTiming; no
+// stop-the-world, unlike runtime.ReadMemStats — a warm session serves
+// repeated runs, so the executor must not pause the world 16 times per
+// call for a bookkeeping column).
 func (p *pipeline) execute(stages []stage) error {
 	sample := [1]metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
 	allocs := func() uint64 {
@@ -182,19 +188,8 @@ func runStage(st stage, p *pipeline) (err error) {
 	return st.run(p)
 }
 
-// run validates the options, executes the stages and assembles the Result.
+// run executes the stages and assembles the Result.
 func (p *pipeline) run() (*Result, error) {
-	// Partial-APSP validation happens before any stage runs so an invalid
-	// source list fails fast, and so the Sources-implies-SkipLastEdges rule
-	// is settled before the step8 skip predicate is consulted.
-	if p.opt.Sources != nil {
-		validated, err := validateSources(p.opt.Sources, p.n)
-		if err != nil {
-			return nil, err
-		}
-		p.step7Sources = validated
-		p.opt.SkipLastEdges = true
-	}
 	p.out = &Result{}
 	if err := p.execute(pipelineStages); err != nil {
 		return nil, err
@@ -220,9 +215,6 @@ func (p *pipeline) stageCSSSP() error {
 	p.sources = make([]int, p.n)
 	for i := range p.sources {
 		p.sources[i] = i
-	}
-	if p.step7Sources == nil {
-		p.step7Sources = p.sources // full APSP: Step 7 extends every source
 	}
 	if ip := p.inc; ip != nil {
 		p.coll = ip.snap.coll
@@ -334,7 +326,8 @@ func (p *pipeline) stageInSSSP() error {
 
 // tagSource annotates a recovered sub-run panic with the source vertex its
 // sub-run index maps to (sub-run i of Step 3 serves blocker Q[i]; of Step 7,
-// step7Sources[i]), completing the PanicError's (sub-run, source, stage) tag.
+// the i-th extended source), completing the PanicError's (sub-run, source,
+// stage) tag.
 func (p *pipeline) tagSource(err error, src func(i int) int) error {
 	if err == nil {
 		return nil
@@ -491,18 +484,15 @@ func (p *pipeline) stageQSink() error {
 // seeded with the Step-1 labels everywhere and the exact delta(x, c) at
 // blockers. The per-source extensions are independent, so they dispatch
 // across the worker-clone fleet like Step 3; each source owns one row of
-// the flat distance matrix. One flat row is allocated per requested source
-// (not n x n: partial runs with few sources must not pay the full matrix).
-// On an incremental run only the sources the plan marks dirty re-extend;
-// clean rows are copied out of the snapshot (Result matrices stay
-// caller-owned, so the snapshot arrays are never handed out directly). An
-// incremental run is always full APSP, so there row index == source id and
-// each re-run costs exactly h+1 rounds; the reused rows charge the
-// recorded remainder.
+// the flat n x n distance matrix. On an incremental run only the sources
+// the plan marks dirty re-extend; clean rows are copied out of the
+// snapshot (Result matrices stay caller-owned, so the snapshot arrays are
+// never handed out directly). Each re-run costs exactly h+1 rounds; the
+// reused rows charge the recorded remainder.
 func (p *pipeline) stageExtend() error {
 	n := p.n
-	xs := p.step7Sources
-	p.distM = mat.New(len(xs), n)
+	xs := p.sources
+	p.distM = mat.New(n, n)
 	ip := p.inc
 	reuse := ip != nil && !ip.cascade
 	if reuse {
@@ -531,10 +521,7 @@ func (p *pipeline) stageExtend() error {
 		if err != nil {
 			return err
 		}
-		if reuse {
-			k = x // the incremental matrix's rows are indexed by source id
-		}
-		copy(p.distM.Row(k), res.Dist)
+		copy(p.distM.Row(x), res.Dist)
 		return nil
 	})
 	if err != nil {
@@ -543,13 +530,7 @@ func (p *pipeline) stageExtend() error {
 	if reuse {
 		p.nw.ChargeRounds(ip.snap.rounds("step7-extend") - len(xs)*(p.h+1))
 	}
-	// The public [][]int64 surface: rows are zero-copy views of the flat
-	// matrix, nil for sources Step 7 did not run.
-	dist := make([][]int64, n)
-	for k, x := range p.step7Sources {
-		dist[x] = p.distM.Row(k)
-	}
-	p.out.Dist = dist
+	p.out.Dist = p.distM.RowViews()
 	return nil
 }
 

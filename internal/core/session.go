@@ -104,16 +104,13 @@ func (s *Session) begin(ctx context.Context, opt Options) (*pipeline, error) {
 	s.nw.ResetStats()
 	n := s.g.N
 	h := opt.H
-	if h == 0 {
+	if h <= 0 {
 		switch opt.Variant {
 		case Det32:
 			h = int(math.Ceil(math.Sqrt(float64(n))))
 		default:
 			h = int(math.Ceil(math.Pow(float64(n), 1.0/3)))
 		}
-	}
-	if h < 1 {
-		h = 1
 	}
 	s.nw.SetContext(ctx)
 	return &pipeline{
@@ -127,9 +124,9 @@ func (s *Session) begin(ctx context.Context, opt Options) (*pipeline, error) {
 }
 
 // Run executes the selected APSP variant on the session's graph, reusing
-// the warm network. It is the session form of the package-level Run and
-// produces bit-identical results (the engine and every protocol draw from
-// grow-only pooled state whose content is fully re-initialized per run).
+// the warm network. A warm run is bit-identical to a run on a fresh
+// session (the engine and every protocol draw from grow-only pooled state
+// whose content is fully re-initialized per run).
 func (s *Session) Run(opt Options) (*Result, error) {
 	return s.RunContext(context.Background(), opt)
 }
@@ -160,34 +157,27 @@ func (s *Session) RunContext(ctx context.Context, opt Options) (*Result, error) 
 		p.bp = blocker.Params{Mode: blocker.RandomSample, Seed: opt.Seed}
 	}
 	key := snapKeyOf(opt, p.h)
-	// Snapshot eligibility: full-APSP runs only. Partial runs neither arm
-	// nor consume snapshots (and leave an armed one untouched and valid).
-	eligible := opt.Sources == nil
 	if s.pendingUpdates {
 		// One-shot gate: this run reflects the updates whether it reuses
 		// snapshot state or recomputes; either way the next plain re-run
 		// is an ordinary cold run on the now-current graph.
 		s.pendingUpdates = false
-		if eligible && s.snap.valid && !s.snap.fellBack && key == s.snap.key {
+		if s.snap.valid && !s.snap.fellBack && key == s.snap.key {
 			p.inc = s.snap.buildPlan()
 		}
 	}
-	if eligible {
-		// The run below overwrites snapshot-owned state (the q-sink
-		// capture arena; refreshed collection rows on the incremental
-		// path). Invalidate until it completes, so a canceled or panicked
-		// run leaves the next Run cold instead of reusing torn state —
-		// exactly the session's reuse-after-error contract.
-		s.snap.valid = false
-		p.qcap = &s.qsnap
-	}
+	// The run below overwrites snapshot-owned state (the q-sink capture
+	// arena; refreshed collection rows on the incremental path). Invalidate
+	// until it completes, so a canceled or panicked run leaves the next Run
+	// cold instead of reusing torn state — exactly the session's
+	// reuse-after-error contract.
+	s.snap.valid = false
+	p.qcap = &s.qsnap
 	res, err := p.run()
 	if err != nil {
 		return nil, err
 	}
-	if eligible {
-		s.capture(p, key)
-	}
+	s.capture(p, key)
 	return res, nil
 }
 
@@ -203,7 +193,7 @@ func (s *Session) BlockerOnlyContext(ctx context.Context, opt BlockerOptions) ([
 	if s.g.N == 0 {
 		return nil, blocker.Stats{}, nil
 	}
-	p, err := s.begin(ctx, Options{H: max(opt.H, 0), Parallel: opt.Parallel})
+	p, err := s.begin(ctx, Options{H: opt.H, Parallel: opt.Parallel})
 	if err != nil {
 		return nil, blocker.Stats{}, err
 	}

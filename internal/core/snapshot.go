@@ -7,8 +7,8 @@ import (
 	"congestapsp/internal/qsink"
 )
 
-// This file holds the session's result snapshot: after every eligible
-// (full-APSP) run the session takes ownership of the pipeline's
+// This file holds the session's result snapshot: after every successful
+// run the session takes ownership of the pipeline's
 // intermediate artifacts and keeps session-owned copies of the outputs, so
 // that a run following ApplyUpdates can re-execute only the label systems
 // the damage report marked dirty and restore everything else. See
@@ -17,7 +17,7 @@ import (
 // snapKey identifies the resolved run configuration a snapshot is valid
 // for. Two option sets with equal keys produce bit-identical pipelines;
 // execution-mode knobs (Parallel, RetrySequential, OnRound) are
-// deliberately absent because they never change results or round counts. Partial runs (Options.Sources != nil) are never snapshotted.
+// deliberately absent because they never change results or round counts.
 type snapKey struct {
 	variant  Variant
 	h        int
@@ -272,7 +272,6 @@ func (s *Session) capture(p *pipeline, key snapKey) {
 		sn.distFlat = make([]int64, n*n)
 	}
 	sn.distFlat = sn.distFlat[:n*n]
-	// Eligible runs are full APSP, so row index == source id.
 	for x := 0; x < n; x++ {
 		copy(sn.distFlat[x*n:(x+1)*n], p.distM.Row(x))
 	}

@@ -74,7 +74,7 @@ func TestIncrementalOracle(t *testing.T) {
 						if err != nil {
 							t.Fatalf("batch %d warm run: %v", bi, err)
 						}
-						cold, err := Run(cloneGraph(g), opt)
+						cold, err := runCold(cloneGraph(g), opt)
 						if err != nil {
 							t.Fatalf("batch %d cold run: %v", bi, err)
 						}
@@ -138,7 +138,7 @@ func TestIncrementalOracleSmokeN64(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d warm run: %v", bi, err)
 		}
-		cold, err := Run(cloneGraph(g), opt)
+		cold, err := runCold(cloneGraph(g), opt)
 		if err != nil {
 			t.Fatalf("batch %d cold run: %v", bi, err)
 		}
@@ -188,7 +188,7 @@ func TestIncrementalZeroDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(cloneGraph(g), opt)
+	cold, err := runCold(cloneGraph(g), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestApplyUpdatesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("session unusable after failed batch: %v", err)
 	}
-	cold, err := Run(cloneGraph(g), opt)
+	cold, err := runCold(cloneGraph(g), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestIncrementalFaultInjection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("session unusable after injected panic: %v", err)
 			}
-			cold, err := Run(cloneGraph(g), opt)
+			cold, err := runCold(cloneGraph(g), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +355,7 @@ func TestIncrementalHopBoundCounterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(cloneGraph(g), opt)
+	cold, err := runCold(cloneGraph(g), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestIncrementalAdversarialStress(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cold, err := Run(cloneGraph(g), opt)
+				cold, err := runCold(cloneGraph(g), opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -521,7 +521,7 @@ func TestIncrementalBundleStress(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cold, err := Run(cloneGraph(g), opt)
+				cold, err := runCold(cloneGraph(g), opt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,7 +8,7 @@
 // [][]T-of-separate-allocations:
 //
 //   - one allocation and one pointer indirection instead of rows+1, so the
-//     min-plus closures and row scans in core.Run walk memory linearly;
+//     min-plus closures and row scans of the pipeline walk memory linearly;
 //   - disjoint-row writes are safe from concurrent goroutines, which is what
 //     lets the source-sharded pipeline write Dist/deltaH rows from worker
 //     clones without locks (each source owns exactly one row);

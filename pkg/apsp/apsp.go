@@ -120,8 +120,8 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 // with its default parameters.
 type Options struct {
 	Algorithm Algorithm
-	// HopParam overrides the hop parameter h (0 = the profile default:
-	// ceil(n^(1/3)), or ceil(sqrt(n)) for Deterministic32).
+	// HopParam overrides the hop parameter h (0 or negative = the profile
+	// default: ceil(n^(1/3)), or ceil(sqrt(n)) for Deterministic32).
 	HopParam int
 	// Bandwidth is the number of words per link per direction per round
 	// (default 1, the classic CONGEST budget).
@@ -149,18 +149,15 @@ type Options struct {
 	// Simulated rounds can fall far below Stats.Rounds: fixed schedules are
 	// charged in full even when every node has terminated early.
 	OnRound func(round, delivered int)
-	// Sources, when non-nil, restricts the output to shortest paths FROM
-	// these sources (partial APSP): Steps 1-6 are unchanged, the
-	// per-source extension runs only for these sources, Dist rows for
-	// other vertices are nil, and last-hop resolution is skipped (LastHop
-	// is nil). Out-of-range sources are an error; duplicates are dropped.
-	Sources []int
 }
 
 // StageTiming is the per-stage cost record of the staged pipeline
 // executor: the stage name, the CONGEST rounds it charged
 // (deterministic), and the host wall-clock and heap allocations it
-// consumed.
+// consumed. Allocs is approximate: it is the runtime/metrics
+// /gc/heap/allocs:objects delta, which leaves out tiny objects and counts
+// small objects per span refill, so a stage can be charged for another's
+// allocations; use testing.AllocsPerRun for exact counts.
 type StageTiming = core.StageTiming
 
 // Stats reports the distributed cost of a run.
@@ -193,15 +190,16 @@ type Result struct {
 }
 
 // Run computes exact all-pairs shortest paths on g with the selected
-// profile, returning the distances and the CONGEST cost accounting. Each
-// call builds (and discards) a fresh simulation network; callers that run
-// the same graph repeatedly should hold a Runner instead.
+// profile, returning the distances and the CONGEST cost accounting. It is
+// Runner.Run on a one-shot Runner: each call builds (and discards) a fresh
+// simulation network, so callers that run the same graph repeatedly should
+// hold a Runner instead.
 func Run(g *Graph, opt Options) (*Result, error) {
-	res, err := core.Run(g.g, coreOptions(opt))
+	r, err := NewRunner(g)
 	if err != nil {
-		return nil, translateErr(err)
+		return nil, err
 	}
-	return fromCore(res), nil
+	return r.Run(opt)
 }
 
 // coreOptions maps the public options onto the core pipeline's.
@@ -224,12 +222,10 @@ func coreOptions(opt Options) core.Options {
 		Seed:            opt.Seed,
 		SkipLastEdges:   opt.SkipLastHops,
 		OnRound:         opt.OnRound,
-		Sources:         opt.Sources,
 	}
 }
 
-// fromCore maps a core result onto the public shape (shared by Run and
-// Runner.Run so the two surfaces can never drift).
+// fromCore maps a core result onto the public shape.
 func fromCore(res *core.Result) *Result {
 	return &Result{
 		Dist:    res.Dist,
@@ -251,13 +247,12 @@ func fromCore(res *core.Result) *Result {
 
 // Path reconstructs a shortest x->t path from a Result computed with last
 // hops. It returns nil when t is unreachable from x, when x or t is out of
-// range, or when the result carries no data for x (partial-APSP runs with
-// Options.Sources leave Dist/LastHop rows nil for non-sources).
+// range, or when the run skipped last hops (SkipLastHops).
 func (r *Result) Path(x, t int) []int {
 	if x < 0 || x >= len(r.Dist) || t < 0 || t >= len(r.Dist) {
 		return nil
 	}
-	if r.LastHop == nil || r.Dist[x] == nil || r.LastHop[x] == nil || r.Dist[x][t] >= Inf {
+	if r.LastHop == nil || r.Dist[x][t] >= Inf {
 		return nil
 	}
 	var rev []int
@@ -303,7 +298,7 @@ type BlockerStats struct {
 // deterministic construction (Algorithm 2') with hop parameter
 // ceil(n^(1/3)).
 type BlockerOptions struct {
-	// HopParam is the hop parameter h (0 = ceil(n^(1/3))).
+	// HopParam is the hop parameter h (0 or negative = ceil(n^(1/3))).
 	HopParam int
 	// Mode selects the construction algorithm.
 	Mode BlockerMode

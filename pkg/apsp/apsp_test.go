@@ -2,6 +2,7 @@ package apsp
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -57,43 +58,54 @@ func TestAllAlgorithmsExact(t *testing.T) {
 	}
 }
 
+// TestPathReconstructionEverywhere walks Result.Path for every reachable
+// pair: each path must start at x, end at t, use only edges, and weigh
+// Dist[x][t]. The zero-weight graphs have plateaus on which a wrong
+// last-hop rule leaves a predecessor cycle, which Path reports as nil.
 func TestPathReconstructionEverywhere(t *testing.T) {
-	g := GridGraph(4, 5, GenOptions{Seed: 7, MaxWeight: 6})
-	res, err := Run(g, Options{})
-	if err != nil {
-		t.Fatal(err)
+	graphs := []*Graph{
+		GridGraph(4, 5, GenOptions{Seed: 7, MaxWeight: 6}),
+		RandomGraph(GenOptions{N: 16, Directed: true, Seed: 4, MaxWeight: 9}, 50),
+		ZeroWeightGraph(GenOptions{N: 14, Seed: 6, MaxWeight: 6}, 42),
+		ZeroWeightGraph(GenOptions{N: 14, Directed: true, Seed: 6, MaxWeight: 6}, 42),
 	}
-	// Collect edge weights for validation.
-	w := map[[2]int]int64{}
-	g.Edges(func(u, v int, wt int64) {
-		if old, ok := w[[2]int{u, v}]; !ok || wt < old {
-			w[[2]int{u, v}] = wt
+	for gi, g := range graphs {
+		res, err := Run(g, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !g.Directed() {
-			if old, ok := w[[2]int{v, u}]; !ok || wt < old {
-				w[[2]int{v, u}] = wt
+		// Collect edge weights for validation.
+		w := map[[2]int]int64{}
+		g.Edges(func(u, v int, wt int64) {
+			if old, ok := w[[2]int{u, v}]; !ok || wt < old {
+				w[[2]int{u, v}] = wt
 			}
-		}
-	})
-	for x := 0; x < g.N(); x++ {
-		for t2 := 0; t2 < g.N(); t2++ {
-			if x == t2 || res.Dist[x][t2] >= Inf {
-				continue
-			}
-			p := res.Path(x, t2)
-			if p == nil || p[0] != x || p[len(p)-1] != t2 {
-				t.Fatalf("bad path %v for (%d,%d)", p, x, t2)
-			}
-			var sum int64
-			for i := 0; i+1 < len(p); i++ {
-				wt, ok := w[[2]int{p[i], p[i+1]}]
-				if !ok {
-					t.Fatalf("path (%d,%d) uses non-edge (%d,%d)", x, t2, p[i], p[i+1])
+			if !g.Directed() {
+				if old, ok := w[[2]int{v, u}]; !ok || wt < old {
+					w[[2]int{v, u}] = wt
 				}
-				sum += wt
 			}
-			if sum != res.Dist[x][t2] {
-				t.Fatalf("path weight %d != dist %d for (%d,%d)", sum, res.Dist[x][t2], x, t2)
+		})
+		for x := 0; x < g.N(); x++ {
+			for t2 := 0; t2 < g.N(); t2++ {
+				if x == t2 || res.Dist[x][t2] >= Inf {
+					continue
+				}
+				p := res.Path(x, t2)
+				if p == nil || p[0] != x || p[len(p)-1] != t2 {
+					t.Fatalf("graph %d: bad path %v for (%d,%d)", gi, p, x, t2)
+				}
+				var sum int64
+				for i := 0; i+1 < len(p); i++ {
+					wt, ok := w[[2]int{p[i], p[i+1]}]
+					if !ok {
+						t.Fatalf("graph %d: path (%d,%d) uses non-edge (%d,%d)", gi, x, t2, p[i], p[i+1])
+					}
+					sum += wt
+				}
+				if sum != res.Dist[x][t2] {
+					t.Fatalf("graph %d: path weight %d != dist %d for (%d,%d)", gi, sum, res.Dist[x][t2], x, t2)
+				}
 			}
 		}
 	}
@@ -178,6 +190,14 @@ func TestStatsExposure(t *testing.T) {
 	}
 	if stageRounds(s, "step1-csssp") <= 0 || stageRounds(s, "step7-extend") <= 0 {
 		t.Errorf("stage breakdown missing: %+v", s.Stages)
+	}
+	// A negative HopParam selects the default h, as BlockerSet's does.
+	neg, err := Run(g, Options{HopParam: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stripHostCost(neg.Stats), stripHostCost(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("HopParam -1 stats diverge from the default's:\n  got:  %+v\n  want: %+v", got, want)
 	}
 }
 

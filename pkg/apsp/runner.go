@@ -12,11 +12,10 @@ import (
 // (CSR adjacency) is built once by NewRunner, and everything that grows
 // while running — engine arenas, pooled protocol scratch, the worker-clone
 // fleet of the parallel execution layer — is kept warm across calls, so
-// repeated runs with different algorithms, sources, bandwidths or
-// execution modes skip the per-call cold start that apsp.Run pays every
-// time. This is the intended surface for serving repeated traffic against
-// one graph: build a Runner per graph, then call Run (full or, with
-// Options.Sources, partial APSP) and BlockerSet as often as needed. Each
+// repeated runs with different algorithms, bandwidths or execution modes
+// skip the per-call cold start that apsp.Run pays every time. This is the
+// intended surface for serving repeated traffic against one graph: build a
+// Runner per graph, then call Run and BlockerSet as often as needed. Each
 // call runs the session's one staged executor — BlockerSet over its first
 // two stages — so cancellation, typed errors and panic isolation are the
 // same for both.

@@ -106,8 +106,8 @@ func TestRunnerResultsOutliveLaterRuns(t *testing.T) {
 }
 
 // TestRunnerRunMany: one warm Runner runs many option sets in turn —
-// profiles, exec modes and a partial-source run — and each result matches
-// a cold run with the same options.
+// profiles, exec modes and a run without last hops — and each result
+// matches a cold run with the same options.
 func TestRunnerRunMany(t *testing.T) {
 	forceWorkers(t)
 	g := runnerTestGraph(24)
@@ -119,7 +119,7 @@ func TestRunnerRunMany(t *testing.T) {
 		{},
 		{Algorithm: Deterministic32},
 		{Parallel: true},
-		{Sources: []int{0, 5}},
+		{SkipLastHops: true},
 	}
 	results := make([]*Result, len(opts))
 	for i, opt := range opts {

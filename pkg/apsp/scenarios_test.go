@@ -118,7 +118,7 @@ func TestGraphIORoundTripPublic(t *testing.T) {
 }
 
 // TestScenarioRunsExact: a small scenario from each new family runs the
-// full pipeline and matches partial-APSP expectations end to end.
+// full pipeline, and its distances pass symmetry and triangle spot checks.
 func TestScenarioRunsExact(t *testing.T) {
 	for _, family := range []string{"powerlaw", "geometric", "expander", "ktree"} {
 		sc := Scenario{Family: family, N: 20, Seed: 1}
