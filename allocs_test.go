@@ -116,10 +116,11 @@ func TestBroadcastWarmNetworkAllocs(t *testing.T) {
 }
 
 // TestTreeChargeWarmAllocs: the charged per-tree primitives of csssp are
-// allocation-free on a warm Network. Their tree walks, send lists and
-// per-round deliveries are pooled, and so, in -tags matcheck builds, are
-// the guard's reference network and the reference protocols' state.
-// RemoveSubtrees hands ShardRuns a sub-run bound once per network.
+// allocation-free on a warm Network. Their send lists and per-round
+// deliveries are pooled, and so, in -tags matcheck builds, are the guard's
+// reference network and the reference protocols' state. Kept walks reuse
+// their arenas, and RemoveSubtrees hands ShardRuns a sub-run bound once
+// per network.
 func TestTreeChargeWarmAllocs(t *testing.T) {
 	g := benchGraph(64)
 	nw, err := congest.NewNetwork(g, 1)
@@ -143,10 +144,18 @@ func TestTreeChargeWarmAllocs(t *testing.T) {
 	for v := range inZ {
 		inZ[v] = v%9 == 4
 	}
+	var kept csssp.Walks
+	walkAll := func() {
+		kept.Reset(coll)
+		for i := range coll.Sources {
+			coll.Walk(kept.Tree(i), i)
+		}
+	}
+	walkAll()
 	for name, call := range map[string]func() error{
 		"UpcastSumInto": func() error {
 			for i := range coll.Sources {
-				if err := coll.UpcastSumInto(nw, i, init, acc); err != nil {
+				if err := coll.UpcastSumInto(nw, kept.Tree(i), i, init, acc); err != nil {
 					return err
 				}
 			}
@@ -154,7 +163,12 @@ func TestTreeChargeWarmAllocs(t *testing.T) {
 		},
 		"RemoveSubtrees": func() error {
 			coll.ResetRemovals()
-			return coll.RemoveSubtrees(nw, inZ, true)
+			return coll.RemoveSubtrees(nw, nil, inZ, true)
+		},
+		"RemoveSubtrees/kept": func() error {
+			coll.ResetRemovals()
+			walkAll()
+			return coll.RemoveSubtrees(nw, &kept, inZ, true)
 		},
 	} {
 		if got := testing.AllocsPerRun(5, func() {

@@ -341,8 +341,7 @@ func BenchmarkDistributedBellmanFord(b *testing.B) {
 
 // BenchmarkAllToAll measures one charged all-to-all broadcast (Lemma A.2)
 // over the BFS tree of a 256-node ring, one item per node, bandwidth 1: the
-// gather replay and the closed-form flood, including the host-side sort of
-// the union.
+// closed-form gather and flood, including the host-side sort of the union.
 func BenchmarkAllToAll(b *testing.B) {
 	g := graph.Ring(graph.GenConfig{N: 256, Seed: 1, MaxWeight: 9})
 	nw, err := congest.NewNetwork(g, 1)
@@ -368,8 +367,9 @@ func BenchmarkAllToAll(b *testing.B) {
 
 // BenchmarkTreeUpcast measures the charged Compute-Count convergecast as
 // the blocker's score recomputation runs it: one UpcastSumInto per tree of
-// the ring-n256 det43 collection (h = 7), each summing the tree's depth-h
-// leaf indicators. One op is the pass over all 256 trees.
+// the ring-n256 det43 collection (h = 7) over the tree's kept walk, each
+// summing the tree's depth-h leaf indicators. One op is the pass over all
+// 256 trees.
 func BenchmarkTreeUpcast(b *testing.B) {
 	g := graph.Ring(graph.GenConfig{N: 256, Seed: 1, MaxWeight: 50})
 	coll, nw := buildColl(b, g, hopParam(g.N))
@@ -381,13 +381,37 @@ func BenchmarkTreeUpcast(b *testing.B) {
 		}
 	}
 	counts := make([]int64, n*n)
+	var kept csssp.Walks
+	kept.Reset(coll)
+	for i := range coll.Sources {
+		coll.Walk(kept.Tree(i), i)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		for i := range coll.Sources {
-			if err := coll.UpcastSumInto(nw, i, init[i*n:(i+1)*n], counts[i*n:(i+1)*n]); err != nil {
+			if err := coll.UpcastSumInto(nw, kept.Tree(i), i, init[i*n:(i+1)*n], counts[i*n:(i+1)*n]); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkBlockerCompute measures the deterministic blocker-set
+// construction (Algorithm 2') as step 2 runs it on the ring-n256 det43
+// collection (h = 7): the Ancestors pass that takes the kept walks, the
+// selection steps with their per-tree downcasts and upcasts, Remove-Subtrees
+// floods and all-to-alls. One op is ResetRemovals plus blocker.Compute on a
+// warm network.
+func BenchmarkBlockerCompute(b *testing.B) {
+	g := graph.Ring(graph.GenConfig{N: 256, Seed: 1, MaxWeight: 50})
+	coll, nw := buildColl(b, g, hopParam(g.N))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coll.ResetRemovals()
+		if _, err := blocker.Compute(nw, coll, blocker.Params{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

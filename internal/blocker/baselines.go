@@ -138,9 +138,11 @@ func computeRandomSample(nw *congest.Network, coll *csssp.Collection, par Params
 	// their ids.
 	clear(cnt)
 	stats := Stats{}
+	beta := make([]int64, n)
+	var walk csssp.TreeWalk
 	for i := range coll.Sources {
-		beta, err := computePijDowncast(nw, coll, i, inQ)
-		if err != nil {
+		coll.Walk(&walk, i)
+		if err := computePijDowncastInto(nw, coll, i, &walk, inQ, beta); err != nil {
 			return nil, err
 		}
 		for v := 0; v < n; v++ {

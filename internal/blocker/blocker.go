@@ -3,6 +3,7 @@ package blocker
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"congestapsp/internal/broadcast"
@@ -143,10 +144,18 @@ type state struct {
 	ancOff []int32
 	ancIds []int32
 
-	score    []int64 // global knowledge after broadcastScores
-	inVi     []bool  // current V_i (derived locally from score)
-	viSize   int
-	leafBeta [][]int64 // leafBeta[i][v]: |V_i ∩ path(i,v)| for alive full-length leaves; global knowledge
+	// walks[i] is tree i's walk, taken in the Ancestors pass and kept
+	// current by every commit's RemoveSubtrees: the per-tree protocols of
+	// a selection step read it instead of walking the tree again.
+	walks csssp.Walks
+
+	score  []int64 // global knowledge after broadcastScores
+	inVi   []bool  // current V_i (derived locally from score)
+	viSize int
+	// leafBeta[i][v] is |V_i ∩ path(i,v)| at the alive full-length leaves
+	// v of tree i and 0 at the removed ones (global knowledge); other
+	// entries are never read.
+	leafBeta [][]int64
 	inQ      []bool
 	q        []int
 	stats    Stats
@@ -156,7 +165,7 @@ type state struct {
 	counts      []int64   // trees x n upcast results (one shared matrix)
 	countUsed   []bool    // per-tree: counts row was filled this pass
 	pijLeafBuf  []bool    // flat backing of pijLeaf
-	pijLeaf     [][]bool  // row views, rebuilt per ensure
+	pijLeaf     [][]bool  // row views, rebuilt per ensure; read at full-length leaves only
 	scoreij     []int64   // per-step coverage scores
 	inZ         []bool    // commit scratch
 	cnt         []int32   // per-node item counts of a broadcast
@@ -165,7 +174,6 @@ type state struct {
 	totPi       []int64   // aggregated nuPi (or the randomized check's pair)
 	totPij      []int64   // aggregated nuPij
 	members     []int     // selected good-set members
-	walk        csssp.TreeWalk
 }
 
 // reinit points the pooled state at a new (collection, params) pair and
@@ -206,6 +214,7 @@ func (st *state) reinit(nw *congest.Network, coll *csssp.Collection, par Params)
 		total = ancestorOffsets(coll.Depth[i], st.ancOffRow(i), total)
 	}
 	st.ancIds = congest.Grow(st.ancIds, int(total))
+	st.walks.Reset(coll)
 }
 
 // countsRow returns row i of the pooled trees x n upcast matrix.
@@ -226,10 +235,10 @@ func (st *state) ancRow(i, v int) []int32 {
 }
 
 // addTreeCounts adds, for every node v of tree i other than its root,
-// counts[v] into sum. It walks the tree, so it costs O(tree), not O(n).
+// counts[v] into sum. It reads the kept walk, so it costs O(tree), not
+// O(n).
 func (st *state) addTreeCounts(i int, counts, sum []int64) {
-	st.coll.Walk(&st.walk, i)
-	for _, v := range st.walk.Descendants() {
+	for _, v := range st.walks.Tree(i).Descendants() {
 		sum[v] += counts[v]
 	}
 }
@@ -270,10 +279,11 @@ func computeSetCover(nw *congest.Network, coll *csssp.Collection, par Params) (*
 	// Step 1 of Algorithm 7: every node collects the ids on each of its
 	// tree paths (pipelined Ancestors of [2]; O(|S|*h) rounds). Removals
 	// only delete whole paths, so the lists stay valid throughout. The
-	// per-tree protocols are independent and dispatch across the
-	// work-stealing worker clones (each index owns tree i's rows).
+	// pass also takes the kept walk of every tree. The per-tree protocols
+	// are independent and dispatch across the work-stealing worker clones
+	// (each index owns tree i's rows and walk).
 	err = nw.ShardRuns(coll.NumTrees(), func(w *congest.Network, i int) error {
-		return collectAncestors(w, coll, i, st.ancOffRow(i), st.ancIds)
+		return collectAncestors(w, coll, i, st.walks.Tree(i), st.ancOffRow(i), st.ancIds)
 	})
 	if err != nil {
 		return nil, err
@@ -392,15 +402,15 @@ func (st *state) rebuildVi(lo float64) bool {
 // (int64 sums are exact, so the result is bit-identical to the sequential
 // loop).
 func (st *state) recomputeScores() error {
-	n := st.n
 	err := st.nw.ShardRuns(st.coll.NumTrees(), func(w *congest.Network, i int) error {
-		init := w.Scratch().Int64s(n)
+		walk := st.walks.Tree(i)
+		init := getTreeCharge(w).upcastInit(st.n, walk)
 		for _, v := range st.coll.HLeaves(i) {
 			if !st.coll.Removed[i][v] {
 				init[v] = 1
 			}
 		}
-		return st.coll.UpcastSumInto(w, i, init, st.countsRow(i))
+		return st.coll.UpcastSumInto(w, walk, i, init, st.countsRow(i))
 	})
 	if err != nil {
 		return err
@@ -418,17 +428,17 @@ func (st *state) recomputeScores() error {
 // Compute-Pij downcast per tree, then shares the per-leaf values by one
 // all-to-all broadcast so every node can evaluate any |P_ij| locally.
 func (st *state) refreshBetas() error {
-	// Per-tree downcasts, source-sharded (index i owns leafBeta[i]).
+	// Per-tree downcasts, source-sharded (index i owns leafBeta[i]). A
+	// downcast writes only the nodes still in its tree, so the removed
+	// leaves are zeroed here.
 	err := st.nw.ShardRuns(st.coll.NumTrees(), func(w *congest.Network, i int) error {
-		beta := w.Scratch().Int64s(st.n)
-		if err := computePijDowncastInto(w, st.coll, i, st.inVi, beta); err != nil {
+		lb := st.leafBeta[i]
+		if err := computePijDowncastInto(w, st.coll, i, st.walks.Tree(i), st.inVi, lb); err != nil {
 			return err
 		}
-		lb := st.leafBeta[i]
-		clear(lb)
 		for _, v := range st.coll.HLeaves(i) {
-			if !st.coll.Removed[i][v] {
-				lb[v] = beta[v]
+			if st.coll.Removed[i][v] {
+				lb[v] = 0
 			}
 		}
 		return nil
@@ -452,16 +462,17 @@ func (st *state) refreshBetas() error {
 }
 
 // pijLeaves returns the indicator of alive full-length paths with at least
-// phaseLo V_i-nodes, keyed (tree, leaf), plus their count. The rows are
-// pooled and valid until the next pijLeaves call.
+// phaseLo V_i-nodes, keyed (tree, leaf) and written at every full-length
+// leaf, plus their count. The rows are pooled and valid until the next
+// pijLeaves call.
 func (st *state) pijLeaves(phaseLo float64) ([][]bool, int) {
-	clear(st.pijLeafBuf)
 	size := 0
 	for i := range st.coll.Sources {
 		row := st.pijLeaf[i]
 		for _, v := range st.coll.HLeaves(i) {
-			if !st.coll.Removed[i][v] && float64(st.leafBeta[i][v]) >= phaseLo {
-				row[v] = true
+			in := !st.coll.Removed[i][v] && float64(st.leafBeta[i][v]) >= phaseLo
+			row[v] = in
+			if in {
 				size++
 			}
 		}
@@ -478,21 +489,20 @@ func (st *state) computeScoreij(pijLeaf [][]bool) ([]int64, error) {
 	// into per-tree rows, accumulated in tree order afterwards. Trees with
 	// no P_ij leaf skip their upcast (and its round charge) exactly as the
 	// sequential loop did.
-	n := st.n
 	err := st.nw.ShardRuns(st.coll.NumTrees(), func(w *congest.Network, i int) error {
-		any := false
-		init := w.Scratch().Int64s(n)
-		for _, v := range st.coll.HLeaves(i) {
-			if pijLeaf[i][v] {
-				init[v] = 1
-				any = true
-			}
-		}
-		st.countUsed[i] = any
-		if !any {
+		leaves := st.coll.HLeaves(i)
+		st.countUsed[i] = slices.ContainsFunc(leaves, func(v int32) bool { return pijLeaf[i][v] })
+		if !st.countUsed[i] {
 			return nil
 		}
-		return st.coll.UpcastSumInto(w, i, init, st.countsRow(i))
+		walk := st.walks.Tree(i)
+		init := getTreeCharge(w).upcastInit(st.n, walk)
+		for _, v := range leaves {
+			if pijLeaf[i][v] {
+				init[v] = 1
+			}
+		}
+		return st.coll.UpcastSumInto(w, walk, i, init, st.countsRow(i))
 	})
 	if err != nil {
 		return nil, err
@@ -524,7 +534,7 @@ func (st *state) commit(chosen []int) error {
 		}
 		st.inZ[v] = true
 	}
-	if err := st.coll.RemoveSubtrees(st.nw, st.inZ, true); err != nil {
+	if err := st.coll.RemoveSubtrees(st.nw, &st.walks, st.inZ, true); err != nil {
 		return err
 	}
 	return st.recomputeScores()

@@ -3,6 +3,7 @@ package blocker
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -52,13 +53,16 @@ func observe(nw *congest.Network, cancelAt int, call func() error) observed {
 // TestTreeChargeMatchesReference is the differential test of the charged
 // per-tree protocols of this package. Over generated rings, stars, paths
 // and random graphs, directed and undirected, with n from 2 to 64 and
-// bandwidths 1-3, and over the removal states reached by RemoveSubtrees with nested members in Z, a root
-// in Z, and excludeRoots both ways, every collectAncestors and
-// computePijDowncastInto call must leave the same Stats, WordsByNode,
-// OnRound stream and error as its reference protocol on the engine, and
-// the same ancestor lists and beta values at the tree's nodes. Each call
-// also runs canceled after round 1 and after round 2, where the outputs
-// must equal what the reference nodes hold when it stops.
+// bandwidths 1-3, built sequentially and source-sharded, and over the
+// removal states reached by RemoveSubtrees with nested members in Z, a
+// root in Z, excludeRoots both ways and then generated commits, every
+// collectAncestors and computePijDowncastInto call must leave the same
+// Stats, WordsByNode, OnRound stream and error as its reference protocol on
+// the engine, and the same ancestor lists and beta values at the tree's
+// nodes. As in the set cover, the downcasts read kept walks that only the
+// removals update; each must equal the fresh walk collectAncestors takes.
+// Each call also runs canceled after round 1 and after round 2, where the
+// outputs must equal what the reference nodes hold when it stops.
 func TestTreeChargeMatchesReference(t *testing.T) {
 	families := []struct {
 		name  string
@@ -86,21 +90,24 @@ func TestTreeChargeMatchesReference(t *testing.T) {
 			for _, n := range []int{2, 3, 7, 16, 41, 64} {
 				g := fam.build(n, directed)
 				for bw := 1; bw <= 3; bw++ {
-					name := fmt.Sprintf("%s/directed=%v/n=%d/b=%d", fam.name, directed, n, bw)
-					checkTreeCase(t, name, g, bw)
+					for _, parallel := range []bool{false, true} {
+						name := fmt.Sprintf("%s/directed=%v/n=%d/b=%d/parallel=%v", fam.name, directed, n, bw, parallel)
+						checkTreeCase(t, name, g, bw, parallel)
+					}
 				}
 			}
 		}
 	}
 }
 
-func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int) {
+func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int, parallel bool) {
 	n := g.N
 	net := func() *congest.Network {
 		nw, err := congest.NewNetwork(g, bw)
 		if err != nil {
 			t.Fatal(err)
 		}
+		nw.Parallel = parallel
 		return nw
 	}
 	ch, ref := net(), net()
@@ -118,13 +125,19 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int) {
 	}
 	off, wantOff := make([]int32, n+1), make([]int32, n+1)
 	beta, wantBeta := make([]int64, n), make([]int64, n)
+	var kept csssp.Walks
+	kept.Reset(coll)
+	for i := range coll.Sources {
+		coll.Walk(kept.Tree(i), i)
+	}
+	var fresh csssp.TreeWalk
 	check := func(state int) {
 		for i := range coll.Sources {
 			total := ancestorOffsets(coll.Depth[i], off, 0)
 			ancestorOffsets(coll.Depth[i], wantOff, 0)
 			for _, cancelAt := range []int{-1, 1, 2} {
 				ids, wantIds := make([]int32, total), make([]int32, total)
-				got := observe(ch, cancelAt, func() error { return collectAncestors(ch, coll, i, off, ids) })
+				got := observe(ch, cancelAt, func() error { return collectAncestors(ch, coll, i, &fresh, off, ids) })
 				exp := observe(ref, cancelAt, func() error {
 					err := ancestorsRef(ref, coll, i, wantOff, wantIds)
 					if err != nil {
@@ -142,9 +155,13 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int) {
 					}
 				}
 
+				if w := kept.Tree(i); !slices.Equal(w.Nodes, fresh.Nodes) || !slices.Equal(w.Kids, fresh.Kids) {
+					t.Fatalf("%s: removal state %d: kept walk of tree %d is %v %v, a fresh walk %v %v", name, state, i, w.Nodes, w.Kids, fresh.Nodes, fresh.Kids)
+				}
+
 				clear(beta)
 				clear(wantBeta)
-				got = observe(ch, cancelAt, func() error { return computePijDowncastInto(ch, coll, i, inVi, beta) })
+				got = observe(ch, cancelAt, func() error { return computePijDowncastInto(ch, coll, i, kept.Tree(i), inVi, beta) })
 				exp = observe(ref, cancelAt, func() error {
 					err := pijRef(ref, coll, i, inVi, wantBeta)
 					if err != nil {
@@ -159,19 +176,36 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int) {
 		}
 	}
 	check(0)
-	steps := []struct {
+	type step struct {
+		inZ          []bool
+		excludeRoots bool
+	}
+	var steps []step
+	for _, st := range []struct {
 		inZ          func(v int) bool
 		excludeRoots bool
 	}{
 		{func(v int) bool { return v == 0 || v%5 == 2 }, true},
 		{func(v int) bool { return v == 1 || v%7 == 3 || v == n-1 }, false},
-	}
-	for s, step := range steps {
+	} {
 		inZ := make([]bool, n)
 		for v := range inZ {
-			inZ[v] = step.inZ(v)
+			inZ[v] = st.inZ(v)
 		}
-		if err := coll.RemoveSubtrees(ch, inZ, step.excludeRoots); err != nil {
+		steps = append(steps, step{inZ, st.excludeRoots})
+	}
+	// Then generated commits: one to three random nodes each, with
+	// excludeRoots drawn at random.
+	rng := rand.New(rand.NewSource(int64(n)))
+	for range 3 {
+		inZ := make([]bool, n)
+		for j := rng.Intn(3); j >= 0; j-- {
+			inZ[rng.Intn(n)] = true
+		}
+		steps = append(steps, step{inZ, rng.Intn(2) == 0})
+	}
+	for s, st := range steps {
+		if err := coll.RemoveSubtrees(ch, &kept, st.inZ, st.excludeRoots); err != nil {
 			t.Fatal(err)
 		}
 		check(s + 1)
@@ -193,9 +227,11 @@ func TestTreeChargeWarmAllocs(t *testing.T) {
 		inVi[v] = v%3 == 0
 	}
 	beta := make([]int64, n)
+	var walk csssp.TreeWalk
+	coll.Walk(&walk, 0)
 	for name, call := range map[string]func() error{
-		"collectAncestors":       func() error { return collectAncestors(nw, coll, 0, off, ids) },
-		"computePijDowncastInto": func() error { return computePijDowncastInto(nw, coll, 0, inVi, beta) },
+		"collectAncestors":       func() error { return collectAncestors(nw, coll, 0, &walk, off, ids) },
+		"computePijDowncastInto": func() error { return computePijDowncastInto(nw, coll, 0, &walk, inVi, beta) },
 	} {
 		if got := testing.AllocsPerRun(5, func() {
 			if err := call(); err != nil {

@@ -37,15 +37,29 @@ import (
 // treeKey keys a network's treeCharge in its scratch registry.
 type treeKey struct{}
 
-// treeCharge is a network's pooled host state for the charged per-tree
-// protocols of this package.
+// treeCharge is a network's pooled host state for the per-tree protocols
+// of this package: the charged runs' sends and the set cover's upcast
+// input.
 type treeCharge struct {
-	walk   csssp.TreeWalk
 	bursts []congest.Burst
+	init   []int64
 }
 
 func getTreeCharge(nw *congest.Network) *treeCharge {
 	return congest.ScratchState(nw.Scratch(), treeKey{}, func() *treeCharge { return new(treeCharge) })
+}
+
+// upcastInit returns the network's pooled upcast input, length n, with 0
+// at the nodes of walk w. Its other entries hold what earlier trees left:
+// an upcast reads its input only at the nodes of its tree.
+func (tc *treeCharge) upcastInit(n int, w *csssp.TreeWalk) []int64 {
+	if len(tc.init) != n {
+		tc.init = make([]int64, n)
+	}
+	for _, v := range w.Nodes {
+		tc.init[v] = 0
+	}
+	return tc.init
 }
 
 // ancestorOffsets fills off (length n+1) with the CSR offsets of tree
@@ -64,17 +78,17 @@ func ancestorOffsets(depth []int, off []int32, base int32) int32 {
 // Algorithm 7) on tree i: every node learns the ids of its proper ancestors
 // up to but excluding the root, nearest-first, into ids[off[v]:off[v+1]]
 // (offsets from ancestorOffsets). Only the rows of tree i's nodes are
-// written. Cost: H+1 rounds.
+// written. Cost: H+1 rounds. It walks tree i into w, which the set cover
+// keeps for the rest of its run.
 //
 // The run is charged from the tree: each non-root node sends its own id to
 // its children in round 0 and forwards the ids it receives, one per round
 // and FIFO, so a node at depth d receives its d-1 ids in rounds 1..d-1 and
 // sends in rounds 0..d-1. After an interruption a node holds the ids of the
 // completed rounds and zeros after them.
-func collectAncestors(nw *congest.Network, coll *csssp.Collection, i int, off, ids []int32) error {
+func collectAncestors(nw *congest.Network, coll *csssp.Collection, i int, w *csssp.TreeWalk, off, ids []int32) error {
 	tc := getTreeCharge(nw)
 	err := nw.Charged("ancestors", func() error {
-		w := &tc.walk
 		coll.Walk(w, i)
 		depth, parent := coll.Depth[i], coll.Parent[i]
 		b := tc.bursts[:0]
@@ -101,7 +115,7 @@ func collectAncestors(nw *congest.Network, coll *csssp.Collection, i int, off, i
 		}
 		return err
 	}, func(ref *congest.Network) error {
-		return checkAncestors(ref, coll, i, off, ids, tc.walk.Nodes)
+		return checkAncestors(ref, coll, i, off, ids, w.Nodes)
 	})
 	if err != nil {
 		return fmt.Errorf("blocker: ancestors tree %d: %w", i, err)
@@ -110,33 +124,29 @@ func collectAncestors(nw *congest.Network, coll *csssp.Collection, i int, off, i
 }
 
 // computePijDowncastInto runs Compute-Pij (Algorithm 4): a downcast through
-// tree i accumulating the number of marked (in-Vi) nodes on each
-// root-to-node path, root excluded, written into beta (length n, zeroed by
-// the caller) at the tree's nodes. Compute-Pi (Algorithm 3) is the special
-// case "beta >= 1". Cost: H+1 rounds.
+// tree i, whose walk is w, accumulating the number of marked (in-Vi) nodes
+// on each root-to-node path, root excluded, written into beta (length n)
+// at the nodes of w; the rest of beta is left as it is. Compute-Pi
+// (Algorithm 3) is the special case "beta >= 1". Cost: H+1 rounds.
 //
 // The run is charged from the tree: the root sends 0 to its children in
 // round 0, and a node at depth d receives its parent's value in round d and
 // sends its own to its children in the same round, so the engine would
 // simulate one round more than the deepest depth reached. After an
 // interruption only the nodes reached in completed rounds hold their beta.
-func computePijDowncastInto(nw *congest.Network, coll *csssp.Collection, i int, inVi []bool, beta []int64) error {
+func computePijDowncastInto(nw *congest.Network, coll *csssp.Collection, i int, w *csssp.TreeWalk, inVi []bool, beta []int64) error {
 	tc := getTreeCharge(nw)
 	err := nw.Charged("compute-pij", func() error {
-		w := &tc.walk
-		coll.Walk(w, i)
-		depth, parent, root := coll.Depth[i], coll.Parent[i], coll.Sources[i]
+		depth, parent := coll.Depth[i], coll.Parent[i]
 		b := tc.bursts[:0]
 		for k, v := range w.Nodes {
-			if k > 0 {
-				var x int64
-				if p := parent[v]; p != root {
-					x = beta[p]
-				}
-				if inVi[v] {
-					x++
-				}
-				beta[v] = x
+			switch {
+			case k == 0:
+				beta[v] = 0 // the root is not on its paths' hyperedges
+			case inVi[v]:
+				beta[v] = beta[parent[v]] + 1
+			default:
+				beta[v] = beta[parent[v]]
 			}
 			if sent := w.Kids[k+1] - w.Kids[k]; sent > 0 {
 				r := int32(depth[v])
@@ -154,21 +164,10 @@ func computePijDowncastInto(nw *congest.Network, coll *csssp.Collection, i int, 
 		}
 		return err
 	}, func(ref *congest.Network) error {
-		return checkPij(ref, coll, i, inVi, beta, tc.walk.Nodes)
+		return checkPij(ref, coll, i, inVi, beta, w.Nodes)
 	})
 	if err != nil {
 		return fmt.Errorf("blocker: compute-Pij tree %d: %w", i, err)
 	}
 	return nil
-}
-
-// computePijDowncast is computePijDowncastInto with freshly allocated
-// outputs, for callers outside the pooled set-cover loop (the random-sample
-// baseline's coverage check).
-func computePijDowncast(nw *congest.Network, coll *csssp.Collection, i int, inVi []bool) ([]int64, error) {
-	beta := make([]int64, nw.N())
-	if err := computePijDowncastInto(nw, coll, i, inVi, beta); err != nil {
-		return nil, err
-	}
-	return beta, nil
 }

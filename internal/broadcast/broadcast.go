@@ -14,12 +14,15 @@
 //
 // The schedules of these primitives depend on the tree, the per-node item
 // counts and the bandwidth, never on item values, so they are charged
-// rather than simulated: each round's deliveries are computed over plain
-// integers and fed to congest.ChargeSchedule, which replays the engine's
-// per-round hooks. What a caller reads back, the sorted union of the
-// inputs or the element-wise sum, is computed on the host. The engine
-// protocols remain as the reference (reference.go); builds with -tags
-// matcheck check every charged call against them (congest.Charged).
+// rather than simulated, in closed form: the flood's and the
+// aggregation's per-round deliveries are counted from the tree's depth
+// histogram and fed to congest.ChargeSchedule, and the gather's sends are
+// worked out per node as runs of constant rate and fed to
+// congest.ChargeFixed. Both replay the engine's per-round hooks. What a
+// caller reads back, the sorted union of the inputs or the element-wise
+// sum, is computed on the host. The engine protocols remain as the
+// reference (reference.go); builds with -tags matcheck check every charged
+// call against them (congest.Charged).
 //
 // The package also exposes the BFS-tree construction itself (flooding,
 // O(diameter) rounds), which is simulated.
@@ -48,6 +51,8 @@ type Tree struct {
 	Depth    []int
 	Children [][]int
 	Height   int
+
+	order []int32 // the nodes by nondecreasing depth, root first
 }
 
 // Message kinds used by the protocols in this package.
@@ -128,6 +133,16 @@ func BuildBFS(nw *congest.Network, root int) (*Tree, error) {
 			t.Children[p] = append(t.Children[p], v)
 		}
 	}
+	// The breadth-first order: the root, then every child list in turn.
+	if cap(t.order) < n {
+		t.order = make([]int32, 0, n)
+	}
+	t.order = append(t.order[:0], int32(root))
+	for k := 0; k < len(t.order); k++ {
+		for _, c := range t.Children[t.order[k]] {
+			t.order = append(t.order, int32(c))
+		}
+	}
 	return t, nil
 }
 
@@ -188,7 +203,7 @@ type bcastKey struct{}
 type bcastState struct {
 	cnt    []int32 // per-node item counts of the current call
 	depths []int32 // depths[d]: nodes at depth 1..d of the current tree
-	gather gatherSchedule
+	gather gatherState
 	flood  floodSchedule
 	sum    sumSchedule
 	union  []Item // the sorted union returned by Gather and AllToAll
@@ -342,86 +357,112 @@ func (st *bcastState) depthCounts(t *Tree) []int32 {
 	return st.depths
 }
 
-// gatherSchedule replays the pipelined convergecast of Gather over
-// integers. Every non-root node queues its own items and those its
-// children send; each round it sends the first min(bandwidth, queued) of
-// them to its parent, which receives them the next round. Only the nodes
-// with items queued or arriving are visited, so a round costs what it
-// delivers, not n.
-type gatherSchedule struct {
-	t       *Tree
-	b       int32
-	queued  []int32 // items waiting at v
-	arrive  []int32 // items v receives next round
-	cur     []int32 // nodes with items queued or arriving this round
-	next    []int32
-	mark    []uint64 // mark[v] == stamp: v is already on next
-	stamp   uint64
-	wordsBy []int64 // the network's WordsByNode
+// gatherState is the pooled state of chargeGather: the sends of every
+// node as runs (Bursts), node v's being sends[lo[v]:hi[v]], and the
+// arrival-rate changes of the node being charged.
+type gatherState struct {
+	sends  []congest.Burst
+	lo, hi []int32
+	events []rateChange
 }
 
-// Round implements congest.Schedule.
-func (s *gatherSchedule) Round(int) (int64, bool) {
-	// Items sent last round join their receivers' queues first.
-	for _, v := range s.cur {
-		s.queued[v] += s.arrive[v]
-		s.arrive[v] = 0
-	}
-	s.stamp++
-	s.next = s.next[:0]
-	var sent int64
-	for _, v := range s.cur {
-		if int(v) == s.t.Root {
-			s.queued[v] = 0 // the root keeps what it collects
-			continue
-		}
-		k := min(s.b, s.queued[v])
-		s.queued[v] -= k
-		s.wordsBy[v] += int64(k)
-		sent += int64(k)
-		p := int32(s.t.Parent[v])
-		s.arrive[p] += k
-		s.push(p)
-		if s.queued[v] > 0 {
-			s.push(v)
-		}
-	}
-	s.cur, s.next = s.next, s.cur
-	return sent, len(s.cur) > 0
-}
-
-func (s *gatherSchedule) push(v int32) {
-	if s.mark[v] != s.stamp {
-		s.mark[v] = s.stamp
-		s.next = append(s.next, v)
-	}
-}
+// rateChange is a change of a node's arrival rate: from round r on, delta
+// more items arrive per round.
+type rateChange struct{ r, delta int32 }
 
 // chargeGather charges the convergecast of cnt[v] items from every node v.
-// The run starts from every node and ends in the round the root receives
-// the last item, or after round 0 when no item is below the root.
+// Every non-root node queues its own items and those its children send,
+// and each round sends the first min(bandwidth, queued) of them to its
+// parent, which queues them the next round. The run starts from every node
+// and ends in the round the root receives the last item, or after round 0
+// when no item is below the root.
+//
+// The sends follow from the queues in closed form. Visited deepest first,
+// a node's arrivals are its children's sends one round later: a few
+// stretches of constant rate. Over a stretch of rate a a queue served at b
+// per round sends b per round while its backlog lasts, then one partial
+// round, then a per round (serve). So each node's sends are a few runs of
+// constant rate, charged as congest.Bursts.
 func chargeGather(nw *congest.Network, t *Tree, cnt []int32) error {
-	n := nw.N()
 	s := &getState(nw).gather
-	s.t, s.b, s.wordsBy = t, int32(nw.Bandwidth), nw.Stats.WordsByNode
-	s.queued = congest.Grow(s.queued, n)
-	s.arrive = congest.Grow(s.arrive, n)
-	if len(s.mark) < n {
-		s.mark = make([]uint64, n)
-	}
-	s.cur = s.cur[:0]
-	for v, c := range cnt {
-		if c > 0 && v != t.Root {
-			s.queued[v] = c
-			s.cur = append(s.cur, int32(v))
+	b := int32(nw.Bandwidth)
+	s.lo = congest.Grow(s.lo, len(cnt))
+	s.hi = congest.Grow(s.hi, len(cnt))
+	s.sends = s.sends[:0]
+	last := int32(-1)
+	for k := len(t.order) - 1; k > 0; k-- {
+		v := t.order[k]
+		ev := s.events[:0]
+		senders := 0
+		for _, c := range t.Children[v] {
+			runs := s.sends[s.lo[c]:s.hi[c]]
+			if len(runs) > 0 {
+				senders++
+			}
+			for _, r := range runs {
+				ev = append(ev, rateChange{r.First + 1, r.Words}, rateChange{r.Last + 2, -r.Words})
+			}
+		}
+		if senders > 1 {
+			slices.SortFunc(ev, func(x, y rateChange) int { return cmp.Compare(x.r, y.r) })
+		}
+		s.events = ev
+		s.lo[v] = int32(len(s.sends))
+		backlog, from, rate := int64(cnt[v]), int32(0), int32(0)
+		for _, e := range ev {
+			if e.r > from {
+				backlog = s.serve(v, b, from, e.r, rate, backlog)
+				from = e.r
+			}
+			rate += e.delta
+		}
+		s.serve(v, b, from, -1, 0, backlog)
+		s.hi[v] = int32(len(s.sends))
+		if s.hi[v] > s.lo[v] {
+			last = max(last, s.sends[s.hi[v]-1].Last)
 		}
 	}
-	_, err := nw.ChargeSchedule(s)
-	s.t, s.wordsBy = nil, nil
-	if err != nil {
+	if _, err := nw.ChargeFixed(s.sends, 1, int(last)+2); err != nil {
 		return fmt.Errorf("broadcast: gather: %w", err)
 	}
 	return nil
+}
+
+// serve appends node v's sends over rounds from..to-1, in which a items
+// arrive per round at a queue holding backlog items and served at b per
+// round, and returns the backlog left after round to-1. With to < 0 the
+// stretch lasts until the queue is empty, and a is 0.
+func (s *gatherState) serve(v, b, from, to, a int32, backlog int64) int64 {
+	if to >= 0 && a >= b {
+		s.send(v, from, to-1, b)
+		return backlog + int64(a-b)*int64(to-from)
+	}
+	// Each round with b sent shrinks the backlog by b-a, and a round that
+	// starts with less than b-a of it sends it all.
+	d := int64(b - a)
+	full := backlog / d
+	if to >= 0 && full >= int64(to-from) {
+		s.send(v, from, to-1, b)
+		return backlog - d*int64(to-from)
+	}
+	r := from + int32(full)
+	s.send(v, from, r-1, b)
+	s.send(v, r, r, int32(backlog-full*d)+a)
+	s.send(v, r+1, to-1, a)
+	return 0
+}
+
+// send appends v's sends of rate items in each round first..last, merged
+// into v's last run when they continue it.
+func (s *gatherState) send(v, first, last, rate int32) {
+	if first > last || rate == 0 {
+		return
+	}
+	if k := len(s.sends) - 1; int32(k) >= s.lo[v] && s.sends[k].Words == rate && s.sends[k].Last+1 == first {
+		s.sends[k].Last = last
+		return
+	}
+	s.sends = append(s.sends, congest.Burst{V: v, First: first, Last: last, Words: rate})
 }
 
 // floodSchedule is the pipelined flood of Broadcast in closed form. The

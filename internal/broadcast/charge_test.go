@@ -3,6 +3,7 @@ package broadcast
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -50,37 +51,82 @@ func observe(nw *congest.Network, cancelAt int, call func() ([]Item, []int64, er
 	return o
 }
 
-// itemPatterns are the per-node item counts the differential test
-// covers: none, all at the root, one per node, and skewed toward one node.
+// itemPatterns are the per-node item counts the differential test covers
+// on tree t at bandwidth b: none, all at the root, one per node, skewed
+// toward one node, only below the middle depth, only at the leaves, and
+// seeded random counts of 0..2b+1.
 var itemPatterns = []struct {
 	name string
-	cnt  func(n, root, v int) int
+	cnt  func(t *Tree, b int) []int
 }{
-	{"none", func(n, root, v int) int { return 0 }},
-	{"root-only", func(n, root, v int) int {
-		if v == root {
+	{"none", countEach(func(t *Tree, v int) int { return 0 })},
+	{"root-only", countEach(func(t *Tree, v int) int {
+		if v == t.Root {
 			return 5
 		}
 		return 0
-	}},
-	{"one-each", func(n, root, v int) int { return 1 }},
-	{"skewed", func(n, root, v int) int {
-		if v == n-1 {
-			return 2 * n
+	})},
+	{"one-each", countEach(func(t *Tree, v int) int { return 1 })},
+	{"skewed", countEach(func(t *Tree, v int) int {
+		if v == len(t.Parent)-1 {
+			return 2 * len(t.Parent)
 		}
 		return v % 3
+	})},
+	{"deep-only", countEach(func(t *Tree, v int) int {
+		if t.Depth[v] > t.Height/2 {
+			return 1 + v%2
+		}
+		return 0
+	})},
+	{"leaves-only", countEach(func(t *Tree, v int) int {
+		if len(t.Children[v]) == 0 {
+			return 1 + v%3
+		}
+		return 0
+	})},
+	{"random", func(t *Tree, b int) []int {
+		rng := rand.New(rand.NewSource(int64(len(t.Parent)*8 + b)))
+		out := make([]int, len(t.Parent))
+		for v := range out {
+			out[v] = rng.Intn(2*b + 2)
+		}
+		return out
 	}},
 }
 
+// countEach lifts a per-node count to an item pattern.
+func countEach(f func(t *Tree, v int) int) func(t *Tree, b int) []int {
+	return func(t *Tree, _ int) []int {
+		out := make([]int, len(t.Parent))
+		for v := range out {
+			out[v] = f(t, v)
+		}
+		return out
+	}
+}
+
+// treeGraph returns the undirected tree on n nodes with parent(v) for
+// every v >= 1, unit weights.
+func treeGraph(n int, parent func(v int) int) *graph.Graph {
+	g := graph.New(n, false)
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(parent(v), v, 1)
+	}
+	return g
+}
+
 // TestChargeMatchesReference is the differential test of the charged
-// primitives: over generated rings, stars, paths and random graphs with n
-// from 2 to 64, two roots, the item patterns above and bandwidths 1-3,
-// every charged call must leave the same Stats, WordsByNode, OnRound stream
-// and result as its reference protocol on the engine. Each case also runs
-// canceled after round 2, where both must stop with the same error and the
-// same partial Stats. It also checks the gather round bound the doc comment
-// states: at most Height + ceil(K/bandwidth) for the K items below the
-// root.
+// primitives: over generated rings, stars, paths, random graphs, binary
+// trees, caterpillars (a path with a leaf on each node) and brooms (a long
+// path ending in a star) with n from 2 to 64, two roots, the item patterns
+// above and bandwidths 1-3, every charged call must leave the same Stats,
+// WordsByNode, OnRound stream and result as its reference protocol on the
+// engine. Each case also runs canceled after round 2 and after the middle
+// round of the gather, where both must stop with the same error and the
+// same partial Stats. It also checks the gather round bound the doc
+// comment states: at most Height + ceil(K/bandwidth) for the K items below
+// the root.
 func TestChargeMatchesReference(t *testing.T) {
 	families := []struct {
 		name  string
@@ -88,15 +134,23 @@ func TestChargeMatchesReference(t *testing.T) {
 	}{
 		{"ring", func(n int) *graph.Graph { return graph.Ring(graph.GenConfig{N: n, Seed: int64(n), MaxWeight: 3}) }},
 		{"star", func(n int) *graph.Graph { return graph.Star(graph.GenConfig{N: n, Seed: int64(n), MaxWeight: 3}) }},
-		{"path", func(n int) *graph.Graph {
-			g := graph.New(n, false)
-			for v := 0; v+1 < n; v++ {
-				g.MustAddEdge(v, v+1, 1)
-			}
-			return g
-		}},
+		{"path", func(n int) *graph.Graph { return treeGraph(n, func(v int) int { return v - 1 }) }},
 		{"random", func(n int) *graph.Graph {
 			return graph.RandomConnected(graph.GenConfig{N: n, Seed: int64(3 * n), MaxWeight: 3}, 2*n)
+		}},
+		{"binary", func(n int) *graph.Graph { return treeGraph(n, func(v int) int { return (v - 1) / 2 }) }},
+		{"caterpillar", func(n int) *graph.Graph {
+			spine := (n + 1) / 2
+			return treeGraph(n, func(v int) int {
+				if v < spine {
+					return v - 1
+				}
+				return v - spine
+			})
+		}},
+		{"broom", func(n int) *graph.Graph {
+			handle := (n + 1) / 2
+			return treeGraph(n, func(v int) int { return min(v, handle) - 1 })
 		}},
 	}
 	for _, fam := range families {
@@ -106,7 +160,7 @@ func TestChargeMatchesReference(t *testing.T) {
 				for _, pat := range itemPatterns {
 					for bw := 1; bw <= 3; bw++ {
 						name := fmt.Sprintf("%s/n=%d/bfsroot=%d/%s/b=%d", fam.name, n, root, pat.name, bw)
-						checkCase(t, name, g, root, bw, func(v int) int { return pat.cnt(n, root, v) })
+						checkCase(t, name, g, root, bw, pat.cnt)
 					}
 				}
 			}
@@ -114,7 +168,7 @@ func TestChargeMatchesReference(t *testing.T) {
 	}
 }
 
-func checkCase(t *testing.T, name string, g *graph.Graph, root, bw int, count func(v int) int) {
+func checkCase(t *testing.T, name string, g *graph.Graph, root, bw int, pattern func(t *Tree, b int) []int) {
 	ref, ch := newNet(t, g, bw), newNet(t, g, bw)
 	refTree, err := BuildBFS(ref, root)
 	if err != nil {
@@ -125,13 +179,14 @@ func checkCase(t *testing.T, name string, g *graph.Graph, root, bw int, count fu
 		t.Fatal(err)
 	}
 	n := g.N
+	counts := pattern(tree, bw)
 	perNode := make([][]Item, n)
 	cnt := make([]int32, n)
 	var flat []Item
 	vec := make([][]int64, n)
 	below := 0
 	for v := 0; v < n; v++ {
-		for j := 0; j < count(v); j++ {
+		for j := 0; j < counts[v]; j++ {
 			perNode[v] = append(perNode[v], Item{A: int64(v), B: int64(j % 2), C: int64(n - j)})
 		}
 		cnt[v] = int32(len(perNode[v]))
@@ -139,7 +194,7 @@ func checkCase(t *testing.T, name string, g *graph.Graph, root, bw int, count fu
 		if v != root {
 			below += len(perNode[v])
 		}
-		for mu := 0; mu < v%4+count(v)%3; mu++ {
+		for mu := 0; mu < v%4+counts[v]%3; mu++ {
 			vec[v] = append(vec[v], int64(v*7-mu))
 		}
 	}
@@ -199,8 +254,9 @@ func checkCase(t *testing.T, name string, g *graph.Graph, root, bw int, count fu
 			return nil, sums, err
 		}, false},
 	}
+	mid := observe(ref, -1, refGather).stats.Rounds / 2
 	for _, c := range calls {
-		for _, cancelAt := range []int{-1, 2} {
+		for _, cancelAt := range []int{-1, 2, mid} {
 			want, got := observe(ref, cancelAt, c.ref), observe(ch, cancelAt, c.got)
 			if c.noResult || want.err != "" {
 				want.items, want.sums = nil, nil

@@ -16,12 +16,9 @@ import (
 
 // refState is the pooled state of the reference protocols.
 type refState struct {
-	// Gather: per-node totals, depth-descending order (counting sort
-	// buckets), FIFO queue views carved from one grow-only item arena, and
-	// the collected items.
+	// Gather: per-node totals, FIFO queue views carved from one grow-only
+	// item arena, and the collected items.
 	totalBelow []int32
-	bucket     []int32
-	order      []int32
 	queue      [][]Item
 	arena      []Item
 	head, sent []int32
@@ -77,27 +74,12 @@ func growItems(buf []Item, n int) []Item {
 func gatherRef(nw *congest.Network, t *Tree, perNode [][]Item) ([]Item, error) {
 	n := nw.N()
 	st := &getState(nw).ref
-	// Per-node totals bottom-up drive the done flags and presize the
-	// queues; nodes are ordered by decreasing depth with a counting sort.
-	st.bucket = congest.Grow(st.bucket, t.Height+2)
-	bucket := st.bucket
-	for v := 0; v < n; v++ {
-		bucket[t.Height-t.Depth[v]+1]++
-	}
-	for d := 1; d < len(bucket); d++ {
-		bucket[d] += bucket[d-1]
-	}
-	st.order = congest.Grow(st.order, n)
-	order := st.order
-	for v := 0; v < n; v++ {
-		d := t.Height - t.Depth[v]
-		order[bucket[d]] = int32(v)
-		bucket[d]++
-	}
+	// Per-node totals bottom-up, deepest first, drive the done flags and
+	// presize the queues.
 	st.totalBelow = congest.Grow(st.totalBelow, n)
 	totalBelow := st.totalBelow
-	for _, v32 := range order {
-		v := int(v32)
+	for k := len(t.order) - 1; k >= 0; k-- {
+		v := int(t.order[k])
 		totalBelow[v] += int32(len(perNode[v]))
 		if v != t.Root {
 			totalBelow[t.Parent[v]] += totalBelow[v]

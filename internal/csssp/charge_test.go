@@ -3,6 +3,7 @@ package csssp
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -77,17 +78,54 @@ var treeFamilies = []struct {
 	}},
 }
 
+// removalStep is one commit of a removal sequence: RemoveSubtrees of the
+// nodes in Z.
+type removalStep struct {
+	inZ          func(n, v int) bool
+	excludeRoots bool
+}
+
 // removalSteps are the removal states the differential tests walk
 // through, each reached from the previous one by RemoveSubtrees: Z holds
 // nested members (a node and some of its descendants), the root of tree 0
 // (kept, since roots are excluded) and then the root of tree 1 (whose whole
-// tree leaves).
-var removalSteps = []struct {
-	inZ          func(n, v int) bool
-	excludeRoots bool
-}{
-	{func(n, v int) bool { return v == 0 || v%5 == 2 }, true},
-	{func(n, v int) bool { return v == 1 || v%7 == 3 || v == n-1 }, false},
+// tree leaves). Three generated commits follow, each with one to three
+// random nodes in Z and excludeRoots drawn at random.
+func removalSteps(n int) []removalStep {
+	steps := []removalStep{
+		{func(n, v int) bool { return v == 0 || v%5 == 2 }, true},
+		{func(n, v int) bool { return v == 1 || v%7 == 3 || v == n-1 }, false},
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	for range 3 {
+		z := make([]bool, n)
+		for j := rng.Intn(3); j >= 0; j-- {
+			z[rng.Intn(n)] = true
+		}
+		steps = append(steps, removalStep{func(_, v int) bool { return z[v] }, rng.Intn(2) == 0})
+	}
+	return steps
+}
+
+// checkKept fails unless every kept walk of c equals a fresh Walk.
+func checkKept(t *testing.T, name string, c *Collection, kept *Walks) {
+	t.Helper()
+	var fresh TreeWalk
+	for i := range c.Sources {
+		c.Walk(&fresh, i)
+		w := kept.Tree(i)
+		if !slices.Equal(w.Nodes, fresh.Nodes) || !slices.Equal(w.Kids, fresh.Kids) {
+			t.Fatalf("%s: kept walk of tree %d is %v %v, a fresh walk %v %v", name, i, w.Nodes, w.Kids, fresh.Nodes, fresh.Kids)
+		}
+	}
+}
+
+// walkAll resets kept for c and walks every tree into it.
+func walkAll(c *Collection, kept *Walks) {
+	kept.Reset(c)
+	for i := range c.Sources {
+		c.Walk(kept.Tree(i), i)
+	}
 }
 
 // removeSubtreesRef is RemoveSubtrees on the reference flood: per tree on
@@ -128,11 +166,13 @@ func restoreRemoved(c *Collection, saved [][]bool) {
 // source-sharded, each UpcastSumInto and RemoveSubtrees call must leave the
 // same Stats, WordsByNode, OnRound stream, error and outputs as its
 // reference protocol on the engine: the sums at the tree's
-// nodes (the rest of acc untouched) and the Removed bits. Each call also
-// runs canceled after round 1 and after round 2, where the outputs must
-// equal what the reference nodes hold when it stops. The host convergecast
-// UpcastSumLocal must give the reference sums too. Sharded, RemoveSubtrees
-// also runs once without an OnRound hook, so the worker fleet runs it.
+// nodes (the rest of acc untouched) and the Removed bits. The calls read
+// kept walks, which RemoveSubtrees keeps current: after every removal each
+// must equal a fresh Walk. Each call also runs canceled after round 1 and
+// after round 2, where the outputs must equal what the reference nodes
+// hold when it stops. The host convergecast UpcastSumLocal must give the
+// reference sums too. Sharded, RemoveSubtrees also runs once without an
+// OnRound hook, so the worker fleet runs it.
 func TestTreeChargeMatchesReference(t *testing.T) {
 	for _, fam := range treeFamilies {
 		for _, directed := range []bool{false, true} {
@@ -171,15 +211,17 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int, parallel b
 		init[v] = int64(v%3 + 1)
 	}
 	acc, want, local := make([]int64, n), make([]int64, n), make([]int64, n)
-	var walk TreeWalk
+	var kept Walks
+	walkAll(cc, &kept)
 	const untouched = -7
 	checkUpcasts := func(state int) {
+		checkKept(t, fmt.Sprintf("%s: removal state %d", name, state), cc, &kept)
 		for i := range cc.Sources {
 			for _, cancelAt := range []int{-1, 1, 2} {
 				for v := range acc {
 					acc[v] = untouched
 				}
-				got := observe(ch, cancelAt, true, func() error { return cc.UpcastSumInto(ch, i, init, acc) })
+				got := observe(ch, cancelAt, true, func() error { return cc.UpcastSumInto(ch, kept.Tree(i), i, init, acc) })
 				exp := observe(ref, cancelAt, true, func() error {
 					err := rc.upcastRef(ref, i, init, want)
 					if err != nil {
@@ -201,7 +243,7 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int, parallel b
 				if cancelAt >= 0 {
 					continue
 				}
-				cc.UpcastSumLocal(&walk, i, init, local)
+				cc.UpcastSumLocal(kept.Tree(i), i, init, local)
 				for v := 0; v < n; v++ {
 					if cc.InTree(i, v) && local[v] != want[v] {
 						t.Fatalf("%s: removal state %d: local upcast tree %d: node %d sums %d, reference %d", name, state, i, v, local[v], want[v])
@@ -211,7 +253,7 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int, parallel b
 		}
 	}
 	checkUpcasts(0)
-	for s, step := range removalSteps {
+	for s, step := range removalSteps(n) {
 		inZ := make([]bool, n)
 		for v := range inZ {
 			inZ[v] = step.inZ(n, v)
@@ -219,7 +261,7 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int, parallel b
 		for _, cancelAt := range []int{1, 2, -1} {
 			hook := cancelAt >= 0 || !parallel
 			savedC, savedR := removedCopy(cc), removedCopy(rc)
-			got := observe(ch, cancelAt, hook, func() error { return cc.RemoveSubtrees(ch, inZ, step.excludeRoots) })
+			got := observe(ch, cancelAt, hook, func() error { return cc.RemoveSubtrees(ch, &kept, inZ, step.excludeRoots) })
 			exp := observe(ref, cancelAt, hook, func() error { return rc.removeSubtreesRef(ref, inZ, step.excludeRoots) })
 			if !reflect.DeepEqual(got, exp) {
 				t.Fatalf("%s: remove step %d canceled after round %d: charged %+v\nreference %+v", name, s, cancelAt, got, exp)
@@ -227,9 +269,11 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int, parallel b
 			if !reflect.DeepEqual(cc.Removed, rc.Removed) {
 				t.Fatalf("%s: remove step %d canceled after round %d: Removed differs from the reference", name, s, cancelAt)
 			}
+			checkKept(t, fmt.Sprintf("%s: remove step %d canceled after round %d", name, s, cancelAt), cc, &kept)
 			if cancelAt >= 0 {
 				restoreRemoved(cc, savedC)
 				restoreRemoved(rc, savedR)
+				walkAll(cc, &kept)
 			}
 		}
 		checkUpcasts(s + 1)

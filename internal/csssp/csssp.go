@@ -59,7 +59,10 @@ type Collection struct {
 	// Removed[i][v] marks nodes pruned by RemoveSubtrees. Removals are
 	// subtree-closed: RemoveSubtrees, RemoveSubtreesLocal and
 	// ResetRemovals are the only writers, and each keeps every child of a
-	// removed node removed. Walk relies on it.
+	// removed node removed. Walk relies on it. A walk, kept or not, holds
+	// the tree as it stood when it was taken: only RemoveSubtrees keeps
+	// the Walks it is given current, so a caller that removes nodes any
+	// other way walks again.
 	Removed [][]bool
 
 	hLeaves [][]int32 // depth-H nodes per tree (static), see HLeaves

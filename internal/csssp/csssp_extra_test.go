@@ -37,7 +37,7 @@ func TestUpcastSumRespectsRemovals(t *testing.T) {
 	c, nw := buildAll(t, g, 4, bford.Out)
 	inZ := make([]bool, 5)
 	inZ[3] = true
-	if err := c.RemoveSubtrees(nw, inZ, false); err != nil {
+	if err := c.RemoveSubtrees(nw, nil, inZ, false); err != nil {
 		t.Fatal(err)
 	}
 	ones := make([]int64, 5)
@@ -93,7 +93,7 @@ func TestResetRemovals(t *testing.T) {
 	c, nw := buildAll(t, g, 3, bford.Out)
 	inZ := make([]bool, g.N)
 	inZ[2], inZ[7] = true, true
-	if err := c.RemoveSubtrees(nw, inZ, false); err != nil {
+	if err := c.RemoveSubtrees(nw, nil, inZ, false); err != nil {
 		t.Fatal(err)
 	}
 	removedSomething := false
@@ -122,7 +122,7 @@ func TestRemoveSubtreesExcludeRoots(t *testing.T) {
 	c, nw := buildAll(t, g, 3, bford.Out)
 	inZ := make([]bool, g.N)
 	inZ[0] = true
-	if err := c.RemoveSubtrees(nw, inZ, true); err != nil {
+	if err := c.RemoveSubtrees(nw, nil, inZ, true); err != nil {
 		t.Fatal(err)
 	}
 	// Tree 0 is rooted at node 0: with excludeRoots it must stay intact.
@@ -144,7 +144,7 @@ func TestRemoveSubtreesLocalEquivalentToDistributed(t *testing.T) {
 	cl, _ := buildAll(t, g, h, bford.Out)
 	inZ := make([]bool, g.N)
 	inZ[3], inZ[11] = true, true
-	if err := cd.RemoveSubtrees(nw, inZ, true); err != nil {
+	if err := cd.RemoveSubtrees(nw, nil, inZ, true); err != nil {
 		t.Fatal(err)
 	}
 	cl.RemoveSubtreesLocal(inZ, true)

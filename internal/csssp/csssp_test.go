@@ -166,7 +166,7 @@ func TestRemoveSubtrees(t *testing.T) {
 	c, nw := buildAll(t, g, 4, bford.Out)
 	inZ := make([]bool, 5)
 	inZ[2] = true
-	if err := c.RemoveSubtrees(nw, inZ, false); err != nil {
+	if err := c.RemoveSubtrees(nw, nil, inZ, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []struct {
@@ -193,7 +193,7 @@ func TestRemoveSubtreesRoundCost(t *testing.T) {
 	nw.ResetStats()
 	inZ := make([]bool, g.N)
 	inZ[1], inZ[5] = true, true
-	if err := c.RemoveSubtrees(nw, inZ, false); err != nil {
+	if err := c.RemoveSubtrees(nw, nil, inZ, false); err != nil {
 		t.Fatal(err)
 	}
 	want := len(c.Sources) * (h + 1) // Lemma 3.7: <= h rounds per source

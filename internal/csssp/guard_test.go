@@ -21,10 +21,12 @@ func TestTreeChargeGuardMatcheck(t *testing.T) {
 	c, nw := buildAll(t, g, 2, bford.Out)
 	init := []int64{1, 1, 1, 1, 1, 1}
 	acc := make([]int64, g.N)
+	var walk TreeWalk
+	c.Walk(&walk, 0)
 	tc := getTreeCharge(nw)
 	charge := func(perturb func()) func() error {
 		return func() error {
-			live := c.upcastPass(tc, 0, init, acc)
+			live := c.upcastPass(tc, &walk, 0, init, acc)
 			perturb()
 			_, err := nw.ChargeFixed(tc.bursts, live, c.H+1)
 			return err
@@ -52,7 +54,7 @@ func TestTreeChargeGuardMatcheck(t *testing.T) {
 	}
 	for _, tc := range cases {
 		err := nw.Charged("upcast", tc.charge, func(ref *congest.Network) error {
-			return c.checkUpcast(ref, 0, init, acc, getTreeCharge(nw).walk.Nodes)
+			return c.checkUpcast(ref, 0, init, acc, walk.Nodes)
 		})
 		var cm *congest.ErrChargeMismatch
 		switch {

@@ -17,8 +17,9 @@ import (
 
 // TreeWalk is a breadth-first walk of the nodes of one tree that are in it
 // now (InTree): Nodes lists them root first, in nondecreasing depth, and
-// the children of Nodes[k] are Nodes[Kids[k]:Kids[k+1]]. Callers keep one
-// and reuse it, so a warm walk allocates nothing.
+// the children of Nodes[k] are Nodes[Kids[k]:Kids[k+1]]. The per-tree
+// primitives read a walk the caller holds: one it takes with Walk, or one
+// of a Walks, kept from one removal to the next.
 type TreeWalk struct {
 	Nodes []int32
 	Kids  []int32
@@ -55,19 +56,55 @@ func (c *Collection) Walk(w *TreeWalk, i int) {
 	}
 }
 
+// Walks keeps the walk of every tree of a collection, for a caller that
+// runs several per-tree protocols between removals: it walks each tree
+// once, and RemoveSubtrees re-walks only the trees that lose nodes. The
+// walks are carved from two flat arenas, each with room for its tree as
+// built, so filling or refilling one never allocates.
+type Walks struct {
+	trees       []TreeWalk
+	nodes, kids []int32
+}
+
+// Reset sizes ws for the trees of c as built and empties every walk. Fill
+// tree i's walk with c.Walk(ws.Tree(i), i).
+func (ws *Walks) Reset(c *Collection) {
+	ns := len(c.Sources)
+	total := 0
+	for i := 0; i < ns; i++ {
+		total += len(c.chIds[i]) + 1 // the root and every child
+	}
+	ws.trees = congest.Grow(ws.trees, ns)
+	ws.nodes = congest.Grow(ws.nodes, total)
+	ws.kids = congest.Grow(ws.kids, total+ns)
+	off := 0
+	for i := 0; i < ns; i++ {
+		size := len(c.chIds[i]) + 1
+		ws.trees[i] = TreeWalk{
+			Nodes: ws.nodes[off : off : off+size],
+			Kids:  ws.kids[off+i : off+i : off+i+size+1],
+		}
+		off += size
+	}
+}
+
+// Tree returns the kept walk of tree i.
+func (ws *Walks) Tree(i int) *TreeWalk { return &ws.trees[i] }
+
 // treeKey keys a network's treeCharge in its scratch registry.
 type treeKey struct{}
 
 // treeCharge is a network's pooled host state for the charged primitives
 // of this package.
 type treeCharge struct {
-	walk   TreeWalk
 	leave  []int32 // Remove-Subtrees: per walk position, see removalWalk
 	bursts []congest.Burst
+	fresh  TreeWalk // Remove-Subtrees' walk of a tree when the caller keeps none
 
 	// RemoveSubtrees' arguments and its per-tree sub-run, bound once so
 	// that a warm call hands ShardRuns no new closure.
 	c            *Collection
+	kept         *Walks
 	inZ          []bool
 	excludeRoots bool
 	removeTree   func(w *congest.Network, i int) error
@@ -89,16 +126,19 @@ func getTreeCharge(nw *congest.Network) *treeCharge {
 // (Lemma A.18).
 func (c *Collection) UpcastSum(nw *congest.Network, i int, init []int64) ([]int64, error) {
 	acc := make([]int64, c.G.N)
-	if err := c.UpcastSumInto(nw, i, init, acc); err != nil {
+	var w TreeWalk
+	c.Walk(&w, i)
+	if err := c.UpcastSumInto(nw, &w, i, init, acc); err != nil {
 		return nil, err
 	}
 	return acc, nil
 }
 
-// UpcastSumInto is UpcastSum writing the per-node sums into acc (length
-// n), so callers that loop over trees (the blocker score recomputations
-// run one upcast per tree per commit) reuse their own storage. Only the
-// entries of tree i's nodes are written; the rest of acc is left as it is.
+// UpcastSumInto is UpcastSum over w, the walk of tree i, writing the
+// per-node sums into acc (length n), so callers that loop over trees (the
+// blocker score recomputations run one upcast per tree per commit) reuse
+// their own storage and walks. It reads init and writes acc only at the
+// nodes of w.
 //
 // The run is charged from the tree: a node at depth d >= 1 sends one word
 // to its parent in round H-d, and the root stays live until round H, so
@@ -106,16 +146,16 @@ func (c *Collection) UpcastSum(nw *congest.Network, i int, init []int64) ([]int6
 // one round otherwise. After an interruption, acc holds what the nodes had
 // summed by then: a node at depth d has its children's sums only when they
 // arrived in a completed round, that is when d > H - completed.
-func (c *Collection) UpcastSumInto(nw *congest.Network, i int, init, acc []int64) error {
+func (c *Collection) UpcastSumInto(nw *congest.Network, w *TreeWalk, i int, init, acc []int64) error {
 	if len(acc) != c.G.N {
 		return fmt.Errorf("csssp: upcast tree %d: acc length %d != n %d", i, len(acc), c.G.N)
 	}
 	tc := getTreeCharge(nw)
 	err := nw.Charged("upcast", func() error {
-		live := c.upcastPass(tc, i, init, acc)
+		live := c.upcastPass(tc, w, i, init, acc)
 		done, err := nw.ChargeFixed(tc.bursts, live, c.H+1)
 		if err != nil {
-			for _, v := range tc.walk.Nodes {
+			for _, v := range w.Nodes {
 				if c.Depth[i][v] <= c.H-done {
 					acc[v] = init[v]
 				}
@@ -123,7 +163,7 @@ func (c *Collection) UpcastSumInto(nw *congest.Network, i int, init, acc []int64
 		}
 		return err
 	}, func(ref *congest.Network) error {
-		return c.checkUpcast(ref, i, init, acc, tc.walk.Nodes)
+		return c.checkUpcast(ref, i, init, acc, w.Nodes)
 	})
 	if err != nil {
 		return fmt.Errorf("csssp: upcast tree %d: %w", i, err)
@@ -131,19 +171,19 @@ func (c *Collection) UpcastSumInto(nw *congest.Network, i int, init, acc []int64
 	return nil
 }
 
-// upcastPass is the host pass of UpcastSumInto: it sums init up tree i
-// into acc, leaves the walk in tc.walk and the sends in tc.bursts, and
-// returns the rounds the run lasts without mail.
-func (c *Collection) upcastPass(tc *treeCharge, i int, init, acc []int64) (live int) {
-	c.UpcastSumLocal(&tc.walk, i, init, acc)
+// upcastPass is the host pass of UpcastSumInto: it sums init up tree i,
+// whose walk is w, into acc, leaves the sends in tc.bursts, and returns the
+// rounds the run lasts without mail.
+func (c *Collection) upcastPass(tc *treeCharge, w *TreeWalk, i int, init, acc []int64) (live int) {
+	c.UpcastSumLocal(w, i, init, acc)
 	h, depth := c.H, c.Depth[i]
 	b := tc.bursts[:0]
-	for _, v := range tc.walk.Descendants() {
+	for _, v := range w.Descendants() {
 		r := int32(h - depth[v])
 		b = append(b, congest.Burst{V: v, First: r, Last: r, Words: 1})
 	}
 	tc.bursts = b
-	if len(tc.walk.Nodes) == 0 {
+	if len(w.Nodes) == 0 {
 		return 1
 	}
 	return h + 1
@@ -151,10 +191,9 @@ func (c *Collection) upcastPass(tc *treeCharge, i int, init, acc []int64) (live 
 
 // UpcastSumLocal is the host convergecast behind UpcastSumInto, with no
 // network and no rounds: acc[v] becomes the sum of init over v's subtree
-// for every node v of tree i, and the rest of acc is left as it is. On
-// return w holds tree i's walk.
+// for every node v of w, the walk of tree i, and the rest of acc is left
+// as it is.
 func (c *Collection) UpcastSumLocal(w *TreeWalk, i int, init, acc []int64) {
-	c.Walk(w, i)
 	for _, v := range w.Nodes {
 		acc[v] = init[v]
 	}
@@ -176,17 +215,20 @@ func (c *Collection) UpcastSumLocal(w *TreeWalk, i int, init, acc []int64) {
 // coverable); the bottleneck elimination of Algorithm 9 removes the whole
 // tree (messages destined to that root are already handled via z).
 //
-// Each flood is charged from its tree (see removalWalk). The floods are
-// independent (tree i's reads and writes only Removed[i]), so they
-// dispatch across the work-stealing worker clones when nw.Parallel is set;
-// the merged stats are exact commutative sums, so they match the
-// sequential schedule bit for bit. Removed[i] is written only when tree
-// i's flood succeeds.
-func (c *Collection) RemoveSubtrees(nw *congest.Network, inZ []bool, excludeRoots bool) error {
+// Each flood is charged from its tree (see removalWalk). kept, when not
+// nil, holds the current walk of every tree: each flood reads its tree's
+// kept walk, and a tree that loses nodes is walked again, so kept stays
+// current. With kept nil each flood walks its tree first. The floods are
+// independent (tree i's reads and writes only Removed[i] and its kept
+// walk), so they dispatch across the work-stealing worker clones when
+// nw.Parallel is set; the merged stats are exact commutative sums, so they
+// match the sequential schedule bit for bit. Removed[i] is written only
+// when tree i's flood succeeds.
+func (c *Collection) RemoveSubtrees(nw *congest.Network, kept *Walks, inZ []bool, excludeRoots bool) error {
 	tc := getTreeCharge(nw)
-	tc.c, tc.inZ, tc.excludeRoots = c, inZ, excludeRoots
+	tc.c, tc.kept, tc.inZ, tc.excludeRoots = c, kept, inZ, excludeRoots
 	err := nw.ShardRuns(len(c.Sources), tc.removeTree)
-	tc.c, tc.inZ = nil, nil
+	tc.c, tc.kept, tc.inZ = nil, nil, nil
 	return err
 }
 
@@ -195,9 +237,15 @@ func (c *Collection) RemoveSubtrees(nw *congest.Network, inZ []bool, excludeRoot
 func (tc *treeCharge) removeOne(w *congest.Network, i int) error {
 	c, inZ, excludeRoots := tc.c, tc.inZ, tc.excludeRoots
 	wc := getTreeCharge(w)
+	walk := &wc.fresh
+	if tc.kept != nil {
+		walk = tc.kept.Tree(i)
+	} else {
+		c.Walk(walk, i)
+	}
 	err := w.Charged("remove-subtrees", func() error {
-		leave := c.removalWalk(wc, i, inZ, excludeRoots)
-		nodes, kids := wc.walk.Nodes, wc.walk.Kids
+		leave := c.removalWalk(wc, walk, i, inZ, excludeRoots)
+		nodes, kids := walk.Nodes, walk.Kids
 		b := wc.bursts[:0]
 		for k, g := range leave {
 			if sent := kids[k+1] - kids[k]; g >= 0 && sent > 0 {
@@ -208,25 +256,25 @@ func (tc *treeCharge) removeOne(w *congest.Network, i int) error {
 		_, err := w.ChargeFixed(b, 1, c.H+1)
 		return err
 	}, func(ref *congest.Network) error {
-		return c.checkRemove(ref, i, inZ, excludeRoots, &wc.walk, wc.leave)
+		return c.checkRemove(ref, i, inZ, excludeRoots, walk, wc.leave)
 	})
 	if err != nil {
 		return fmt.Errorf("csssp: remove-subtrees tree %d: %w", i, err)
 	}
-	c.applyRemoval(i, &wc.walk, wc.leave)
+	if c.applyRemoval(i, walk, wc.leave) && tc.kept != nil {
+		c.Walk(walk, i)
+	}
 	return nil
 }
 
-// removalWalk computes Remove-Subtrees on tree i on the host. It walks the
-// tree into tc.walk and returns, per walk position k, the round in which
+// removalWalk computes Remove-Subtrees on tree i, whose walk is w, on the
+// host. It returns, in tc.leave, per walk position k the round in which
 // Nodes[k] leaves the tree, or -1 when it stays: 0 for an eligible z (in
 // inZ, and not the root when excludeRoots is set), else its parent's round
 // plus 1. A node that leaves sends the notice to each of its children in
 // the round it leaves, so the engine would simulate the last such round
 // plus 2 rounds, or 1 when nothing is sent.
-func (c *Collection) removalWalk(tc *treeCharge, i int, inZ []bool, excludeRoots bool) []int32 {
-	w := &tc.walk
-	c.Walk(w, i)
+func (c *Collection) removalWalk(tc *treeCharge, w *TreeWalk, i int, inZ []bool, excludeRoots bool) []int32 {
 	root := int32(c.Sources[i])
 	leave := tc.leave[:0]
 	for _, v := range w.Nodes {
@@ -251,13 +299,16 @@ func (c *Collection) removalWalk(tc *treeCharge, i int, inZ []bool, excludeRoots
 }
 
 // applyRemoval marks the nodes of walk w that leave (leave[k] >= 0) as
-// removed from tree i.
-func (c *Collection) applyRemoval(i int, w *TreeWalk, leave []int32) {
+// removed from tree i and reports whether any did.
+func (c *Collection) applyRemoval(i int, w *TreeWalk, leave []int32) bool {
+	any := false
 	for k, g := range leave {
 		if g >= 0 {
 			c.Removed[i][w.Nodes[k]] = true
+			any = true
 		}
 	}
+	return any
 }
 
 // RemoveSubtreesLocal applies the effect of Algorithm 6 without consuming
@@ -268,6 +319,7 @@ func (c *Collection) applyRemoval(i int, w *TreeWalk, leave []int32) {
 func (c *Collection) RemoveSubtreesLocal(inZ []bool, excludeRoots bool) {
 	var tc treeCharge
 	for i := range c.Sources {
-		c.applyRemoval(i, &tc.walk, c.removalWalk(&tc, i, inZ, excludeRoots))
+		c.Walk(&tc.fresh, i)
+		c.applyRemoval(i, &tc.fresh, c.removalWalk(&tc, &tc.fresh, i, inZ, excludeRoots))
 	}
 }

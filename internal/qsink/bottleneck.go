@@ -39,10 +39,10 @@ func computeBottlenecks(nw *congest.Network, cq *csssp.Collection, tree *broadca
 		}
 	}
 	for i := 0; i < q; i++ {
-		if err := cq.UpcastSumInto(nw, i, ones, counts); err != nil {
+		cq.Walk(&walk, i)
+		if err := cq.UpcastSumInto(nw, &walk, i, ones, counts); err != nil {
 			return nil, 0, 0, err
 		}
-		cq.Walk(&walk, i)
 		addCounts()
 	}
 	loadBefore = maxOf(total)
@@ -82,6 +82,7 @@ func computeBottlenecks(nw *congest.Network, cq *csssp.Collection, tree *broadca
 		nw.ChargeRounds(n)
 		clear(total)
 		for i := 0; i < q; i++ {
+			cq.Walk(&walk, i)
 			cq.UpcastSumLocal(&walk, i, ones, counts)
 			addCounts()
 		}

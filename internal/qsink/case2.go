@@ -83,7 +83,7 @@ func runCase2(nw *congest.Network, g *graph.Graph, tree *broadcast.Tree, cq *css
 		for _, b := range B {
 			inZ[b] = true
 		}
-		if err := cq.RemoveSubtrees(nw, inZ, false); err != nil {
+		if err := cq.RemoveSubtrees(nw, nil, inZ, false); err != nil {
 			return err
 		}
 	}

@@ -4,10 +4,10 @@
 #
 #   BENCH_engine.json  engine-critical microbenchmarks (ns/op, allocs/op),
 #                      including the charged all-to-all broadcast, the
-#                      charged per-tree upcast and step 8's charged
-#                      last-edge resolution, one section per GOMAXPROCS
-#                      in {1, 2} (a section above the host's core count is
-#                      skipped)
+#                      charged per-tree upcast, the ring-n256 blocker-set
+#                      construction and step 8's charged last-edge
+#                      resolution, one section per GOMAXPROCS in {1, 2}
+#                      (a section above the host's core count is skipped)
 #   BENCH_apsp.json    full-pipeline apsp.Run wall-clock + allocs at
 #                      n in {128, 256, 512}, sequential vs source-sharded,
 #                      plus the warm apsp.Runner re-run rows
@@ -40,9 +40,11 @@
 #
 # benchtime defaults to 2s per engine benchmark; the full-pipeline suite
 # always runs one iteration per configuration (a single n=512 run takes
-# tens of seconds of simulated work). The host's core count and effective
-# GOMAXPROCS are recorded in the JSON: the sharded/sequential ratio is only
-# meaningful when GOMAXPROCS > 1.
+# tens of seconds of simulated work). Every file records the host, its
+# core count, the Go version and the commit (suffixed -dirty when the tree
+# has uncommitted changes, as when a regeneration is committed with the
+# change it measures), and each row set its effective GOMAXPROCS: the
+# sharded/sequential ratio is only meaningful when GOMAXPROCS > 1.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -51,6 +53,13 @@ CORES="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
 # The Go runtime defaults GOMAXPROCS to the core count; an explicit env
 # override is what the benchmark processes will actually run with.
 MAXPROCS="${GOMAXPROCS:-$CORES}"
+HOST="$(hostname 2>/dev/null || uname -n)"
+GOVERSION="$(go env GOVERSION)"
+COMMIT="$(git describe --always --dirty --abbrev=40 2>/dev/null || echo unknown)"
+# ident: the JSON fields that say where and on what code a file was made.
+ident() {
+  printf '"host": "%s",\n  "go": "%s",\n  "commit": "%s",\n  ' "$HOST" "$GOVERSION" "$COMMIT"
+}
 
 # report_deltas old_json new_json: per-benchmark allocs_per_op deltas of a
 # regeneration versus the previously committed snapshot, so a bench refresh
@@ -72,7 +81,7 @@ report_deltas() {
 }
 
 emit_json() { # emit_json suite benchtime raw_file out_file
-  awk -v suite="$1" -v benchtime="$2" -v cores="$CORES" -v maxprocs="$MAXPROCS" '
+  awk -v suite="$1" -v benchtime="$2" -v cores="$CORES" -v maxprocs="$MAXPROCS" -v ident="$(ident)" '
     /^Benchmark/ {
       name = $1
       sub(/-[0-9]+$/, "", name) # strip -GOMAXPROCS suffix
@@ -89,7 +98,7 @@ emit_json() { # emit_json suite benchtime raw_file out_file
       }
     }
     BEGIN {
-      printf "{\n  \"suite\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"cores\": %s,\n  \"gomaxprocs\": %s,\n  \"results\": [\n", suite, benchtime, cores, maxprocs
+      printf "{\n  \"suite\": \"%s\",\n  %s\"benchtime\": \"%s\",\n  \"cores\": %s,\n  \"gomaxprocs\": %s,\n  \"results\": [\n", suite, ident, benchtime, cores, maxprocs
     }
     END { printf "\n  ]\n}\n" }
   ' "$3" > "$4"
@@ -105,14 +114,14 @@ trap 'rm -f "$RAW" "$OLD"' EXIT
 # by the runtime's own background work.
 cp BENCH_engine.json "$OLD" 2>/dev/null || : > "$OLD"
 {
-  printf '{\n  "suite": "engine",\n  "benchtime": "%s",\n  "cores": %s,\n  "sections": [\n' "$BENCHTIME" "$CORES"
+  printf '{\n  "suite": "engine",\n  %s"benchtime": "%s",\n  "cores": %s,\n  "sections": [\n' "$(ident)" "$BENCHTIME" "$CORES"
   FIRST=1
   for P in 1 2; do
     if [ "$P" -gt 1 ] && [ "$P" -gt "$CORES" ]; then
       continue
     fi
     GOMAXPROCS=$P go test -run '^$' \
-      -bench 'BenchmarkSimulatorRound|BenchmarkDistributedBellmanFord|BenchmarkAllToAll|BenchmarkTreeUpcast|BenchmarkLastEdges' \
+      -bench 'BenchmarkSimulatorRound|BenchmarkDistributedBellmanFord|BenchmarkAllToAll|BenchmarkTreeUpcast|BenchmarkBlockerCompute|BenchmarkLastEdges' \
       -benchtime="$BENCHTIME" -benchmem . > "$RAW"
     GOMAXPROCS=$P go test -run '^$' -bench 'BenchmarkEngine' -benchtime="$BENCHTIME" \
       ./internal/congest/ >> "$RAW"
@@ -142,7 +151,7 @@ report_deltas "$OLD" BENCH_apsp.json
 # when the workers exist — so the artifact honestly records what this host
 # could measure.
 {
-  printf '{\n  "suite": "stages",\n  "cores": %s,\n  "sections": [\n' "$CORES"
+  printf '{\n  "suite": "stages",\n  %s"cores": %s,\n  "sections": [\n' "$(ident)" "$CORES"
   FIRST=1
   for P in 1 2 4; do
     if [ "$P" -gt 1 ] && [ "$P" -gt "$CORES" ]; then
@@ -170,7 +179,7 @@ echo "wrote BENCH_stages.json"
 # sold on.
 cp BENCH_update.json "$OLD" 2>/dev/null || : > "$OLD"
 {
-  printf '{\n  "suite": "update",\n  "benchtime": "3x",\n  "cores": %s,\n  "sections": [\n' "$CORES"
+  printf '{\n  "suite": "update",\n  %s"benchtime": "3x",\n  "cores": %s,\n  "sections": [\n' "$(ident)" "$CORES"
   FIRST=1
   for P in 1 2; do
     if [ "$P" -gt 1 ] && [ "$P" -gt "$CORES" ]; then
@@ -227,7 +236,7 @@ report_deltas "$OLD" BENCH_update.json
 # a full warm APSP run, postupdate alternates incremental re-runs with
 # cache hits.
 {
-  printf '{\n  "suite": "serve",\n  "cores": %s,\n  "sections": [\n' "$CORES"
+  printf '{\n  "suite": "serve",\n  %s"cores": %s,\n  "sections": [\n' "$(ident)" "$CORES"
   FIRST=1
   for P in 1 2; do
     if [ "$P" -gt 1 ] && [ "$P" -gt "$CORES" ]; then
