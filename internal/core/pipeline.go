@@ -97,8 +97,11 @@ type pipeline struct {
 	// restore the rest from the snapshot, and charge the recorded rounds
 	// for skipped work so the round accounting matches a cold run exactly.
 	// qcap, when non-nil, is the session's q-sink capture target.
-	inc  *incPlan
-	qcap *qsink.Snapshot
+	// recycle, when non-nil, is a collection no one reads any more (the
+	// invalidated snapshot's) that a cold Step 1 rebuilds in place.
+	inc     *incPlan
+	qcap    *qsink.Snapshot
+	recycle *csssp.Collection
 
 	st     Stats
 	stages []StageTiming
@@ -210,7 +213,8 @@ func (p *pipeline) run() (*Result, error) {
 // rounds for the reused trees — each tree costs exactly 4h+3 rounds, so
 // the total matches a cold run. A refreshed tree that actually changed
 // flips the cascade flag: every later stage then runs its cold body on the
-// (partially reused) fresh inputs.
+// (partially reused) fresh inputs. A cold run builds into p.recycle when
+// the session hands it one.
 func (p *pipeline) stageCSSSP() error {
 	p.sources = make([]int, p.n)
 	for i := range p.sources {
@@ -231,8 +235,11 @@ func (p *pipeline) stageCSSSP() error {
 		p.nw.ChargeRounds(ip.snap.rounds("step1-csssp") - k*(4*p.h+3))
 		return nil
 	}
-	coll, err := csssp.Build(p.nw, p.g, p.sources, p.h, bford.Out)
-	if err != nil {
+	coll := p.recycle
+	if coll == nil {
+		coll = new(csssp.Collection)
+	}
+	if err := csssp.BuildInto(coll, p.nw, p.g, p.sources, p.h, bford.Out); err != nil {
 		return err
 	}
 	p.coll = coll

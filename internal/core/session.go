@@ -173,6 +173,11 @@ func (s *Session) RunContext(ctx context.Context, opt Options) (*Result, error) 
 	// reuse-after-error contract.
 	s.snap.valid = false
 	p.qcap = &s.qsnap
+	if p.inc == nil {
+		// A cold Step 1 rebuilds the invalidated snapshot's collection in
+		// place, so a warm run does not allocate n trees' worth of rows.
+		p.recycle = s.snap.coll
+	}
 	res, err := p.run()
 	if err != nil {
 		return nil, err

@@ -27,10 +27,11 @@ type snapKey struct {
 }
 
 // snapshot is the armed post-run state. The collection, matrices, and
-// q-sink result are owned by the session once captured (every cold run
-// allocates them fresh, so taking ownership steals no caller state);
-// the distance and last-hop outputs are COPIES, because Result matrices
-// are caller-owned and must survive later runs untouched.
+// q-sink result are owned by the session once captured (no Result
+// exposes them, so taking ownership steals no caller state; the next cold
+// run rebuilds the collection in place); the distance and last-hop
+// outputs are COPIES, because Result matrices are caller-owned and must
+// survive later runs untouched.
 type snapshot struct {
 	valid    bool
 	fellBack bool // next run must be cold (topology change, threshold, options)

@@ -19,7 +19,6 @@ import (
 	"congestapsp/internal/bford"
 	"congestapsp/internal/congest"
 	"congestapsp/internal/graph"
-	"congestapsp/internal/mat"
 )
 
 // Collection is an h-hop CSSSP collection: one height-<=h tree per source.
@@ -75,6 +74,14 @@ type Collection struct {
 	// instead of re-materializing child lists. See ChildIDs.
 	chOff [][]int32
 	chIds [][]int32
+
+	// The flat arenas the rows above are carved from, kept so that
+	// BuildInto and Refresh rebuild the collection in place.
+	dist, label              []int64
+	labelHops, depth, parent []int
+	removed                  []bool
+	chOffFlat, chIdsFlat     []int32
+	hlFlat, fill             []int32
 }
 
 // Build constructs the h-CSSSP collection for the given sources by running
@@ -89,32 +96,41 @@ type Collection struct {
 // bit-identical to the sequential schedule regardless of the
 // interleaving.
 func Build(nw *congest.Network, g *graph.Graph, sources []int, h int, mode bford.Mode) (*Collection, error) {
+	c := new(Collection)
+	if err := BuildInto(c, nw, g, sources, h, mode); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// BuildInto is Build into c: it overwrites all of c, carving the rows from
+// c's arenas where they are large enough, so a caller that rebuilds the
+// collection of one graph run after run allocates it once. No row of the
+// collection c held before may be read afterwards; after an error c must
+// be rebuilt before use.
+func BuildInto(c *Collection, nw *congest.Network, g *graph.Graph, sources []int, h int, mode bford.Mode) error {
 	if h < 1 {
-		return nil, fmt.Errorf("csssp: hop bound must be >= 1, got %d", h)
+		return fmt.Errorf("csssp: hop bound must be >= 1, got %d", h)
 	}
 	ns := len(sources)
 	n := g.N
-	c := &Collection{
-		G:       g,
-		H:       h,
-		Mode:    mode,
-		Sources: append([]int(nil), sources...),
-	}
+	c.G, c.H, c.Mode = g, h, mode
+	c.Sources = append(c.Sources[:0], sources...)
 	// Flat backing arenas: one allocation per field instead of one per
 	// tree. Rows are capacity-capped views written disjointly by the
 	// sharded sub-runs (sub-run i owns exactly the i-th row of each).
-	c.Dist = mat.New(ns, n).RowViews()
-	c.Label = mat.New(ns, n).RowViews()
-	c.LabelHops = mat.NewInt(ns, n).RowViews()
-	c.Depth = mat.NewInt(ns, n).RowViews()
-	c.Parent = mat.NewInt(ns, n).RowViews()
-	c.Removed = make([][]bool, ns)
-	removedFlat := make([]bool, ns*n)
-	c.chOff = make([][]int32, ns)
-	c.chIds = make([][]int32, ns)
-	for i := 0; i < ns; i++ {
-		c.Removed[i] = removedFlat[i*n : (i+1)*n : (i+1)*n]
-	}
+	c.dist = congest.Grow(c.dist, ns*n)
+	c.label = congest.Grow(c.label, ns*n)
+	c.labelHops = congest.Grow(c.labelHops, ns*n)
+	c.depth = congest.Grow(c.depth, ns*n)
+	c.parent = congest.Grow(c.parent, ns*n)
+	c.removed = congest.Grow(c.removed, ns*n)
+	c.Dist = carve(c.Dist, c.dist, ns, n)
+	c.Label = carve(c.Label, c.label, ns, n)
+	c.LabelHops = carve(c.LabelHops, c.labelHops, ns, n)
+	c.Depth = carve(c.Depth, c.depth, ns, n)
+	c.Parent = carve(c.Parent, c.parent, ns, n)
+	c.Removed = carve(c.Removed, c.removed, ns, n)
 	err := nw.ShardRuns(ns, func(w *congest.Network, i int) error {
 		src := sources[i]
 		res, err := bford.Run(w, g, src, 2*h, mode)
@@ -137,15 +153,26 @@ func Build(nw *congest.Network, g *graph.Graph, sources []int, h int, mode bford
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.rebuildDerived()
-	return c, nil
+	return nil
+}
+
+// carve returns rows, resized to ns, pointing at the consecutive
+// capacity-capped n-element rows of flat.
+func carve[T any](rows [][]T, flat []T, ns, n int) [][]T {
+	rows = congest.Grow(rows, ns)
+	for i := range rows {
+		rows[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	return rows
 }
 
 // rebuildDerived materializes the as-built child CSR per tree (two counting
 // passes per tree; ascending child order because v ascends) and the static
-// depth-H leaf lists, each carved from one flat arena. Consumers (the
+// depth-H leaf lists, each carved from one flat arena that a rebuild
+// reuses. Consumers (the
 // blocker construction) read both from sharded workers, so they are built
 // eagerly — the lazy HLeaves build is not safe under concurrent first
 // touch. Refresh re-runs this whole pass when any tree changed: the flat
@@ -153,10 +180,8 @@ func Build(nw *congest.Network, g *graph.Graph, sources []int, h int, mode bford
 // place.
 func (c *Collection) rebuildDerived() {
 	ns, n, h := len(c.Sources), c.G.N, c.H
-	chOffFlat := make([]int32, ns*(n+1))
-	for i := 0; i < ns; i++ {
-		c.chOff[i] = chOffFlat[i*(n+1) : (i+1)*(n+1) : (i+1)*(n+1)]
-	}
+	c.chOffFlat = congest.Grow(c.chOffFlat, ns*(n+1))
+	c.chOff = carve(c.chOff, c.chOffFlat, ns, n+1)
 	chTotal, leafTotal := 0, 0
 	for i := 0; i < ns; i++ {
 		off := c.chOff[i]
@@ -173,21 +198,27 @@ func (c *Collection) rebuildDerived() {
 		}
 		chTotal += int(off[n])
 	}
-	chIdsFlat := make([]int32, chTotal)
-	hlFlat := make([]int32, leafTotal)
-	c.hLeaves = make([][]int32, ns)
-	fill := make([]int32, n)
+	c.chIdsFlat = congest.Grow(c.chIdsFlat, chTotal)
+	// A tree without depth-H nodes gets an empty list, never nil: HLeaves
+	// would take nil for "not built yet".
+	c.hlFlat = congest.Grow(c.hlFlat, leafTotal)
+	if c.hlFlat == nil {
+		c.hlFlat = []int32{}
+	}
+	c.chIds = congest.Grow(c.chIds, ns)
+	c.hLeaves = congest.Grow(c.hLeaves, ns)
+	c.fill = congest.Grow(c.fill, n)
 	chBase, hlBase := 0, 0
 	for i := 0; i < ns; i++ {
 		off := c.chOff[i]
-		ids := chIdsFlat[chBase : chBase+int(off[n]) : chBase+int(off[n])]
+		ids := c.chIdsFlat[chBase : chBase+int(off[n]) : chBase+int(off[n])]
 		chBase += int(off[n])
-		copy(fill, off[:n])
-		hl := hlFlat[hlBase:hlBase:leafTotal]
+		copy(c.fill, off[:n])
+		hl := c.hlFlat[hlBase:hlBase:leafTotal]
 		for v := 0; v < n; v++ {
 			if p := c.Parent[i][v]; p >= 0 {
-				ids[fill[p]] = int32(v)
-				fill[p]++
+				ids[c.fill[p]] = int32(v)
+				c.fill[p]++
 			}
 			if c.Depth[i][v] == h {
 				hl = append(hl, int32(v))

@@ -1,6 +1,7 @@
 package csssp
 
 import (
+	"reflect"
 	"testing"
 
 	"congestapsp/internal/bford"
@@ -183,6 +184,52 @@ func TestInCSSSPPathsPointTowardSink(t *testing.T) {
 					t.Fatalf("in-tree %d: %d->%d is not an edge", i, path[j], path[j+1])
 				}
 			}
+		}
+	}
+}
+
+// TestBuildIntoMatchesBuild rebuilds one collection over collections of
+// other graphs, hop bounds, modes and source sets, some pruned: each
+// rebuild must equal a fresh Build field for field (derived child lists
+// and leaf lists included), and a rebuild of the same shape must reuse the
+// rows' storage.
+func TestBuildIntoMatchesBuild(t *testing.T) {
+	dense := graph.RandomConnected(graph.GenConfig{N: 20, Seed: 3, MaxWeight: 6, Directed: true}, 50)
+	ring := graph.Ring(graph.GenConfig{N: 20, Seed: 4, MaxWeight: 3})
+	type spec struct {
+		g     *graph.Graph
+		h     int
+		mode  bford.Mode
+		srcs  []int
+		prune bool
+	}
+	specs := []spec{
+		{dense, 3, bford.Out, allSources(20), true},
+		{ring, 2, bford.In, []int{3, 7, 11}, false},
+		{ring, 5, bford.Out, allSources(20), true},
+		{dense, 3, bford.Out, allSources(20), false},
+	}
+	var c Collection
+	for k, sp := range specs {
+		nw := newNet(t, sp.g)
+		before := c.Dist
+		if err := BuildInto(&c, nw, sp.g, sp.srcs, sp.h, sp.mode); err != nil {
+			t.Fatal(err)
+		}
+		want, err := Build(newNet(t, sp.g), sp.g, sp.srcs, sp.h, sp.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&c, want) {
+			t.Fatalf("spec %d: rebuilt collection differs from a fresh Build", k)
+		}
+		if k == 3 && &c.Dist[0][0] != &before[0][0] {
+			t.Errorf("spec %d: rebuild of the same shape reallocated the rows", k)
+		}
+		if sp.prune {
+			inZ := make([]bool, sp.g.N)
+			inZ[1], inZ[6] = true, true
+			c.RemoveSubtreesLocal(inZ, true)
 		}
 	}
 }
