@@ -49,11 +49,11 @@ type Session struct {
 	pendingUpdates bool
 	snap           snapshot
 	qsnap          qsink.Snapshot
-	// hops caches the unweighted BFS depth tables the hop-bound damage
-	// test needs (hops.go); weight-free, so weight-only batches reuse it
-	// and topology changes drop it. wave is the replay scratch.
+	// hops caches what the hop-bound damage test needs (hops.go): the
+	// unweighted BFS depth tables and the network clone its replays run
+	// on. Both are weight-free, so weight-only batches reuse them, and
+	// topology changes drop them.
 	hops *hopTables
-	wave waveScratch
 }
 
 // NewSession builds the warm network for g. The graph may be empty.

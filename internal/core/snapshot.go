@@ -77,34 +77,32 @@ func (sn *snapshot) rounds(name string) int {
 	return 0
 }
 
-// damage folds one weight update (edge index eIdx joining u,v, weight
-// wOld -> wNew) into the dirty sets, testing every tracked label system
-// against its snapshot rows. Hop-UNBOUNDED systems (the Step-7 final
-// distance rows, the q-sink paired full SSSPs) are judged by the O(1)
-// relaxation test alone; hop-bounded systems (the Step-1 out-trees, the
-// Step-3 in-systems, the q-sink CQ labels) additionally pass through the
-// hop-bound gate and, when it opens, the exact host-local wave replay
-// (hops.go) — the relaxation test cannot see below-convergence Pareto
-// points in a collapsed final row. Updates are always tested against the
-// rows captured at snapshot time; accumulating flags across several
-// batches stays sound by induction (a system clean under every individual
-// update keeps its captured fixed point — the replay proves the whole
-// wave, not just the final row — through the entire sequence).
-func (s *Session) damage(eIdx, u, v int, wOld, wNew int64) {
+// damage folds one weight update (the edge joining u,v, weight wOld ->
+// wNew) into the dirty sets, testing every tracked label system against its
+// snapshot rows. Hop-UNBOUNDED systems (the Step-7 final distance rows, the
+// q-sink paired full SSSPs) are judged by the O(1) relaxation test alone;
+// hop-bounded systems (the Step-1 out-trees, the Step-3 in-systems, the
+// q-sink CQ labels) additionally pass through the hop-bound gate and, when
+// it opens, a replay that re-runs the system with bford on the current
+// graph and compares its final labels with the captured rows (hops.go) —
+// the relaxation test cannot see below-convergence Pareto points in a
+// collapsed final row. Updates are always tested against the rows captured
+// at snapshot time, so flags accumulate soundly across several batches: a
+// clean verdict keeps "this system's fixed point on the current graph
+// equals the captured one" through the entire sequence.
+func (s *Session) damage(u, v int, wOld, wNew int64) {
 	sn := &s.snap
 	wmin := minW(wOld, wNew)
 	directed := s.g.Directed
 	if s.hops == nil {
-		s.hops = buildHopTables(s.g)
+		s.hops = buildHopTables(s.nw)
 	}
 	boundedDirty := func(D []int64, C []int, mode bford.Mode, root, bound int) bool {
 		if arcDamages(D, u, v, wmin, directed, mode) {
 			return true
 		}
-		if !hopGate(C, s.hops.row(mode, root), u, v, directed, mode) {
-			return false
-		}
-		return s.wave.wavesDiffer(s.g, eIdx, wOld, root, bound, mode)
+		return hopGate(C, s.hops.row(mode, root), u, v, directed, mode) &&
+			s.hops.replayDiffers(D, C, root, bound, mode)
 	}
 	for i := range sn.dirty1 {
 		if !sn.dirty1[i] && boundedDirty(sn.coll.Label[i], sn.coll.LabelHops[i],

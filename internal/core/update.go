@@ -110,7 +110,7 @@ func (s *Session) ApplyUpdates(ups []EdgeUpdate) (UpdateStats, error) {
 			err = s.nw.SyncTopology()
 			s.digest = graphDigest(s.g)
 			s.snap.fellBack = true
-			s.hops = nil // BFS depth tables are topology-keyed
+			s.hops = nil // the BFS depth tables and the replay network are topology-keyed
 		}
 		if mutated {
 			s.pendingUpdates = true
@@ -132,7 +132,7 @@ func (s *Session) ApplyUpdates(ups []EdgeUpdate) (UpdateStats, error) {
 			mutated = true
 			s.digest += edgeTerm(idx, prev.U, prev.V, up.W) - edgeTerm(idx, prev.U, prev.V, prev.W)
 			if s.snap.valid && !s.snap.fellBack && !topo {
-				s.damage(idx, up.U, up.V, prev.W, up.W)
+				s.damage(up.U, up.V, prev.W, up.W)
 			}
 		case InsertEdge:
 			mutated, topo = true, true
@@ -232,7 +232,7 @@ func countTrue(b []bool) int {
 // relaxation chains: no chain through the updated edge can match the
 // incumbent. Hop-bounded systems carry below-convergence Pareto points the
 // collapsed row hides; they pair this test with the hop-bound gate and
-// wave replay of hops.go (see Session.damage). In-mode systems relax along
+// replay of hops.go (see Session.damage). In-mode systems relax along
 // reversed arcs, so the test swaps endpoints; undirected edges are tested
 // in both directions.
 func arcDamages(D []int64, u, v int, wmin int64, directed bool, mode bford.Mode) bool {

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"congestapsp/internal/bford"
 	"congestapsp/internal/congest"
+	"congestapsp/internal/csssp"
 	"congestapsp/internal/faultinject"
 	"congestapsp/internal/graph"
 )
@@ -321,7 +324,7 @@ func TestIncrementalFaultInjection(t *testing.T) {
 }
 
 // TestIncrementalHopBoundCounterexample pins the hop-bound soundness hole
-// the wave replay closes (hops.go): a chain gives v a cheap 2h-hop label
+// the replay closes (hops.go): a chain gives v a cheap 2h-hop label
 // while shortcut s->u->v->t is the only <=2h-hop route to t, so decreasing
 // the shortcut weight changes t's label even though the relaxation test
 // judges the tree clean (D[u]+wmin > D[v] — the change lands on a
@@ -449,8 +452,8 @@ func TestIncrementalAdversarialStress(t *testing.T) {
 // Each batch moves the first member of a bundle up, down, or onto the
 // weight of another member; warm must match cold in Dist, LastHop, rounds
 // and |Q| every time. bford relaxes a bundle at its minimum weight, and
-// so does the wave replay, so these updates take the replay like any
-// other.
+// the damage replay is a bford run, so these updates take the replay like
+// any other.
 func TestIncrementalBundleStress(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {
@@ -535,4 +538,230 @@ func TestIncrementalBundleStress(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDamageVerdictPerSystem checks the damage verdict system by system,
+// over generated update streams with several batches between Runs. The
+// graphs are the adversarial chain plus random shortcuts, with zero
+// weights and parallel twins; the profile and h (0 for the default, up to
+// 3) are drawn per seed. A batch sets 1-3 edges up, down, to zero or onto
+// another edge's weight (SetWeight moves the first edge joining the
+// endpoints, so a twin may stand in). After every batch, each system the
+// snapshot leaves clean must re-run on a fresh network to its captured
+// rows (checkCleanSystems); after every Run, warm must equal cold in Dist,
+// LastHop, rounds, |Q| and h.
+func TestDamageVerdictPerSystem(t *testing.T) {
+	seeds := int64(300)
+	if testing.Short() {
+		seeds = 60
+	}
+	variants := []Variant{Det43, Det32, Rand43, BroadcastStep6}
+	checked := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			n := 10 + rng.Intn(14)
+			directed := rng.Intn(2) == 0
+			g := graph.New(n, directed)
+			add := func(u, v int, w int64) {
+				g.MustAddEdge(u, v, w)
+				if rng.Intn(4) == 0 {
+					tw := max(0, w+int64(rng.Intn(5)-2))
+					if !directed && rng.Intn(2) == 0 {
+						u, v = v, u
+					}
+					g.MustAddEdge(u, v, tw)
+				}
+			}
+			for i := 0; i < n-1; i++ {
+				add(i, i+1, int64(rng.Intn(3)))
+			}
+			for k := 0; k < 3+rng.Intn(n/2); k++ {
+				if u, v := rng.Intn(n), rng.Intn(n); u != v {
+					add(u, v, int64(rng.Intn(40)))
+				}
+			}
+			opt := Options{Variant: variants[rng.Intn(len(variants))], H: rng.Intn(4)}
+			s, err := NewSession(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(opt); err != nil {
+				t.Fatal(err)
+			}
+			captured := cloneGraph(g)
+			for run := 0; run < 3; run++ {
+				for b := 1 + rng.Intn(3); b > 0; b-- {
+					edges := g.Edges()
+					batch := make([]EdgeUpdate, 1+rng.Intn(3))
+					for k := range batch {
+						e := edges[rng.Intn(len(edges))]
+						w := e.W + int64(1+rng.Intn(20)) // up
+						switch rng.Intn(4) {
+						case 0:
+							w = int64(rng.Intn(int(e.W) + 1)) // down, or unchanged
+						case 1:
+							w = 0
+						case 2:
+							w = edges[rng.Intn(len(edges))].W // another edge's weight
+						}
+						batch[k] = EdgeUpdate{Op: SetWeight, U: e.U, V: e.V, W: w}
+					}
+					st, err := s.ApplyUpdates(batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !st.FellBack {
+						checked += checkCleanSystems(t, s, captured)
+					}
+				}
+				warm, err := s.Run(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				captured = cloneGraph(g)
+				cold, err := runCold(cloneGraph(g), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(warm.Dist, cold.Dist) || !reflect.DeepEqual(warm.LastHop, cold.LastHop) {
+					t.Fatalf("run %d: warm results differ from cold", run)
+				}
+				if warm.Stats.Rounds != cold.Stats.Rounds || warm.Stats.QSize != cold.Stats.QSize || warm.Stats.H != cold.Stats.H {
+					t.Fatalf("run %d: warm rounds/|Q|/h (%d/%d/%d) != cold (%d/%d/%d)", run,
+						warm.Stats.Rounds, warm.Stats.QSize, warm.Stats.H,
+						cold.Stats.Rounds, cold.Stats.QSize, cold.Stats.H)
+				}
+			}
+		})
+	}
+	t.Logf("%d clean systems checked", checked)
+}
+
+// checkCleanSystems re-runs, on a fresh network over a copy of the
+// session's current graph, every label system the armed snapshot leaves
+// clean, and fails unless it reproduces the captured rows:
+//   - a Step-1 tree: its 2h-hop labels and hops, and the h-truncated
+//     confirmed tree (Dist, Depth, Parent);
+//   - a Step-3 in-system: its row and hops;
+//   - the q-sink CQ systems, when the stage is clean: their labels and
+//     hops, and their truncated trees, which the snapshot does not keep,
+//     against a build on captured, the graph the snapshot was taken on;
+//   - a Step-7 row: Dijkstra from its source.
+//
+// It returns the number of systems checked.
+func checkCleanSystems(t *testing.T, s *Session, captured *graph.Graph) int {
+	t.Helper()
+	sn := &s.snap
+	g := cloneGraph(s.g)
+	nw, err := congest.NewNetwork(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	was, err := congest.NewNetwork(captured, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(nw *congest.Network, root, h int, mode bford.Mode) *csssp.Collection {
+		c, err := csssp.Build(nw, nw.G, []int{root}, h, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	checked := 0
+	coll := sn.coll
+	for i, dirty := range sn.dirty1 {
+		if dirty {
+			continue
+		}
+		c := build(nw, coll.Sources[i], coll.H, coll.Mode)
+		if !slices.Equal(c.Label[0], coll.Label[i]) || !slices.Equal(c.LabelHops[0], coll.LabelHops[i]) ||
+			!slices.Equal(c.Dist[0], coll.Dist[i]) || !slices.Equal(c.Depth[0], coll.Depth[i]) ||
+			!slices.Equal(c.Parent[0], coll.Parent[i]) {
+			t.Fatalf("clean step-1 tree %d moved", i)
+		}
+		checked++
+	}
+	for ci, dirty := range sn.dirty3 {
+		if dirty {
+			continue
+		}
+		res, err := bford.RunLabels(nw, g, sn.Q[ci], sn.key.h, bford.In)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Dist, sn.deltaH.Row(ci)) || !slices.Equal(res.Hops, sn.deltaHops[ci]) {
+			t.Fatalf("clean step-3 row %d (blocker %d) moved", ci, sn.Q[ci])
+		}
+		checked++
+	}
+	if !sn.qsinkDirty {
+		for k, row := range sn.qsnap.Rows {
+			if row.Hops == nil {
+				continue
+			}
+			now, then := build(nw, row.Root, row.Bound/2, row.Mode), build(was, row.Root, row.Bound/2, row.Mode)
+			if !slices.Equal(now.Label[0], row.Dist) || !slices.Equal(now.LabelHops[0], row.Hops) {
+				t.Fatalf("clean q-sink row %d (root %d) moved", k, row.Root)
+			}
+			if !slices.Equal(now.Dist[0], then.Dist[0]) || !slices.Equal(now.Depth[0], then.Depth[0]) ||
+				!slices.Equal(now.Parent[0], then.Parent[0]) {
+				t.Fatalf("clean q-sink row %d (root %d): truncated tree moved", k, row.Root)
+			}
+			checked++
+		}
+	}
+	n := g.N
+	for x, dirty := range sn.dirty7 {
+		if dirty {
+			continue
+		}
+		if !slices.Equal(sn.distFlat[x*n:(x+1)*n], graph.Dijkstra(g, x)) {
+			t.Fatalf("clean step-7 row %d differs from Dijkstra", x)
+		}
+		checked++
+	}
+	return checked
+}
+
+// TestDamageReplayComparesHops pins the replay's hop comparison. With
+// h=2, source 0's Step-1 label system has a 4-hop bound: b sits at the end
+// of a 4-hop zero-weight chain, so x is reached only by the 4-hop route
+// 0->7->8->9->x of weight 6. Lowering a->b from 10 to 1 opens a second
+// route of weight 6, 0->a->b->x, in 3 hops. No distance moves, and the
+// distance screen stays quiet at a->b (D[a]+1 > D[b]), but x's hop count
+// does: the system must be dirty.
+func TestDamageReplayComparesHops(t *testing.T) {
+	const a, b, x = 5, 4, 6
+	g := graph.New(10, true)
+	for i := 0; i < 4; i++ {
+		g.MustAddEdge(i, i+1, 0) // 0->1->2->3->b
+	}
+	g.MustAddEdge(0, a, 5)
+	g.MustAddEdge(a, b, 10) // the updated edge
+	g.MustAddEdge(b, x, 0)
+	g.MustAddEdge(0, 7, 1)
+	g.MustAddEdge(7, 8, 1)
+	g.MustAddEdge(8, 9, 1)
+	g.MustAddEdge(9, x, 3)
+	opt := Options{Variant: Det43, H: 2}
+	s, err := NewSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(opt); err != nil {
+		t.Fatal(err)
+	}
+	captured := cloneGraph(g)
+	if got := s.snap.coll.LabelHops[0][x]; got != 4 {
+		t.Fatalf("x's captured hop count is %d, want 4", got)
+	}
+	if _, err := s.ApplyUpdates([]EdgeUpdate{{Op: SetWeight, U: a, V: b, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if !s.snap.dirty1[0] {
+		t.Fatal("source 0's label system moved only in hops and was left clean")
+	}
+	checkCleanSystems(t, s, captured)
 }

@@ -137,19 +137,7 @@ func BuildInto(c *Collection, nw *congest.Network, g *graph.Graph, sources []int
 		if err != nil {
 			return fmt.Errorf("csssp: source %d: %w", src, err)
 		}
-		copy(c.Label[i], res.Dist)
-		copy(c.LabelHops[i], res.Hops)
-		for v := 0; v < n; v++ {
-			if res.Confirmed[v] && res.Hops[v] >= 0 && res.Hops[v] <= h {
-				c.Dist[i][v] = res.Dist[v]
-				c.Depth[i][v] = res.Hops[v]
-				c.Parent[i][v] = res.Parent[v]
-			} else {
-				c.Dist[i][v] = graph.Inf
-				c.Depth[i][v] = -1
-				c.Parent[i][v] = -1
-			}
-		}
+		c.setRow(i, res)
 		return nil
 	})
 	if err != nil {
@@ -157,6 +145,30 @@ func BuildInto(c *Collection, nw *congest.Network, g *graph.Graph, sources []int
 	}
 	c.rebuildDerived()
 	return nil
+}
+
+// setRow writes row i from res, the 2h-hop run of Sources[i]: the labels,
+// their hop counts, and the h-truncated tree, in which a confirmed node
+// within h hops sits at its label under its confirmed parent and every
+// other node is absent. It reports whether a label or the tree changed.
+// LabelHops is damage-test metadata, not protocol input, so it is written
+// but kept out of the report: a convergence level that moved while every
+// consumed array stayed fixed changes nothing any later stage reads.
+func (c *Collection) setRow(i int, res *bford.Result) bool {
+	copy(c.LabelHops[i], res.Hops)
+	label, dist, depth, parent := c.Label[i], c.Dist[i], c.Depth[i], c.Parent[i]
+	chg := false
+	for v, l := range res.Dist {
+		d, dep, par := graph.Inf, -1, -1
+		if hv := res.Hops[v]; res.Confirmed[v] && hv >= 0 && hv <= c.H {
+			d, dep, par = l, hv, res.Parent[v]
+		}
+		if label[v] != l || dist[v] != d || depth[v] != dep || parent[v] != par {
+			label[v], dist[v], depth[v], parent[v] = l, d, dep, par
+			chg = true
+		}
+	}
+	return chg
 }
 
 // carve returns rows, resized to ns, pointing at the consecutive
@@ -246,7 +258,6 @@ func (c *Collection) Refresh(nw *congest.Network, dirty []int) (bool, error) {
 	if len(dirty) == 0 {
 		return false, nil
 	}
-	n := c.G.N
 	changed := make([]bool, len(dirty))
 	err := nw.ShardRuns(len(dirty), func(w *congest.Network, k int) error {
 		i := dirty[k]
@@ -255,27 +266,7 @@ func (c *Collection) Refresh(nw *congest.Network, dirty []int) (bool, error) {
 		if err != nil {
 			return fmt.Errorf("csssp: refresh source %d: %w", src, err)
 		}
-		chg := false
-		// LabelHops is damage-test metadata, not protocol input: refresh it
-		// unconditionally but keep it out of chg — a convergence level that
-		// moved while every consumed array stayed fixed changes nothing any
-		// later stage reads.
-		copy(c.LabelHops[i], res.Hops)
-		for v := 0; v < n; v++ {
-			if c.Label[i][v] != res.Dist[v] {
-				c.Label[i][v] = res.Dist[v]
-				chg = true
-			}
-			d, dep, par := graph.Inf, -1, -1
-			if res.Confirmed[v] && res.Hops[v] >= 0 && res.Hops[v] <= c.H {
-				d, dep, par = res.Dist[v], res.Hops[v], res.Parent[v]
-			}
-			if c.Dist[i][v] != d || c.Depth[i][v] != dep || c.Parent[i][v] != par {
-				c.Dist[i][v], c.Depth[i][v], c.Parent[i][v] = d, dep, par
-				chg = true
-			}
-		}
-		changed[k] = chg
+		changed[k] = c.setRow(i, res)
 		return nil
 	})
 	if err != nil {
