@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"congestapsp/internal/bford"
+	"congestapsp/internal/blocker"
 	"congestapsp/internal/broadcast"
 	"congestapsp/internal/congest"
 	"congestapsp/internal/csssp"
@@ -178,6 +179,26 @@ func TestTreeChargeWarmAllocs(t *testing.T) {
 		}); got > 0 {
 			t.Errorf("%s: %v allocs per warm call, want 0", name, got)
 		}
+	}
+}
+
+// TestBlockerWarmComputeAllocs: a warm blocker.Compute on the ring-n256
+// det43 collection (h = 7), the set cover of BenchmarkBlockerCompute,
+// allocates only what it returns: the Result and its Q and InQ, within a
+// budget of 8. Its kept state, walks and per-tree sub-runs are pooled on
+// the network and bound once.
+func TestBlockerWarmComputeAllocs(t *testing.T) {
+	g := graph.Ring(graph.GenConfig{N: 256, Seed: 1, MaxWeight: 50})
+	coll, nw := buildColl(t, g, hopParam(g.N))
+	run := func() {
+		coll.ResetRemovals()
+		if _, err := blocker.Compute(nw, coll, blocker.Params{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const budget = 8
+	if got := testing.AllocsPerRun(1, run); got > budget {
+		t.Errorf("%v allocs per warm Compute, want <= %d", got, budget)
 	}
 }
 

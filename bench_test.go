@@ -41,7 +41,7 @@ func benchGraph(n int) *graph.Graph {
 
 func hopParam(n int) int { return int(math.Ceil(math.Pow(float64(n), 1.0/3))) }
 
-func buildColl(b *testing.B, g *graph.Graph, h int) (*csssp.Collection, *congest.Network) {
+func buildColl(b testing.TB, g *graph.Graph, h int) (*csssp.Collection, *congest.Network) {
 	b.Helper()
 	nw, err := congest.NewNetwork(g, 1)
 	if err != nil {
@@ -579,29 +579,51 @@ func BenchmarkAPSPUpdate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var st apsp.UpdateStats
+			// toggle moves the edge to w+2 (up, d = 0) or back to w+1
+			// (down, d = 1) and re-runs, failing on any fallback to a cold
+			// run; the stats of the latest toggle each way are kept.
+			var dir [2]apsp.UpdateStats
+			var seen [2]bool
 			var rounds float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := edge.W + int64(1+i%2) // toggle w+1 / w+2: never a no-op
-				st, err = r.ApplyUpdates([]apsp.EdgeUpdate{{Op: apsp.SetWeight, U: edge.U, V: edge.V, W: w}})
+			toggle := func(d int) {
+				st, err := r.ApplyUpdates([]apsp.EdgeUpdate{{Op: apsp.SetWeight, U: edge.U, V: edge.V, W: edge.W + 2 - int64(d)}})
 				if err != nil {
 					b.Fatal(err)
+				}
+				if st.FellBack {
+					b.Fatal("update benchmark fell out of the incremental path")
 				}
 				res, err := r.Run(opt)
 				if err != nil {
 					b.Fatal(err)
 				}
-				rounds = float64(res.Stats.Rounds)
+				dir[d], seen[d] = st, true
+				if d == 0 {
+					rounds = float64(res.Stats.Rounds)
+				}
+			}
+			// Untimed, move the edge off its built weight first, so that
+			// every timed toggle goes between w+1 and w+2; after the loop,
+			// make the toggle it did not reach, so the metrics read the
+			// same at any b.N.
+			toggle(1)
+			seen[1] = false
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				toggle(i % 2)
 			}
 			b.StopTimer()
-			if st.FellBack {
-				b.Fatal("update benchmark fell out of the incremental path")
+			for d := range seen {
+				if !seen[d] {
+					toggle(d)
+				}
 			}
 			b.ReportMetric(rounds, "rounds")
-			b.ReportMetric(float64(st.Recomputed), "recomputed")
-			b.ReportMetric(float64(st.Reused), "reused")
+			b.ReportMetric(float64(dir[0].Recomputed), "recomputed-up")
+			b.ReportMetric(float64(dir[0].Reused), "reused-up")
+			b.ReportMetric(float64(dir[1].Recomputed), "recomputed-down")
+			b.ReportMetric(float64(dir[1].Reused), "reused-down")
 		})
 	}
 }

@@ -118,16 +118,19 @@ func Compute(nw *congest.Network, coll *csssp.Collection, par Params) (*Result, 
 }
 
 // stateKey keys the pooled set-cover state in the network's scratch
-// registry: the selection loop runs per-tree protocol fleets and per-step
-// broadcasts hundreds of times, so its working vectors — V_i indicators,
-// upcast count matrices, per-leaf betas, broadcast item arenas — are pooled
-// on the Network and resized (never reallocated) per Compute call.
+// registry: its kept knowledge, its per-tree walks and its working vectors
+// are pooled on the Network and resized (never reallocated) per Compute
+// call.
 type stateKey struct{}
 
 // state carries the shared knowledge of the set-cover algorithm. Fields
 // marked "global knowledge" are values that every node holds identical
 // copies of after the corresponding broadcast; keeping one copy is the
-// simulator's equivalent.
+// simulator's equivalent. The knowledge is kept from one selection step to
+// the next and updated by what each commit and each change of V_i or of
+// the phase moves, each update walking Parent rows, O(H) per full-length
+// path it touches; the per-tree protocols that would recompute it are
+// charged from the trees' depth histograms.
 type state struct {
 	nw   *congest.Network
 	coll *csssp.Collection
@@ -135,112 +138,270 @@ type state struct {
 	n, h int
 	tree *broadcast.Tree // BFS tree rooted at the leader (node 0)
 
-	// Ancestor CSR of every tree (Step 1 of Algorithm 7), in two flat
-	// arenas sized from Depth: with off = ancOff[i*(n+1):], the ids
-	// ancIds[off[v]:off[v+1]] are the proper ancestors of v in tree i,
-	// root excluded, nearest-first. Tree i owns its rows, so sharded
-	// indices write disjoint ones. Removals only delete whole paths, so
-	// the lists stay valid throughout one Compute.
-	ancOff []int32
-	ancIds []int32
-
 	// walks[i] is tree i's walk, taken in the Ancestors pass and kept
-	// current by every commit's RemoveSubtrees: the per-tree protocols of
-	// a selection step read it instead of walking the tree again.
+	// current, depth histogram included, by every commit's
+	// RemoveSubtrees. calls[i] counts the runs charged on tree i whose
+	// words are not yet in WordsByNode (flushWords). eager, which tests
+	// set, adds them run by run, as -tags matcheck builds always do.
 	walks csssp.Walks
+	calls []csssp.RunCounts
+	eager bool
 
-	score  []int64 // global knowledge after broadcastScores
+	// treeIds[treeOff[u]:treeOff[u+1]] lists the trees that held u below
+	// their root when setVi first needed it (taken from the kept walks;
+	// trees only lose nodes, so a listed tree may have lost u since, and
+	// no other tree holds it). haveTrees says whether it is taken.
+	treeOff, treeIds []int32
+	haveTrees        bool
+
+	score  []int64 // alive full-length paths through v, root excluded (global knowledge)
 	inVi   []bool  // current V_i (derived locally from score)
 	viSize int
-	// leafBeta[i][v] is |V_i ∩ path(i,v)| at the alive full-length leaves
-	// v of tree i and 0 at the removed ones (global knowledge); other
-	// entries are never read.
-	leafBeta [][]int64
-	inQ      []bool
-	q        []int
-	stats    Stats
 
-	// Pooled work buffers (see ensure/reinit).
-	leafBetaBuf []int64   // flat backing of leafBeta
-	counts      []int64   // trees x n upcast results (one shared matrix)
-	countUsed   []bool    // per-tree: counts row was filled this pass
-	pijLeafBuf  []bool    // flat backing of pijLeaf
-	pijLeaf     [][]bool  // row views, rebuilt per ensure; read at full-length leaves only
-	scoreij     []int64   // per-step coverage scores
-	inZ         []bool    // commit scratch
-	cnt         []int32   // per-node item counts of a broadcast
-	nuBuf       []int64   // 2 x n x m good-set aggregation backing
-	nuPi, nuPij [][]int64 // row views into nuBuf
-	totPi       []int64   // aggregated nuPi (or the randomized check's pair)
-	totPij      []int64   // aggregated nuPij
-	members     []int     // selected good-set members
+	// The alive full-length leaves of tree i are HLeaves(i) less the
+	// removed ones, and beta[leafOff[i]+k] is |V_i ∩ path| of HLeaves(i)[k]
+	// (global knowledge; stale once the leaf is removed). hist[b] counts
+	// the alive leaves with beta b, and betaCnt[v] the trees in which v is
+	// an alive leaf with beta > 0: v's items in the beta broadcast.
+	leafOff []int32
+	beta    []int32
+	hist    []int64
+	betaCnt []int32
+
+	// P_ij is the alive leaves with beta >= pijLo (h+1: none); pijTree[i]
+	// counts tree i's, and scoreij[v] the P_ij paths through v, root
+	// excluded (global knowledge).
+	pijLo   int
+	pijTree []int32
+	scoreij []int64
+
+	inQ   []bool
+	q     []int
+	stats Stats
+
+	// Pooled work buffers.
+	stack, below []int32   // leavesBelow's subtree walk and result
+	path         []int32   // viPath's result
+	inZ          []bool    // commit scratch: Z as an indicator
+	zs           []int     // and as a list
+	cnt          []int32   // per-node item counts of a broadcast
+	nuBuf        []int64   // 2 x n x m good-set aggregation backing
+	nuPi, nuPij  [][]int64 // row views into nuBuf
+	totPi        []int64   // aggregated nuPi (or the randomized check's pair)
+	totPij       []int64   // aggregated nuPij
+	members      []int     // selected good-set members
+
+	// The per-tree sub-runs, bound once so that a warm Compute hands
+	// ShardRuns no new closure.
+	ancestorsRun, pijRun, scoreRun, scoreijRun func(w *congest.Network, i int) error
 }
 
-// reinit points the pooled state at a new (collection, params) pair and
-// sizes every buffer, clearing the ones whose previous contents could leak
-// into this run.
+func newState() *state {
+	st := new(state)
+	st.ancestorsRun, st.pijRun = st.ancestorsOne, st.pijOne
+	st.scoreRun, st.scoreijRun = st.scoreOne, st.scoreijOne
+	return st
+}
+
+// reinit points the pooled state at a new (collection, params) pair, sizes
+// every buffer, and sets the knowledge for an empty V_i and Q: every beta
+// 0, no P_ij, and each node's score counted over the alive full-length
+// paths.
 func (st *state) reinit(nw *congest.Network, coll *csssp.Collection, par Params) {
 	st.nw, st.coll, st.par = nw, coll, par
 	st.n, st.h = nw.N(), coll.H
 	st.tree = nil
 	st.stats = Stats{}
+	st.haveTrees = false
 	n, trees := st.n, coll.NumTrees()
 
 	st.score = congest.Grow(st.score, n)
 	st.inVi = congest.Grow(st.inVi, n)
+	st.viSize = 0
 	st.inQ = congest.Grow(st.inQ, n)
 	st.scoreij = congest.Grow(st.scoreij, n)
+	st.betaCnt = congest.Grow(st.betaCnt, n)
 	st.inZ = congest.Grow(st.inZ, n)
 	st.cnt = congest.Grow(st.cnt, n)
 	st.q = st.q[:0]
 
-	st.counts = congest.Grow(st.counts, trees*n)
-	st.countUsed = congest.Grow(st.countUsed, trees)
-	st.leafBetaBuf = congest.Grow(st.leafBetaBuf, trees*n)
-	st.pijLeafBuf = congest.Grow(st.pijLeafBuf, trees*n)
-	if cap(st.leafBeta) < trees {
-		st.leafBeta = make([][]int64, trees)
-		st.pijLeaf = make([][]bool, trees)
-	}
-	st.leafBeta = st.leafBeta[:trees]
-	st.pijLeaf = st.pijLeaf[:trees]
+	st.calls = congest.Grow(st.calls, trees)
+	st.pijTree = congest.Grow(st.pijTree, trees)
+	st.pijLo = st.h + 1
+	st.hist = congest.Grow(st.hist, st.h+1)
+	st.leafOff = congest.Grow(st.leafOff, trees+1)
 	for i := 0; i < trees; i++ {
-		st.leafBeta[i] = st.leafBetaBuf[i*n : (i+1)*n : (i+1)*n]
-		st.pijLeaf[i] = st.pijLeafBuf[i*n : (i+1)*n : (i+1)*n]
+		st.leafOff[i+1] = st.leafOff[i] + int32(len(coll.HLeaves(i)))
+		for _, v := range coll.HLeaves(i) {
+			if !coll.Removed[i][v] {
+				st.hist[0]++
+				st.addPath(i, v, 1, st.score)
+			}
+		}
 	}
-	st.ancOff = congest.Grow(st.ancOff, trees*(n+1))
-	total := int32(0)
-	for i := 0; i < trees; i++ {
-		total = ancestorOffsets(coll.Depth[i], st.ancOffRow(i), total)
-	}
-	st.ancIds = congest.Grow(st.ancIds, int(total))
+	st.beta = congest.Grow(st.beta, int(st.leafOff[trees]))
 	st.walks.Reset(coll)
 }
 
-// countsRow returns row i of the pooled trees x n upcast matrix.
-func (st *state) countsRow(i int) []int64 {
-	return st.counts[i*st.n : (i+1)*st.n : (i+1)*st.n]
-}
-
-// ancOffRow returns tree i's n+1 offsets into the ancestor arena.
-func (st *state) ancOffRow(i int) []int32 {
-	return st.ancOff[i*(st.n+1) : (i+1)*(st.n+1) : (i+1)*(st.n+1)]
-}
-
-// ancRow returns the proper ancestors of v in tree i (root excluded,
-// nearest-first).
-func (st *state) ancRow(i, v int) []int32 {
-	off := st.ancOffRow(i)
-	return st.ancIds[off[v]:off[v+1]]
-}
-
-// addTreeCounts adds, for every node v of tree i other than its root,
-// counts[v] into sum. It reads the kept walk, so it costs O(tree), not
-// O(n).
-func (st *state) addTreeCounts(i int, counts, sum []int64) {
-	for _, v := range st.walks.Tree(i).Descendants() {
-		sum[v] += counts[v]
+// addPath adds d to vec at the nodes of tree i's path from v up to the
+// root, the root excluded.
+func (st *state) addPath(i int, v int32, d int64, vec []int64) {
+	parent, root := st.coll.Parent[i], st.coll.Sources[i]
+	for u := int(v); u != root; u = parent[u] {
+		vec[u] += d
 	}
+}
+
+// viPath lists the V_i nodes of tree i's path from v up to the root, the
+// root excluded, into a pooled buffer.
+func (st *state) viPath(i int, v int32) []int32 {
+	parent, root := st.coll.Parent[i], st.coll.Sources[i]
+	out := st.path[:0]
+	for u := int(v); u != root; u = parent[u] {
+		if st.inVi[u] {
+			out = append(out, int32(u))
+		}
+	}
+	st.path = out
+	return out
+}
+
+// leavesBelow lists the positions in HLeaves(i) of the alive full-length
+// leaves in u's subtree of tree i, u included, into a pooled buffer.
+func (st *state) leavesBelow(i int, u int32) []int32 {
+	coll := st.coll
+	removed, depth, hl := coll.Removed[i], coll.Depth[i], coll.HLeaves(i)
+	out, stack := st.below[:0], append(st.stack[:0], u)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if depth[v] == st.h {
+			k, _ := slices.BinarySearch(hl, v)
+			out = append(out, int32(k))
+			continue
+		}
+		for _, c := range coll.ChildIDs(i, int(v)) {
+			if !removed[c] {
+				stack = append(stack, c)
+			}
+		}
+	}
+	st.stack, st.below = stack, out
+	return out
+}
+
+// movePij moves tree i's alive leaf v into P_ij (in) or out of it.
+func (st *state) movePij(i int, v int32, in bool) {
+	d := int64(-1)
+	if in {
+		d = 1
+	}
+	st.pijTree[i] += int32(d)
+	st.addPath(i, v, d, st.scoreij)
+}
+
+// moveBeta adds d to the beta of the alive full-length leaf HLeaves(i)[k].
+func (st *state) moveBeta(i, k int, d int32) {
+	v, p := st.coll.HLeaves(i)[k], int(st.leafOff[i])+k
+	old := st.beta[p]
+	b := old + d
+	st.beta[p] = b
+	st.hist[old]--
+	st.hist[b]++
+	st.betaCnt[v] += b2i(b > 0) - b2i(old > 0)
+	if was, is := int(old) >= st.pijLo, int(b) >= st.pijLo; was != is {
+		st.movePij(i, v, is)
+	}
+}
+
+// setVi moves u into V_i (in) or out of it: the beta of every alive
+// full-length leaf below u moves by one, in every tree that holds u below
+// its root.
+func (st *state) setVi(u int, in bool) {
+	st.inVi[u] = in
+	d := int32(-1)
+	if in {
+		d = 1
+	}
+	if !st.haveTrees {
+		st.takeTrees()
+	}
+	for _, i := range st.treeIds[st.treeOff[u]:st.treeOff[u+1]] {
+		if st.coll.Removed[i][u] {
+			continue
+		}
+		for _, k := range st.leavesBelow(int(i), int32(u)) {
+			st.moveBeta(int(i), int(k), d)
+		}
+	}
+}
+
+// takeTrees lists, per node, the trees whose kept walk holds it below the
+// root.
+func (st *state) takeTrees() {
+	n, trees := st.n, st.coll.NumTrees()
+	off := congest.Grow(st.treeOff, n+1)
+	for i := 0; i < trees; i++ {
+		for _, v := range st.walks.Tree(i).Descendants() {
+			off[v+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	ids := congest.Grow(st.treeIds, int(off[n]))
+	next := append(st.stack[:0], off[:n]...)
+	for i := 0; i < trees; i++ {
+		for _, v := range st.walks.Tree(i).Descendants() {
+			ids[next[v]] = int32(i)
+			next[v]++
+		}
+	}
+	st.treeOff, st.treeIds, st.stack, st.haveTrees = off, ids, next, true
+}
+
+// setBound makes P_ij the alive leaves with beta >= lo: the leaves whose
+// beta lies between the old bound and lo enter P_ij or leave it. The
+// histogram tells when there are none, and only then the leaves are not
+// scanned.
+func (st *state) setBound(lo int) {
+	from, to := min(lo, st.pijLo), max(lo, st.pijLo)
+	moved := int64(0)
+	for b := from; b < to; b++ {
+		moved += st.hist[b]
+	}
+	if moved > 0 {
+		for i := range st.coll.Sources {
+			base := int(st.leafOff[i])
+			for k, v := range st.coll.HLeaves(i) {
+				if b := int(st.beta[base+k]); b >= from && b < to && !st.coll.Removed[i][v] {
+					st.movePij(i, v, lo < st.pijLo)
+				}
+			}
+		}
+	}
+	st.pijLo = lo
+}
+
+// pijSize returns |P_ij|, a suffix sum of the beta histogram.
+func (st *state) pijSize() int {
+	size := int64(0)
+	for _, c := range st.hist[st.pijLo:] {
+		size += c
+	}
+	return int(size)
+}
+
+// removeLeaf takes the alive full-length leaf HLeaves(i)[k] out of the
+// knowledge: its path leaves every count.
+func (st *state) removeLeaf(i, k int) {
+	v, b := st.coll.HLeaves(i)[k], st.beta[int(st.leafOff[i])+k]
+	st.hist[b]--
+	st.betaCnt[v] -= b2i(b > 0)
+	if int(b) >= st.pijLo {
+		st.movePij(i, v, false)
+	}
+	st.addPath(i, v, -1, st.score)
 }
 
 // broadcastPositive charges the all-to-all broadcast of one (id, value)
@@ -262,107 +423,15 @@ func b2i(b bool) int32 {
 }
 
 func computeSetCover(nw *congest.Network, coll *csssp.Collection, par Params) (*Result, error) {
-	st := congest.ScratchState(nw.Scratch(), stateKey{}, func() *state { return new(state) })
+	st := congest.ScratchState(nw.Scratch(), stateKey{}, newState)
 	st.reinit(nw, coll, par)
-	n := st.n
-	maxSteps := par.MaxSelectionSteps
-	if maxSteps == 0 {
-		maxSteps = 16*n + 1024
-	}
-
 	roundsBefore := nw.Stats.Rounds
-	var err error
-	st.tree, err = broadcast.BuildBFS(nw, 0)
+	err := st.cover(nil)
+	for i := range coll.Sources {
+		st.flushWords(nw, i)
+	}
 	if err != nil {
 		return nil, err
-	}
-	// Step 1 of Algorithm 7: every node collects the ids on each of its
-	// tree paths (pipelined Ancestors of [2]; O(|S|*h) rounds). Removals
-	// only delete whole paths, so the lists stay valid throughout. The
-	// pass also takes the kept walk of every tree. The per-tree protocols
-	// are independent and dispatch across the work-stealing worker clones
-	// (each index owns tree i's rows and walk).
-	err = nw.ShardRuns(coll.NumTrees(), func(w *congest.Network, i int) error {
-		return collectAncestors(w, coll, i, st.walks.Tree(i), st.ancOffRow(i), st.ancIds)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Step 1 of Algorithm 2: compute score(v) ([2], O(|S|*h) rounds), then
-	// broadcast all scores so V_i construction is local at every stage
-	// (one all-to-all replaces the per-stage id broadcast of Lemma 3.2).
-	if err := st.recomputeScores(); err != nil {
-		return nil, err
-	}
-
-	onePlusEps := 1 + st.par.Eps
-	maxStage := int(math.Ceil(math.Log(float64(n)*float64(n))/math.Log(onePlusEps))) + 1
-	maxPhase := int(math.Ceil(math.Log(float64(st.h))/math.Log(onePlusEps))) + 1
-	if maxPhase < 1 {
-		maxPhase = 1
-	}
-
-	for i := maxStage; i >= 1; i-- {
-		stageLo := math.Pow(onePlusEps, float64(i-1))
-		stageHi := math.Pow(onePlusEps, float64(i))
-		if !st.rebuildVi(stageLo) {
-			continue // V_i empty: known locally from the score broadcast
-		}
-		st.stats.StagesVisited++
-		needRefresh := true
-		for j := maxPhase; j >= 1; j-- {
-			phaseLo := math.Pow(onePlusEps, float64(j-1))
-			st.stats.PhasesVisited++
-			for {
-				if st.stats.SelectionSteps > maxSteps {
-					return nil, fmt.Errorf("blocker: selection steps exceeded safety cap %d", maxSteps)
-				}
-				if needRefresh {
-					// Steps 3-4 / 7(a): Compute-Pi/Pij downcasts per tree,
-					// then one all-to-all of per-leaf beta values so that
-					// every node can evaluate |P_ij| for every j locally
-					// (Algorithm 5).
-					if err := st.refreshBetas(); err != nil {
-						return nil, err
-					}
-					needRefresh = false
-				}
-				pijLeaf, pijSize := st.pijLeaves(phaseLo)
-				if pijSize == 0 {
-					break // phase done
-				}
-				st.stats.SelectionSteps++
-				// Step 8: scoreij via per-tree upcasts + broadcast.
-				scoreij, err := st.computeScoreij(pijLeaf)
-				if err != nil {
-					return nil, err
-				}
-				// Step 9: a single node covering > delta^3/(1+eps) of P_ij?
-				thr := st.par.Delta * st.par.Delta * st.par.Delta / onePlusEps * float64(pijSize)
-				best, bestVal := -1, int64(0)
-				for v := 0; v < n; v++ {
-					if st.inVi[v] && (scoreij[v] > bestVal || (scoreij[v] == bestVal && bestVal > 0 && best >= 0 && v < best)) {
-						best, bestVal = v, scoreij[v]
-					}
-				}
-				var chosen []int
-				if best >= 0 && float64(bestVal) > thr {
-					st.members = append(st.members[:0], best) // Step 10
-					chosen = st.members
-					st.stats.SingleSelections++
-				} else {
-					chosen, err = st.selectGoodSet(i, j, stageHi, pijLeaf, pijSize, scoreij, best)
-					if err != nil {
-						return nil, err
-					}
-				}
-				if err := st.commit(chosen); err != nil {
-					return nil, err
-				}
-				st.rebuildVi(stageLo)
-				needRefresh = true
-			}
-		}
 	}
 	// Sanity: the set-cover loop must have covered everything (Lemma A.7).
 	if remaining := countFullPaths(coll); remaining != 0 {
@@ -379,165 +448,222 @@ func computeSetCover(nw *congest.Network, coll *csssp.Collection, par Params) (*
 	}, nil
 }
 
+// cover runs the stage/phase selection loop of Algorithm 2 on the state
+// reinit set up. onCommit, when not nil, is called after every commit,
+// once V_i is rebuilt.
+func (st *state) cover(onCommit func()) error {
+	nw, coll, n := st.nw, st.coll, st.n
+	maxSteps := st.par.MaxSelectionSteps
+	if maxSteps == 0 {
+		maxSteps = 16*n + 1024
+	}
+	var err error
+	st.tree, err = broadcast.BuildBFS(nw, 0)
+	if err != nil {
+		return err
+	}
+	// Step 1 of Algorithm 7: every node collects the ids on each of its
+	// tree paths (pipelined Ancestors of [2]; O(|S|*h) rounds). Removals
+	// only delete whole paths, so the lists stay valid throughout. The
+	// pass also takes the kept walk of every tree. The per-tree runs are
+	// independent and dispatch across the work-stealing worker clones
+	// (each index owns tree i's walk and counts).
+	if err := nw.ShardRuns(coll.NumTrees(), st.ancestorsRun); err != nil {
+		return err
+	}
+	// Step 1 of Algorithm 2: compute score(v) ([2], O(|S|*h) rounds), then
+	// broadcast all scores so V_i construction is local at every stage
+	// (one all-to-all replaces the per-stage id broadcast of Lemma 3.2).
+	if err := st.chargeScores(); err != nil {
+		return err
+	}
+
+	onePlusEps := 1 + st.par.Eps
+	maxStage := int(math.Ceil(math.Log(float64(n)*float64(n))/math.Log(onePlusEps))) + 1
+	maxPhase := st.maxPhase()
+
+	for i := maxStage; i >= 1; i-- {
+		stageLo := math.Pow(onePlusEps, float64(i-1))
+		stageHi := math.Pow(onePlusEps, float64(i))
+		st.setBound(st.h + 1) // no P_ij between stages
+		if !st.rebuildVi(stageLo) {
+			continue // V_i empty: known locally from the score broadcast
+		}
+		st.stats.StagesVisited++
+		needRefresh := true
+		for j := maxPhase; j >= 1; j-- {
+			st.setBound(st.phaseBound(j))
+			st.stats.PhasesVisited++
+			for {
+				if st.stats.SelectionSteps > maxSteps {
+					return fmt.Errorf("blocker: selection steps exceeded safety cap %d", maxSteps)
+				}
+				if needRefresh {
+					// Steps 3-4 / 7(a): Compute-Pi/Pij downcasts per tree,
+					// then one all-to-all of per-leaf beta values so that
+					// every node can evaluate |P_ij| for every j locally
+					// (Algorithm 5).
+					if err := st.chargeBetas(); err != nil {
+						return err
+					}
+					needRefresh = false
+				}
+				pijSize := st.pijSize()
+				if pijSize == 0 {
+					break // phase done
+				}
+				st.stats.SelectionSteps++
+				// Step 8: scoreij via per-tree upcasts + broadcast.
+				if err := st.chargeScoreij(); err != nil {
+					return err
+				}
+				scoreij := st.scoreij
+				// Step 9: a single node covering > delta^3/(1+eps) of P_ij?
+				thr := st.par.Delta * st.par.Delta * st.par.Delta / onePlusEps * float64(pijSize)
+				best, bestVal := -1, int64(0)
+				for v := 0; v < n; v++ {
+					if st.inVi[v] && (scoreij[v] > bestVal || (scoreij[v] == bestVal && bestVal > 0 && best >= 0 && v < best)) {
+						best, bestVal = v, scoreij[v]
+					}
+				}
+				var chosen []int
+				if best >= 0 && float64(bestVal) > thr {
+					st.members = append(st.members[:0], best) // Step 10
+					chosen = st.members
+					st.stats.SingleSelections++
+				} else {
+					chosen, err = st.selectGoodSet(i, j, stageHi, pijSize, best)
+					if err != nil {
+						return err
+					}
+				}
+				if err := st.commit(chosen); err != nil {
+					return err
+				}
+				st.rebuildVi(stageLo)
+				if onCommit != nil {
+					onCommit()
+				}
+				needRefresh = true
+			}
+		}
+	}
+	return nil
+}
+
+// maxPhase is the first phase of every stage.
+func (st *state) maxPhase() int {
+	return max(1, int(math.Ceil(math.Log(float64(st.h))/math.Log(1+st.par.Eps)))+1)
+}
+
+// phaseBound is the beta bound of phase j: P_ij is the alive paths with
+// at least (1+eps)^(j-1) V_i nodes, so with a beta of at least the
+// smallest integer that large, or h+1 (no path) when that exceeds h.
+func (st *state) phaseBound(j int) int {
+	return min(int(math.Ceil(math.Pow(1+st.par.Eps, float64(j-1)))), st.h+1)
+}
+
 // rebuildVi recomputes V_i = {v : score(v) >= lo} locally (scores are
-// global knowledge). It reports whether V_i is nonempty.
+// global knowledge), moving the betas below every node that enters or
+// leaves. It reports whether V_i is nonempty.
 func (st *state) rebuildVi(lo float64) bool {
 	st.viSize = 0
 	for v := 0; v < st.n; v++ {
-		if float64(st.score[v]) >= lo {
-			st.inVi[v] = true
+		in := float64(st.score[v]) >= lo
+		if in != st.inVi[v] {
+			st.setVi(v, in)
+		}
+		if in {
 			st.viSize++
-		} else {
-			st.inVi[v] = false
 		}
 	}
 	return st.viSize > 0
 }
 
-// recomputeScores runs the per-tree subtree-count upcasts ([2]'s score
-// algorithm; O(|S|*h) rounds) and broadcasts all scores (O(n)). The
-// upcasts are independent per-tree protocols: they source-shard across
-// worker clones, each writing only its tree's row of the pooled count
-// matrix, and the score accumulation happens afterwards in tree order
-// (int64 sums are exact, so the result is bit-identical to the sequential
-// loop).
-func (st *state) recomputeScores() error {
-	err := st.nw.ShardRuns(st.coll.NumTrees(), func(w *congest.Network, i int) error {
-		walk := st.walks.Tree(i)
-		init := getTreeCharge(w).upcastInit(st.n, walk)
-		for _, v := range st.coll.HLeaves(i) {
-			if !st.coll.Removed[i][v] {
-				init[v] = 1
-			}
-		}
-		return st.coll.UpcastSumInto(w, walk, i, init, st.countsRow(i))
-	})
-	if err != nil {
+// chargeScores charges the per-tree subtree-count upcasts of score(v)
+// ([2]'s score algorithm; O(|S|*h) rounds) and broadcasts all scores
+// (O(n)).
+func (st *state) chargeScores() error {
+	if err := st.nw.ShardRuns(st.coll.NumTrees(), st.scoreRun); err != nil {
 		return err
 	}
-	score := st.score
-	clear(score)
-	for i := range st.coll.Sources {
-		st.addTreeCounts(i, st.countsRow(i), score)
-	}
-	// All-to-all broadcast of (id, score) items.
-	return st.broadcastPositive(score)
+	return st.broadcastPositive(st.score)
 }
 
-// refreshBetas recomputes leafBeta (the |V_i ∩ path| counts) with the
-// Compute-Pij downcast per tree, then shares the per-leaf values by one
-// all-to-all broadcast so every node can evaluate any |P_ij| locally.
-func (st *state) refreshBetas() error {
-	// Per-tree downcasts, source-sharded (index i owns leafBeta[i]). A
-	// downcast writes only the nodes still in its tree, so the removed
-	// leaves are zeroed here.
-	err := st.nw.ShardRuns(st.coll.NumTrees(), func(w *congest.Network, i int) error {
-		lb := st.leafBeta[i]
-		if err := computePijDowncastInto(w, st.coll, i, st.walks.Tree(i), st.inVi, lb); err != nil {
-			return err
-		}
-		for _, v := range st.coll.HLeaves(i) {
-			if st.coll.Removed[i][v] {
-				lb[v] = 0
-			}
-		}
-		return nil
-	})
-	if err != nil {
+// chargeBetas charges the Compute-Pij downcast per tree, then the
+// all-to-all that shares the per-leaf betas: one (leaf, tree, beta) item
+// per alive leaf with a V_i node on its path, O(n + K) rounds for K items
+// (Lemma A.2), so every node can evaluate any |P_ij| locally.
+func (st *state) chargeBetas() error {
+	if err := st.nw.ShardRuns(st.coll.NumTrees(), st.pijRun); err != nil {
 		return err
 	}
-	// Per-leaf betas: one (leaf, tree, beta) item per pair with a V_i node
-	// on its path; the all-to-all is O(n + K) rounds for K items (Lemma
-	// A.2).
-	cnt := st.cnt
-	clear(cnt)
-	for i := range st.coll.Sources {
-		for _, v := range st.coll.HLeaves(i) {
-			if st.leafBeta[i][v] > 0 {
-				cnt[v]++
-			}
-		}
-	}
-	return broadcast.AllToAllCount(st.nw, st.tree, cnt)
+	return broadcast.AllToAllCount(st.nw, st.tree, st.betaCnt)
 }
 
-// pijLeaves returns the indicator of alive full-length paths with at least
-// phaseLo V_i-nodes, keyed (tree, leaf) and written at every full-length
-// leaf, plus their count. The rows are pooled and valid until the next
-// pijLeaves call.
-func (st *state) pijLeaves(phaseLo float64) ([][]bool, int) {
-	size := 0
-	for i := range st.coll.Sources {
-		row := st.pijLeaf[i]
-		for _, v := range st.coll.HLeaves(i) {
-			in := !st.coll.Removed[i][v] && float64(st.leafBeta[i][v]) >= phaseLo
-			row[v] = in
-			if in {
-				size++
-			}
-		}
+// chargeScoreij charges the upcasts of scoreij(v) = #paths of P_ij
+// containing v, one per tree that has a P_ij leaf (a result from [2],
+// Step 8 of Algorithm 2), then broadcasts the values (O(n)).
+func (st *state) chargeScoreij() error {
+	if err := st.nw.ShardRuns(st.coll.NumTrees(), st.scoreijRun); err != nil {
+		return err
 	}
-	return st.pijLeaf, size
-}
-
-// computeScoreij computes scoreij(v) = #paths of P_ij containing v via one
-// upcast per tree (a result from [2], Step 8 of Algorithm 2), then
-// broadcasts the values (O(n)). The returned vector is pooled (valid until
-// the next computeScoreij call).
-func (st *state) computeScoreij(pijLeaf [][]bool) ([]int64, error) {
-	// Same sharding shape as recomputeScores: independent per-tree upcasts
-	// into per-tree rows, accumulated in tree order afterwards. Trees with
-	// no P_ij leaf skip their upcast (and its round charge) exactly as the
-	// sequential loop did.
-	err := st.nw.ShardRuns(st.coll.NumTrees(), func(w *congest.Network, i int) error {
-		leaves := st.coll.HLeaves(i)
-		st.countUsed[i] = slices.ContainsFunc(leaves, func(v int32) bool { return pijLeaf[i][v] })
-		if !st.countUsed[i] {
-			return nil
-		}
-		walk := st.walks.Tree(i)
-		init := getTreeCharge(w).upcastInit(st.n, walk)
-		for _, v := range leaves {
-			if pijLeaf[i][v] {
-				init[v] = 1
-			}
-		}
-		return st.coll.UpcastSumInto(w, walk, i, init, st.countsRow(i))
-	})
-	if err != nil {
-		return nil, err
-	}
-	scoreij := st.scoreij
-	clear(scoreij)
-	for i := range st.coll.Sources {
-		if st.countUsed[i] {
-			st.addTreeCounts(i, st.countsRow(i), scoreij)
-		}
-	}
-	if err := st.broadcastPositive(scoreij); err != nil {
-		return nil, err
-	}
-	return scoreij, nil
+	return st.broadcastPositive(st.scoreij)
 }
 
 // commit adds the chosen nodes to Q, removes the subtrees they root
-// (Step 15, Algorithm 6), and recomputes scores (Step 16).
+// (Step 15, Algorithm 6), and charges the score recomputation (Step 16).
+// The paths that leave are taken out of the knowledge first, from the
+// trees as they stand, and so are the counted words of the trees that
+// lose them.
 func (st *state) commit(chosen []int) error {
 	if len(chosen) == 0 {
 		return fmt.Errorf("blocker: empty selection committed")
 	}
 	clear(st.inZ)
+	zs := st.zs[:0]
 	for _, v := range chosen {
 		if !st.inQ[v] {
 			st.inQ[v] = true
 			st.q = append(st.q, v)
 		}
-		st.inZ[v] = true
+		if !st.inZ[v] {
+			st.inZ[v] = true
+			zs = append(zs, v)
+		}
+	}
+	st.zs = zs
+	for i := range st.coll.Sources {
+		for _, z := range zs {
+			if !st.removes(i, z) {
+				continue
+			}
+			st.flushWords(st.nw, i)
+			for _, k := range st.leavesBelow(i, int32(z)) {
+				st.removeLeaf(i, int(k))
+			}
+		}
 	}
 	if err := st.coll.RemoveSubtrees(st.nw, &st.walks, st.inZ, true); err != nil {
 		return err
 	}
-	return st.recomputeScores()
+	return st.chargeScores()
+}
+
+// removes reports whether committing z removes its own subtree from tree
+// i: z is in the tree below its root, and no ancestor of z is in Z.
+func (st *state) removes(i, z int) bool {
+	root := st.coll.Sources[i]
+	if z == root || !st.coll.InTree(i, z) {
+		return false
+	}
+	parent := st.coll.Parent[i]
+	for u := parent[z]; len(st.zs) > 1 && u != root; u = parent[u] {
+		if st.inZ[u] {
+			return false
+		}
+	}
+	return true
 }
 
 // countFullPaths counts the alive full-length paths of the collection.

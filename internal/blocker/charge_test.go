@@ -55,13 +55,16 @@ func observe(nw *congest.Network, cancelAt int, call func() error) observed {
 // and random graphs, directed and undirected, with n from 2 to 64 and
 // bandwidths 1-3, built sequentially and source-sharded, and over the
 // removal states reached by RemoveSubtrees with nested members in Z, a
-// root in Z, excludeRoots both ways and then generated commits, every
-// collectAncestors and computePijDowncastInto call must leave the same
-// Stats, WordsByNode, OnRound stream and error as its reference protocol on
-// the engine, and the same ancestor lists and beta values at the tree's
-// nodes. As in the set cover, the downcasts read kept walks that only the
-// removals update; each must equal the fresh walk collectAncestors takes.
-// Each call also runs canceled after round 1 and after round 2, where the
+// root in Z, excludeRoots both ways and then generated commits, every call
+// shape must leave the same Stats, WordsByNode, OnRound stream and error
+// as its reference protocol on the engine: the set cover's Ancestors pass,
+// Compute-Pij and both upcasts, charged from the kept walk's histogram
+// with their counted words added in, and the random-sample baseline's
+// computePijDowncastInto. Their outputs must be what checkCall compares
+// (the Parent chains, the kept betas of V_i = the multiples of 3, the
+// alive leaves and P_ij with at least two V_i nodes per path) and, for
+// computePijDowncastInto, the reference betas at the tree's nodes. Each
+// call also runs canceled after round 1 and after round 2, where the
 // outputs must equal what the reference nodes hold when it stops.
 func TestTreeChargeMatchesReference(t *testing.T) {
 	families := []struct {
@@ -119,58 +122,59 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int, parallel b
 	if err != nil {
 		t.Fatal(err)
 	}
-	inVi := make([]bool, n)
-	for v := range inVi {
-		inVi[v] = v%3 == 0
-	}
-	off, wantOff := make([]int32, n+1), make([]int32, n+1)
+	st := newState()
 	beta, wantBeta := make([]int64, n), make([]int64, n)
-	var kept csssp.Walks
-	kept.Reset(coll)
-	for i := range coll.Sources {
-		coll.Walk(kept.Tree(i), i)
-	}
 	var fresh csssp.TreeWalk
 	check := func(state int) {
+		// A fresh state on this removal state: V_i is the multiples of 3,
+		// P_ij the alive paths with at least two of them.
+		st.reinit(ch, coll, Params{})
 		for i := range coll.Sources {
-			total := ancestorOffsets(coll.Depth[i], off, 0)
-			ancestorOffsets(coll.Depth[i], wantOff, 0)
+			coll.Walk(st.walks.Tree(i), i)
+		}
+		for v := 0; v < n; v += 3 {
+			st.setVi(v, true)
+		}
+		st.setBound(min(2, st.h+1))
+		for i := range coll.Sources {
+			for _, call := range []treeCall{callAncestors, callPij, callScore, callScoreij} {
+				for _, cancelAt := range []int{-1, 1, 2} {
+					got := observe(ch, cancelAt, func() error {
+						var err error
+						if call == callAncestors {
+							err = st.ancestorsOne(ch, i)
+						} else {
+							err = st.chargeTree(ch, i, call)
+						}
+						st.flushWords(ch, i)
+						return err
+					})
+					exp := observe(ref, cancelAt, func() error {
+						ref.Scratch().Reset()
+						if err := st.checkCall(ref, i, call); err != nil {
+							return fmt.Errorf("blocker: %s tree %d: %w", callName[call], i, err)
+						}
+						return nil
+					})
+					if !reflect.DeepEqual(got, exp) {
+						t.Fatalf("%s: removal state %d: %s tree %d canceled after round %d: charged %+v\nreference %+v", name, state, callOp[call], i, cancelAt, got, exp)
+					}
+				}
+			}
+			coll.Walk(&fresh, i)
 			for _, cancelAt := range []int{-1, 1, 2} {
-				ids, wantIds := make([]int32, total), make([]int32, total)
-				got := observe(ch, cancelAt, func() error { return collectAncestors(ch, coll, i, &fresh, off, ids) })
-				exp := observe(ref, cancelAt, func() error {
-					err := ancestorsRef(ref, coll, i, wantOff, wantIds)
-					if err != nil {
-						err = fmt.Errorf("blocker: ancestors tree %d: %w", i, err)
-					}
-					return err
-				})
-				if !reflect.DeepEqual(got, exp) {
-					t.Fatalf("%s: removal state %d: ancestors tree %d canceled after round %d: charged %+v\nreference %+v", name, state, i, cancelAt, got, exp)
-				}
-				for v := 0; v < n; v++ {
-					if coll.InTree(i, v) && !slices.Equal(ids[off[v]:off[v+1]], wantIds[wantOff[v]:wantOff[v+1]]) {
-						t.Fatalf("%s: removal state %d: ancestors tree %d canceled after round %d: node %d has %v, reference %v", name, state, i, cancelAt, v,
-							ids[off[v]:off[v+1]], wantIds[wantOff[v]:wantOff[v+1]])
-					}
-				}
-
-				if w := kept.Tree(i); !slices.Equal(w.Nodes, fresh.Nodes) || !slices.Equal(w.Kids, fresh.Kids) {
-					t.Fatalf("%s: removal state %d: kept walk of tree %d is %v %v, a fresh walk %v %v", name, state, i, w.Nodes, w.Kids, fresh.Nodes, fresh.Kids)
-				}
-
 				clear(beta)
 				clear(wantBeta)
-				got = observe(ch, cancelAt, func() error { return computePijDowncastInto(ch, coll, i, kept.Tree(i), inVi, beta) })
-				exp = observe(ref, cancelAt, func() error {
-					err := pijRef(ref, coll, i, inVi, wantBeta)
+				got := observe(ch, cancelAt, func() error { return computePijDowncastInto(ch, coll, i, &fresh, st.inVi, beta) })
+				exp := observe(ref, cancelAt, func() error {
+					err := pijRef(ref, coll, i, st.inVi, wantBeta)
 					if err != nil {
 						err = fmt.Errorf("blocker: compute-Pij tree %d: %w", i, err)
 					}
 					return err
 				})
 				if !reflect.DeepEqual(got, exp) || !slices.Equal(beta, wantBeta) {
-					t.Fatalf("%s: removal state %d: compute-Pij tree %d canceled after round %d: charged %+v %v\nreference %+v %v", name, state, i, cancelAt, got, beta, exp, wantBeta)
+					t.Fatalf("%s: removal state %d: computePijDowncastInto tree %d canceled after round %d: charged %+v %v\nreference %+v %v", name, state, i, cancelAt, got, beta, exp, wantBeta)
 				}
 			}
 		}
@@ -204,8 +208,8 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int, parallel b
 		}
 		steps = append(steps, step{inZ, rng.Intn(2) == 0})
 	}
-	for s, st := range steps {
-		if err := coll.RemoveSubtrees(ch, &kept, st.inZ, st.excludeRoots); err != nil {
+	for s, step := range steps {
+		if err := coll.RemoveSubtrees(ch, nil, step.inZ, step.excludeRoots); err != nil {
 			t.Fatal(err)
 		}
 		check(s + 1)
@@ -220,18 +224,24 @@ func TestTreeChargeWarmAllocs(t *testing.T) {
 	g := graph.RandomConnected(graph.GenConfig{N: 64, Directed: true, Seed: 64, MaxWeight: 50}, 4*64)
 	coll, nw := buildColl(t, g, 4, bford.Out)
 	n := g.N
-	off := make([]int32, n+1)
-	ids := make([]int32, ancestorOffsets(coll.Depth[0], off, 0))
-	inVi := make([]bool, n)
-	for v := range inVi {
-		inVi[v] = v%3 == 0
+	st := newState()
+	st.reinit(nw, coll, Params{})
+	for i := range coll.Sources {
+		coll.Walk(st.walks.Tree(i), i)
 	}
+	for v := 0; v < n; v += 3 {
+		st.setVi(v, true)
+	}
+	st.setBound(1)
 	beta := make([]int64, n)
 	var walk csssp.TreeWalk
 	coll.Walk(&walk, 0)
 	for name, call := range map[string]func() error{
-		"collectAncestors":       func() error { return collectAncestors(nw, coll, 0, &walk, off, ids) },
-		"computePijDowncastInto": func() error { return computePijDowncastInto(nw, coll, 0, &walk, inVi, beta) },
+		"ancestors":              func() error { return st.ancestorsOne(nw, 0) },
+		"compute-pij":            func() error { return st.chargeTree(nw, 0, callPij) },
+		"upcast":                 func() error { return st.chargeTree(nw, 0, callScoreij) },
+		"flushWords":             func() error { st.flushWords(nw, 0); return nil },
+		"computePijDowncastInto": func() error { return computePijDowncastInto(nw, coll, 0, &walk, st.inVi, beta) },
 	} {
 		if got := testing.AllocsPerRun(5, func() {
 			if err := call(); err != nil {

@@ -16,7 +16,9 @@
 // path of P_ij holds a node of V_i, pigeonhole gives a best scoreij of at
 // least |P_ij|/|V_i| >= |P_ij|/n. So below that size every selection step
 // commits one node through Step 10; only a larger Params.Delta (the tests
-// use 1/2, outside the analysis) reaches the search.
+// use 1/2, outside the analysis) reaches the search. The search reads each
+// leaf's ancestors, which the charged Ancestors pass delivers, from the
+// collection's Parent rows, so no ancestor list is ever built.
 package blocker
 
 import (
@@ -26,119 +28,106 @@ import (
 	"congestapsp/internal/csssp"
 )
 
-// The per-tree protocols of this file, the pipelined Ancestors and the
-// Compute-Pij downcast, send what the tree, the Removed bits and the
-// parent's value dictate, so they are charged from one host walk of the
-// tree instead of simulated (DESIGN.md §3). The engine protocols they
-// replace are the reference (reference.go); in -tags matcheck builds every
-// charged call runs it on a clone and fails on any difference
-// (congest.Charged).
+// The per-tree protocols of the set cover, the pipelined Ancestors, the
+// Compute-Pij downcast and the two Compute-Count upcasts, send what the
+// tree dictates, each node by its depth and child count alone, so they are
+// charged from the depth histogram of the tree's kept walk
+// (csssp.ChargeRun, DESIGN.md §3) instead of simulated. Their outputs are
+// the set cover's kept state, which the commits update. The engine
+// protocols they replace are the reference (reference.go and
+// csssp.UpcastRef); in -tags matcheck builds every charged call runs it on
+// a clone and fails on any difference in Stats, stream or the outputs the
+// set cover keeps (congest.Charged).
 
-// treeKey keys a network's treeCharge in its scratch registry.
-type treeKey struct{}
+// treeCall names a per-tree protocol run of the set cover.
+type treeCall int
 
-// treeCharge is a network's pooled host state for the per-tree protocols
-// of this package: the charged runs' sends and the set cover's upcast
-// input.
-type treeCharge struct {
-	bursts []congest.Burst
-	init   []int64
-}
+const (
+	callAncestors treeCall = iota // Step 1 of Algorithm 7
+	callPij                       // Compute-Pij (Algorithm 4) for the betas
+	callScore                     // Compute-Count of score(v) ([2])
+	callScoreij                   // Compute-Count of scoreij(v) (Step 8)
+)
 
-func getTreeCharge(nw *congest.Network) *treeCharge {
-	return congest.ScratchState(nw.Scratch(), treeKey{}, func() *treeCharge { return new(treeCharge) })
-}
+var (
+	callRun  = [...]csssp.TreeRun{csssp.Pipeline, csssp.Downcast, csssp.Upcast, csssp.Upcast}
+	callOp   = [...]string{"ancestors", "compute-pij", "upcast", "upcast"}
+	callName = [...]string{"ancestors", "compute-Pij", "upcast", "upcast"}
+)
 
-// upcastInit returns the network's pooled upcast input, length n, with 0
-// at the nodes of walk w. Its other entries hold what earlier trees left:
-// an upcast reads its input only at the nodes of its tree.
-func (tc *treeCharge) upcastInit(n int, w *csssp.TreeWalk) []int64 {
-	if len(tc.init) != n {
-		tc.init = make([]int64, n)
-	}
-	for _, v := range w.Nodes {
-		tc.init[v] = 0
-	}
-	return tc.init
-}
-
-// ancestorOffsets fills off (length n+1) with the CSR offsets of tree
-// depth's ancestor lists, starting at base: a node at depth d has d-1
-// proper non-root ancestors, a node outside the tree none. It returns
-// off[n].
-func ancestorOffsets(depth []int, off []int32, base int32) int32 {
-	off[0] = base
-	for v, d := range depth {
-		off[v+1] = off[v] + int32(max(0, d-1))
-	}
-	return off[len(depth)]
-}
-
-// collectAncestors runs the pipelined Ancestors protocol of [2] (Step 1 of
-// Algorithm 7) on tree i: every node learns the ids of its proper ancestors
-// up to but excluding the root, nearest-first, into ids[off[v]:off[v+1]]
-// (offsets from ancestorOffsets). Only the rows of tree i's nodes are
-// written. Cost: H+1 rounds. It walks tree i into w, which the set cover
-// keeps for the rest of its run.
-//
-// The run is charged from the tree: each non-root node sends its own id to
-// its children in round 0 and forwards the ids it receives, one per round
-// and FIFO, so a node at depth d receives its d-1 ids in rounds 1..d-1 and
-// sends in rounds 0..d-1. After an interruption a node holds the ids of the
-// completed rounds and zeros after them.
-func collectAncestors(nw *congest.Network, coll *csssp.Collection, i int, w *csssp.TreeWalk, off, ids []int32) error {
-	tc := getTreeCharge(nw)
-	err := nw.Charged("ancestors", func() error {
-		coll.Walk(w, i)
-		depth, parent := coll.Depth[i], coll.Parent[i]
-		b := tc.bursts[:0]
-		for k, v := range w.Nodes {
-			d := depth[v]
-			if d >= 2 {
-				p := parent[v]
-				row := ids[off[v]:off[v+1]]
-				row[0] = int32(p)
-				copy(row[1:], ids[off[p]:off[p+1]])
-			}
-			if sent := w.Kids[k+1] - w.Kids[k]; k > 0 && sent > 0 {
-				b = append(b, congest.Burst{V: v, First: 0, Last: int32(d - 1), Words: sent})
-			}
-		}
-		tc.bursts = b
-		done, err := nw.ChargeFixed(b, 1, coll.H+1)
+// chargeTree charges one run of call on tree i from its kept walk, in
+// O(H). The run's words are counted in calls[i] and added to WordsByNode
+// by flushWords. An interrupted run adds them at once, on w, and so does
+// every run when st.eager is set or the matcheck guard compares them.
+func (st *state) chargeTree(w *congest.Network, i int, call treeCall) error {
+	coll, walk, run := st.coll, st.walks.Tree(i), callRun[call]
+	err := w.Charged(callOp[call], func() error {
+		done, err := coll.ChargeRun(w, walk, run)
 		if err != nil {
-			for _, v := range w.Nodes {
-				if got := off[v] + int32(max(0, done-1)); got < off[v+1] {
-					clear(ids[got:off[v+1]])
-				}
-			}
+			var k csssp.RunCounts
+			k[run] = 1
+			coll.AddWords(w.Stats.WordsByNode, walk, i, k, done)
+			return err
 		}
-		return err
+		st.calls[i][run]++
+		if st.eager || congest.ChargesChecked {
+			st.flushWords(w, i)
+		}
+		return nil
 	}, func(ref *congest.Network) error {
-		return checkAncestors(ref, coll, i, off, ids, w.Nodes)
+		return st.checkCall(ref, i, call)
 	})
 	if err != nil {
-		return fmt.Errorf("blocker: ancestors tree %d: %w", i, err)
+		return fmt.Errorf("blocker: %s tree %d: %w", callName[call], i, err)
 	}
 	return nil
 }
 
-// computePijDowncastInto runs Compute-Pij (Algorithm 4): a downcast through
-// tree i, whose walk is w, accumulating the number of marked (in-Vi) nodes
-// on each root-to-node path, root excluded, written into beta (length n)
-// at the nodes of w; the rest of beta is left as it is. Compute-Pi
-// (Algorithm 3) is the special case "beta >= 1". Cost: H+1 rounds.
-//
-// The run is charged from the tree: the root sends 0 to its children in
-// round 0, and a node at depth d receives its parent's value in round d and
-// sends its own to its children in the same round, so the engine would
-// simulate one round more than the deepest depth reached. After an
-// interruption only the nodes reached in completed rounds hold their beta.
+// flushWords adds the words of the runs counted on tree i to nw's
+// WordsByNode. They follow from the tree's shape, so they are added from
+// its walk before the walk changes.
+func (st *state) flushWords(nw *congest.Network, i int) {
+	if k := st.calls[i]; k != (csssp.RunCounts{}) {
+		st.coll.AddWords(nw.Stats.WordsByNode, st.walks.Tree(i), i, k, st.h+1)
+		st.calls[i] = csssp.RunCounts{}
+	}
+}
+
+// ancestorsOne is the Ancestors sub-run of tree i: it takes the tree's
+// kept walk and charges the pass.
+func (st *state) ancestorsOne(w *congest.Network, i int) error {
+	st.coll.Walk(st.walks.Tree(i), i)
+	return st.chargeTree(w, i, callAncestors)
+}
+
+func (st *state) pijOne(w *congest.Network, i int) error {
+	return st.chargeTree(w, i, callPij)
+}
+
+func (st *state) scoreOne(w *congest.Network, i int) error {
+	return st.chargeTree(w, i, callScore)
+}
+
+// scoreijOne skips a tree with no P_ij leaf: its upcast would count
+// nothing, so the set cover runs none there.
+func (st *state) scoreijOne(w *congest.Network, i int) error {
+	if st.pijTree[i] == 0 {
+		return nil
+	}
+	return st.chargeTree(w, i, callScoreij)
+}
+
+// computePijDowncastInto runs Compute-Pij (Algorithm 4) on its own, for
+// the random-sample baseline: a downcast through tree i, whose walk is w,
+// accumulating the number of marked (in-Vi) nodes on each root-to-node
+// path, root excluded, written into beta (length n) at the nodes of w; the
+// rest of beta is left as it is. Compute-Pi (Algorithm 3) is the special
+// case "beta >= 1". Cost: H+1 rounds, charged like the set cover's
+// downcasts. After an interruption only the nodes reached in completed
+// rounds (depth < done) hold their beta.
 func computePijDowncastInto(nw *congest.Network, coll *csssp.Collection, i int, w *csssp.TreeWalk, inVi []bool, beta []int64) error {
-	tc := getTreeCharge(nw)
 	err := nw.Charged("compute-pij", func() error {
 		depth, parent := coll.Depth[i], coll.Parent[i]
-		b := tc.bursts[:0]
 		for k, v := range w.Nodes {
 			switch {
 			case k == 0:
@@ -148,13 +137,9 @@ func computePijDowncastInto(nw *congest.Network, coll *csssp.Collection, i int, 
 			default:
 				beta[v] = beta[parent[v]]
 			}
-			if sent := w.Kids[k+1] - w.Kids[k]; sent > 0 {
-				r := int32(depth[v])
-				b = append(b, congest.Burst{V: v, First: r, Last: r, Words: sent})
-			}
 		}
-		tc.bursts = b
-		done, err := nw.ChargeFixed(b, 1, coll.H+1)
+		done, err := coll.ChargeRun(nw, w, csssp.Downcast)
+		coll.AddWords(nw.Stats.WordsByNode, w, i, csssp.RunCounts{csssp.Downcast: 1}, done)
 		if err != nil {
 			for _, v := range w.Descendants() {
 				if depth[v] >= done {
@@ -170,4 +155,16 @@ func computePijDowncastInto(nw *congest.Network, coll *csssp.Collection, i int, 
 		return fmt.Errorf("blocker: compute-Pij tree %d: %w", i, err)
 	}
 	return nil
+}
+
+// ancestorOffsets fills off (length n+1) with the CSR offsets of tree
+// depth's ancestor lists, starting at base: a node at depth d has d-1
+// proper non-root ancestors, a node outside the tree none. It returns
+// off[n].
+func ancestorOffsets(depth []int, off []int32, base int32) int32 {
+	off[0] = base
+	for v, d := range depth {
+		off[v+1] = off[v] + int32(max(0, d-1))
+	}
+	return off[len(depth)]
 }

@@ -7,11 +7,11 @@ import (
 
 // This file holds the reference protocols of the charged per-tree
 // protocols: the pipelined Ancestors and the Compute-Pij downcast as engine
-// protocols that move every message. Builds with -tags matcheck run them
-// on a clone of the network after every charged call and compare the
-// outputs here and the Stats and delivery stream in congest.Charged; the
-// package tests compare both paths over generated trees and removal
-// states.
+// protocols that move every message (the upcasts' is csssp.UpcastRef).
+// Builds with -tags matcheck run them on a clone of the network after
+// every charged call and compare the outputs here (checkCall) and the
+// Stats and delivery stream in congest.Charged; the package tests compare
+// both paths over generated trees and removal states.
 
 // Message kinds of the reference protocols.
 const (
@@ -91,26 +91,6 @@ func (p *ancProto) sendChildren(v int, a int64, send func(congest.Message)) {
 	}
 }
 
-// checkAncestors runs the reference Ancestors protocol on ref and compares
-// its lists with the charged CSR (off, ids) at nodes, the walk of tree i.
-func checkAncestors(ref *congest.Network, coll *csssp.Collection, i int, off, ids []int32, nodes []int32) error {
-	sc := ref.Scratch()
-	wantOff := sc.Int32s(ref.N() + 1)
-	wantIds := sc.Int32s(int(ancestorOffsets(coll.Depth[i], wantOff, 0)))
-	if err := ancestorsRef(ref, coll, i, wantOff, wantIds); err != nil {
-		return err
-	}
-	for _, v := range nodes {
-		want := wantIds[wantOff[v]:wantOff[v+1]]
-		for j, a := range ids[off[v]:off[v+1]] {
-			if a != want[j] {
-				return &congest.ErrChargeMismatch{Op: "ancestors", Field: "ancestors", Index: int(v), Charged: int64(a), Simulated: int64(want[j])}
-			}
-		}
-	}
-	return nil
-}
-
 type pijKey struct{}
 
 // pijProto is the Compute-Pij downcast as a reusable protocol object.
@@ -181,6 +161,67 @@ func checkPij(ref *congest.Network, coll *csssp.Collection, i int, inVi []bool, 
 	for _, v := range nodes {
 		if beta[v] != want[v] {
 			return &congest.ErrChargeMismatch{Op: "compute-pij", Field: "beta", Index: int(v), Charged: beta[v], Simulated: want[v]}
+		}
+	}
+	return nil
+}
+
+// checkCall runs the reference protocol of call on tree i on ref and
+// compares its outputs with what the set cover keeps of them:
+//   - Ancestors: every node's list is its chain of Parent rows,
+//     nearest-first and root excluded, which the good-set search reads;
+//   - Compute-Pij: every alive full-length leaf's beta is the kept one;
+//   - the score upcast: the root counts as many alive full-length leaves
+//     as the kept walk's depth histogram;
+//   - the scoreij upcast: the root counts the tree's kept P_ij leaves.
+func (st *state) checkCall(ref *congest.Network, i int, call treeCall) error {
+	coll, sc, n := st.coll, ref.Scratch(), ref.N()
+	mismatch := func(field string, v int, kept, want int64) error {
+		return &congest.ErrChargeMismatch{Op: callOp[call], Field: field, Index: v, Charged: kept, Simulated: want}
+	}
+	hl, base, removed := coll.HLeaves(i), int(st.leafOff[i]), coll.Removed[i]
+	switch call {
+	case callAncestors:
+		off := sc.Int32s(n + 1)
+		ids := sc.Int32s(int(ancestorOffsets(coll.Depth[i], off, 0)))
+		if err := ancestorsRef(ref, coll, i, off, ids); err != nil {
+			return err
+		}
+		parent := coll.Parent[i]
+		for _, v := range st.walks.Tree(i).Nodes {
+			u := int(v)
+			for _, a := range ids[off[v]:off[v+1]] {
+				if u = parent[u]; int(a) != u {
+					return mismatch("ancestors", int(v), int64(u), int64(a))
+				}
+			}
+		}
+	case callPij:
+		want := sc.Int64s(n)
+		if err := pijRef(ref, coll, i, st.inVi, want); err != nil {
+			return err
+		}
+		for k, v := range hl {
+			if !removed[v] && want[v] != int64(st.beta[base+k]) {
+				return mismatch("beta", int(v), int64(st.beta[base+k]), want[v])
+			}
+		}
+	default:
+		init, acc := sc.Int64s(n), sc.Int64s(n)
+		kept := int64(st.walks.Tree(i).Hist[st.h])
+		if call == callScoreij {
+			kept = int64(st.pijTree[i])
+		}
+		for k, v := range hl {
+			if !removed[v] && (call == callScore || int(st.beta[base+k]) >= st.pijLo) {
+				init[v] = 1
+			}
+		}
+		if err := coll.UpcastRef(ref, i, init, acc); err != nil {
+			return err
+		}
+		if root := coll.Sources[i]; acc[root] != kept {
+			return mismatch("acc", root, kept, acc[root])
 		}
 	}
 	return nil

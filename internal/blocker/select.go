@@ -3,6 +3,7 @@ package blocker
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"congestapsp/internal/broadcast"
 	"congestapsp/internal/pairwise"
@@ -18,7 +19,7 @@ import (
 // guarantee the enumerated linear slice of the space cannot give by itself;
 // see DESIGN.md). The returned slice is pooled (consumed by commit before
 // the next selection).
-func (st *state) selectGoodSet(stage, phase int, stageHi float64, pijLeaf [][]bool, pijSize int, scoreij []int64, fallbackBest int) ([]int, error) {
+func (st *state) selectGoodSet(stage, phase int, stageHi float64, pijSize int, fallbackBest int) ([]int, error) {
 	onePlusEps := 1 + st.par.Eps
 	prob := st.par.Delta
 	for k := 0; k < phase; k++ {
@@ -30,7 +31,7 @@ func (st *state) selectGoodSet(stage, phase int, stageHi float64, pijLeaf [][]bo
 	}
 
 	if st.par.Mode == Randomized {
-		return st.selectGoodSetRandomized(space, stageHi, pijLeaf, pijSize, fallbackBest)
+		return st.selectGoodSetRandomized(space, stageHi, pijSize, fallbackBest)
 	}
 
 	// Algorithm 7, deterministic exhaustive search.
@@ -44,7 +45,8 @@ func (st *state) selectGoodSet(stage, phase int, stageHi float64, pijLeaf [][]bo
 
 	// Step 3 (Algorithm 7): each node v computes its sigma contributions
 	// for every sample point locally (free local computation), namely the
-	// number of its paths in P_i (resp. P_ij) covered by A_mu. Then the
+	// number of its paths in P_i (resp. P_ij) covered by A_mu, from the
+	// V_i nodes among itself and its ancestors. Then the
 	// nu totals are aggregated at the leader by the pipelined Algorithms
 	// 11 and 12 (O(n + m) rounds each). The two n x m count matrices live
 	// in one pooled arena, re-carved per call (m varies with the phase).
@@ -64,31 +66,18 @@ func (st *state) selectGoodSet(stage, phase int, stageHi float64, pijLeaf [][]bo
 		st.nuPij[v] = st.nuBuf[(st.n+v)*m : (st.n+v+1)*m : (st.n+v+1)*m]
 	}
 	for i := range st.coll.Sources {
-		for _, v32 := range st.coll.HLeaves(i) {
+		base := int(st.leafOff[i])
+		for k, v32 := range st.coll.HLeaves(i) {
 			v := int(v32)
-			if st.coll.Removed[i][v] {
-				continue
+			b := int(st.beta[base+k])
+			if st.coll.Removed[i][v] || b == 0 {
+				continue // a path of P_i has a V_i node; P_ij is within P_i
 			}
-			inPi := st.leafBeta[i][v] > 0
-			inPij := pijLeaf[i][v]
-			if !inPi && !inPij {
-				continue
-			}
-			anc := st.ancRow(i, v)
+			inPij := b >= st.pijLo
+			vi := st.viPath(i, v32)
 			for mu, pt := range pts {
-				covered := st.inVi[v] && space.Bit(v, pt.A, pt.B)
-				if !covered {
-					for _, u := range anc {
-						if st.inVi[u] && space.Bit(int(u), pt.A, pt.B) {
-							covered = true
-							break
-						}
-					}
-				}
-				if covered {
-					if inPi {
-						st.nuPi[v][mu]++
-					}
+				if slices.ContainsFunc(vi, func(u int32) bool { return space.Bit(int(u), pt.A, pt.B) }) {
+					st.nuPi[v][mu]++
 					if inPij {
 						st.nuPij[v][mu]++
 					}
@@ -142,7 +131,7 @@ func (st *state) selectGoodSet(stage, phase int, stageHi float64, pijLeaf [][]bo
 // pairwise-independent A, verify goodness (one aggregation + broadcast per
 // attempt), retry on failure. Lemma 3.8 gives success probability >= 1/8
 // per attempt; a deterministic fallback guards the tail.
-func (st *state) selectGoodSetRandomized(space *pairwise.AffineSpace, stageHi float64, pijLeaf [][]bool, pijSize int, fallbackBest int) ([]int, error) {
+func (st *state) selectGoodSetRandomized(space *pairwise.AffineSpace, stageHi float64, pijSize int, fallbackBest int) ([]int, error) {
 	rng := rand.New(rand.NewSource(st.par.Seed + int64(st.stats.SelectionSteps)*7919))
 	const maxAttempts = 64
 	fieldSize := space.F.Size()
@@ -177,30 +166,16 @@ func (st *state) selectGoodSetRandomized(space *pairwise.AffineSpace, stageHi fl
 			cov[v] = st.nuBuf[2*v : 2*v+2 : 2*v+2]
 		}
 		for i := range st.coll.Sources {
-			for _, v32 := range st.coll.HLeaves(i) {
+			base := int(st.leafOff[i])
+			for k, v32 := range st.coll.HLeaves(i) {
 				v := int(v32)
-				if st.coll.Removed[i][v] {
-					continue
+				b := int(st.beta[base+k])
+				if st.coll.Removed[i][v] || b == 0 {
+					continue // a path of P_i has a V_i node; P_ij is within P_i
 				}
-				inPi := st.leafBeta[i][v] > 0
-				inPij := pijLeaf[i][v]
-				if !inPi && !inPij {
-					continue
-				}
-				covered := st.inVi[v] && inA[v]
-				if !covered {
-					for _, u := range st.ancRow(i, v) {
-						if st.inVi[u] && inA[u] {
-							covered = true
-							break
-						}
-					}
-				}
-				if covered {
-					if inPi {
-						cov[v][0]++
-					}
-					if inPij {
+				if slices.ContainsFunc(st.viPath(i, v32), func(u int32) bool { return inA[u] }) {
+					cov[v][0]++
+					if b >= st.pijLo {
 						cov[v][1]++
 					}
 				}

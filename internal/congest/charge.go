@@ -63,12 +63,10 @@ type Burst struct {
 // terminates in round 0, else 2 more than the last round in which some
 // node returns false, since that node steps once more. The engine
 // simulates max(live, last send round + 2) rounds, at most budget: the
-// round after a send steps its receivers. Those rounds are replayed as
-// ChargeSchedule replays a schedule, and sends in the final budget round
-// are dropped, as RunFrom drops them. Each sender is charged its words for
-// the rounds completed. On success the rest of the budget is charged
-// without OnRound and ChargeFixed returns budget; an interrupted run
-// returns the rounds it completed. Only a payload-oblivious run with a
+// round after a send steps its receivers. Those rounds are replayed by
+// ChargeRun, and sends in the final budget round are dropped, as RunFrom
+// drops them. Each sender is charged its words for the rounds completed.
+// It returns what ChargeRun returns. Only a payload-oblivious run with a
 // reference protocol checked against it may be charged this way (see
 // DESIGN.md §3).
 func (nw *Network) ChargeFixed(bursts []Burst, live, budget int) (int, error) {
@@ -86,24 +84,46 @@ func (nw *Network) ChargeFixed(bursts []Burst, live, budget int) (int, error) {
 			cs.deliv[hi+1] -= int64(b.Words)
 		}
 	}
-	done := rounds
-	var err error
-	var delivered int64
-	for r := 0; r < rounds; r++ {
-		if err = nw.startRound(r); err != nil {
-			done = r
-			break
-		}
-		delivered += cs.deliv[r]
-		nw.endRound(delivered)
+	for r := 1; r < rounds; r++ {
+		cs.deliv[r] += cs.deliv[r-1]
 	}
+	done, err := nw.ChargeRun(rounds, budget, func(r int) int64 { return cs.deliv[r] })
 	for _, b := range bursts {
 		if k := min(b.Last, drop-1, int32(done-1)) - b.First + 1; k > 0 {
 			nw.Stats.WordsByNode[b.V] += int64(k) * int64(b.Words)
 		}
 	}
-	if err != nil {
-		return done, err
+	return done, err
+}
+
+// ChargeRun charges what RunFrom(p, start, budget, true) would charge for
+// a run that simulates rounds rounds, at most budget, in which round r
+// sends sent(r) one-word messages, none in the final budget round; sent
+// is called once per round, in order. The rounds are replayed as
+// ChargeSchedule replays a schedule; on success the rest of the budget is
+// charged without OnRound and ChargeRun returns budget, and an
+// interrupted run returns the rounds it completed. A run nothing observes
+// round by round (no context that can end, no fault injector, no OnRound
+// hook) cannot be interrupted, so its counters are added at once.
+// WordsByNode is the caller's to charge. The same conditions as for
+// ChargeFixed apply.
+func (nw *Network) ChargeRun(rounds, budget int, sent func(r int) int64) (int, error) {
+	if nw.ctx == nil && nw.fault == nil && nw.OnRound == nil {
+		var total int64
+		for r := 0; r < rounds; r++ {
+			total += sent(r)
+		}
+		nw.Stats.Rounds += budget
+		nw.Stats.Messages += total
+		nw.Stats.Words += total
+		nw.roundSeq += rounds
+		return budget, nil
+	}
+	for r := 0; r < rounds; r++ {
+		if err := nw.startRound(r); err != nil {
+			return r, err
+		}
+		nw.endRound(sent(r))
 	}
 	nw.Stats.Rounds += budget - rounds
 	return budget, nil
@@ -134,6 +154,13 @@ func (nw *Network) endRound(delivered int64) {
 	}
 	nw.roundSeq++
 }
+
+// ChargesChecked is true in builds with -tags matcheck, where every
+// Charged call is checked against its reference protocol. A caller that
+// counts a charge's WordsByNode to add them later adds them before the
+// charge returns when it is set, since the guard compares what the call
+// added.
+const ChargesChecked = checkCharge
 
 // ErrChargeMismatch is returned, in builds with -tags matcheck only, when a
 // charged primitive differs from its reference protocol run on a clone of

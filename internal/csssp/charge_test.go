@@ -107,15 +107,16 @@ func removalSteps(n int) []removalStep {
 	return steps
 }
 
-// checkKept fails unless every kept walk of c equals a fresh Walk.
+// checkKept fails unless every kept walk of c, its depth histogram
+// included, equals a fresh Walk.
 func checkKept(t *testing.T, name string, c *Collection, kept *Walks) {
 	t.Helper()
 	var fresh TreeWalk
 	for i := range c.Sources {
 		c.Walk(&fresh, i)
 		w := kept.Tree(i)
-		if !slices.Equal(w.Nodes, fresh.Nodes) || !slices.Equal(w.Kids, fresh.Kids) {
-			t.Fatalf("%s: kept walk of tree %d is %v %v, a fresh walk %v %v", name, i, w.Nodes, w.Kids, fresh.Nodes, fresh.Kids)
+		if !slices.Equal(w.Nodes, fresh.Nodes) || !slices.Equal(w.Kids, fresh.Kids) || !slices.Equal(w.Hist, fresh.Hist) {
+			t.Fatalf("%s: kept walk of tree %d is %v %v %v, a fresh walk %v %v %v", name, i, w.Nodes, w.Kids, w.Hist, fresh.Nodes, fresh.Kids, fresh.Hist)
 		}
 	}
 }
@@ -223,7 +224,7 @@ func checkTreeCase(t *testing.T, name string, g *graph.Graph, bw int, parallel b
 				}
 				got := observe(ch, cancelAt, true, func() error { return cc.UpcastSumInto(ch, kept.Tree(i), i, init, acc) })
 				exp := observe(ref, cancelAt, true, func() error {
-					err := rc.upcastRef(ref, i, init, want)
+					err := rc.UpcastRef(ref, i, init, want)
 					if err != nil {
 						err = fmt.Errorf("csssp: upcast tree %d: %w", i, err)
 					}

@@ -22,13 +22,13 @@ func TestTreeChargeGuardMatcheck(t *testing.T) {
 	init := []int64{1, 1, 1, 1, 1, 1}
 	acc := make([]int64, g.N)
 	var walk TreeWalk
-	c.Walk(&walk, 0)
-	tc := getTreeCharge(nw)
 	charge := func(perturb func()) func() error {
 		return func() error {
-			live := c.upcastPass(tc, &walk, 0, init, acc)
+			c.Walk(&walk, 0)
+			c.UpcastSumLocal(&walk, 0, init, acc)
 			perturb()
-			_, err := nw.ChargeFixed(tc.bursts, live, c.H+1)
+			done, err := c.ChargeRun(nw, &walk, Upcast)
+			c.AddWords(nw.Stats.WordsByNode, &walk, 0, RunCounts{Upcast: 1}, done)
 			return err
 		}
 	}
@@ -38,7 +38,7 @@ func TestTreeChargeGuardMatcheck(t *testing.T) {
 		want   *congest.ErrChargeMismatch // nil: the guard passes
 	}{
 		{"right charge", charge(func() {}), nil},
-		{"a delivery too many", charge(func() { tc.bursts[0].Words++ }),
+		{"a delivery too many", charge(func() { walk.Hist[1]++ }),
 			&congest.ErrChargeMismatch{Op: "upcast", Field: "messages", Index: -1, Charged: 6, Simulated: 5}},
 		{"words on the wrong node", func() error {
 			err := charge(func() {})()

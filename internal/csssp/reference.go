@@ -8,8 +8,8 @@ import (
 
 // This file holds the reference protocols of the charged per-tree
 // primitives: Compute-Count and Remove-Subtrees as engine protocols that
-// move every message. UpcastSumInto and RemoveSubtrees charge their runs
-// instead (tree.go); builds with -tags matcheck run these on a clone of
+// move every message. UpcastSumInto, ChargeRun and RemoveSubtrees charge
+// their runs instead (tree.go); builds with -tags matcheck run these on a clone of
 // the network after every charged call and compare the outputs here and
 // the Stats and delivery stream in congest.Charged. The package tests
 // compare both paths over generated trees and removal states.
@@ -44,9 +44,11 @@ type upcastProto struct {
 	start []int32 // the round-0 set: the tree's members
 }
 
-// upcastRef runs the convergecast on nw: acc (length n) ends with the
-// subtree sums at tree i's nodes and 0 elsewhere.
-func (c *Collection) upcastRef(nw *congest.Network, i int, init, acc []int64) error {
+// UpcastRef runs the Compute-Count convergecast of tree i on nw as an
+// engine protocol: acc (length n) ends with the subtree sums of init at
+// tree i's nodes and 0 elsewhere. It is the reference of UpcastSumInto and
+// of every Upcast charged through ChargeRun.
+func (c *Collection) UpcastRef(nw *congest.Network, i int, init, acc []int64) error {
 	p := congest.ScratchState(nw.Scratch(), upcastKey{}, func() *upcastProto { return new(upcastProto) })
 	p.nw, p.c, p.i, p.acc = nw, c, i, acc
 	p.start = c.appendMembers(p.start[:0], i)
@@ -85,7 +87,7 @@ func (p *upcastProto) Step(v, round int, in []congest.Message, send func(congest
 // with acc at nodes, the walk of tree i.
 func (c *Collection) checkUpcast(ref *congest.Network, i int, init, acc []int64, nodes []int32) error {
 	want := ref.Scratch().Int64s(c.G.N)
-	if err := c.upcastRef(ref, i, init, want); err != nil {
+	if err := c.UpcastRef(ref, i, init, want); err != nil {
 		return err
 	}
 	for _, v := range nodes {

@@ -22,8 +22,9 @@
 #                      single-edge weight toggles against a warm Runner,
 #                      with updates/sec, the speedup versus the cold
 #                      BenchmarkAPSPPipeline/seq row at the same n, and
-#                      the systems each update recomputed and reused, one
-#                      section per GOMAXPROCS in {1, 2}
+#                      the systems an update recomputed and reused each
+#                      way (up to w+2, down to w+1), one section per
+#                      GOMAXPROCS in {1, 2}
 #   BENCH_serve.json   serving-layer latency percentiles (cmd/apspload
 #                      -selfhost) per traffic mix, including a journaled
 #                      postupdate row (-data-dir, fsync=interval) whose
@@ -41,7 +42,8 @@
 #
 # benchtime defaults to 2s per engine benchmark; the full-pipeline suite
 # always runs one iteration per configuration (a single n=512 run takes
-# tens of seconds of simulated work), and the update suite three. The
+# tens of seconds of simulated work), and the update suite three, its cold
+# rows included. The
 # suites are engine, apsp, stages, update, serve and experiments, one per
 # file above; naming some after the benchtime regenerates only theirs, in
 # the order given (scripts/bench.sh 2s update rewrites BENCH_update.json
@@ -201,7 +203,7 @@ suite_update() {
         continue
       fi
       GOMAXPROCS=$P go test -run '^$' -bench 'BenchmarkAPSPUpdate' -benchtime=3x -benchmem -timeout 30m . > "$RAW"
-      GOMAXPROCS=$P go test -run '^$' -bench '^BenchmarkAPSPPipeline$/^seq$/^n=(128|256)$' -benchtime=1x \
+      GOMAXPROCS=$P go test -run '^$' -bench '^BenchmarkAPSPPipeline$/^seq$/^n=(128|256)$' -benchtime=3x \
         -benchmem -timeout 30m . >> "$RAW"
       cat "$RAW" >&2
       [ "$FIRST" -eq 1 ] || printf ',\n'
@@ -217,12 +219,11 @@ suite_update() {
         /^BenchmarkAPSPUpdate/ {
           name = $1
           sub(/-[0-9]+$/, "", name)
-          ns = ""; allocs = ""; recomputed = ""; reused = ""
+          ns = ""; allocs = ""; split("", sys)
           for (i = 2; i <= NF; i++) {
             if ($(i) == "ns/op")      ns = $(i - 1)
             if ($(i) == "allocs/op")  allocs = $(i - 1)
-            if ($(i) == "recomputed") recomputed = $(i - 1)
-            if ($(i) == "reused")     reused = $(i - 1)
+            if ($(i) ~ /^(recomputed|reused)-(up|down)$/) sys[$(i)] = $(i - 1)
           }
           if (ns == "") next
           n = name; sub(/.*\/n=/, "", n)
@@ -231,7 +232,10 @@ suite_update() {
           if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
           printf ", \"updates_per_sec\": %.1f", 1e9 / ns
           if (n in cold) printf ", \"cold_ns_per_op\": %s, \"speedup_vs_cold\": %.1f", cold[n], cold[n] / ns
-          if (recomputed != "") printf ", \"recomputed\": %d, \"reused\": %d", recomputed, reused
+          if ("reused-up" in sys) {
+            printf ", \"recomputed_up\": %d, \"reused_up\": %d", sys["recomputed-up"], sys["reused-up"]
+            printf ", \"recomputed_down\": %d, \"reused_down\": %d", sys["recomputed-down"], sys["reused-down"]
+          }
           printf "}"
         }
         BEGIN {
