@@ -180,6 +180,7 @@ type state struct {
 	stats Stats
 
 	// Pooled work buffers.
+	recount      []int64   // checkCounts' recount (-tags matcheck only)
 	stack, below []int32   // leavesBelow's subtree walk and result
 	path         []int32   // viPath's result
 	inZ          []bool    // commit scratch: Z as an indicator
@@ -587,6 +588,11 @@ func (st *state) chargeScores() error {
 	if err := st.nw.ShardRuns(st.coll.NumTrees(), st.scoreRun); err != nil {
 		return err
 	}
+	if congest.ChargesChecked {
+		if err := st.checkCounts(callScore); err != nil {
+			return err
+		}
+	}
 	return st.broadcastPositive(st.score)
 }
 
@@ -607,6 +613,11 @@ func (st *state) chargeBetas() error {
 func (st *state) chargeScoreij() error {
 	if err := st.nw.ShardRuns(st.coll.NumTrees(), st.scoreijRun); err != nil {
 		return err
+	}
+	if congest.ChargesChecked {
+		if err := st.checkCounts(callScoreij); err != nil {
+			return err
+		}
 	}
 	return st.broadcastPositive(st.scoreij)
 }

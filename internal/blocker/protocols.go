@@ -37,7 +37,8 @@ import (
 // protocols they replace are the reference (reference.go and
 // csssp.UpcastRef); in -tags matcheck builds every charged call runs it on
 // a clone and fails on any difference in Stats, stream or the outputs the
-// set cover keeps (congest.Charged).
+// set cover keeps (congest.Charged), and every pass of the upcasts has
+// its kept vector recounted node by node (checkCounts).
 
 // treeCall names a per-tree protocol run of the set cover.
 type treeCall int

@@ -1,6 +1,8 @@
 package blocker
 
 import (
+	"fmt"
+
 	"congestapsp/internal/congest"
 	"congestapsp/internal/csssp"
 )
@@ -10,8 +12,10 @@ import (
 // protocols that move every message (the upcasts' is csssp.UpcastRef).
 // Builds with -tags matcheck run them on a clone of the network after
 // every charged call and compare the outputs here (checkCall) and the
-// Stats and delivery stream in congest.Charged; the package tests compare
-// both paths over generated trees and removal states.
+// Stats and delivery stream in congest.Charged, and after every pass of
+// the upcasts they recount the kept score or scoreij vector (checkCounts);
+// the package tests compare both paths over generated trees and removal
+// states.
 
 // Message kinds of the reference protocols.
 const (
@@ -223,6 +227,52 @@ func (st *state) checkCall(ref *congest.Network, i int, call treeCall) error {
 		if root := coll.Sources[i]; acc[root] != kept {
 			return mismatch("acc", root, kept, acc[root])
 		}
+	}
+	return nil
+}
+
+// checkCounts recounts what a pass of call's upcasts over every tree
+// computes, from the alive full-length leaves along their Parent rows:
+// score(v), the alive paths through v, or scoreij(v), the P_ij paths
+// through v (the leaves whose kept beta, checked against the Compute-Pij
+// reference, reaches the bound), with each tree's P_ij count and |P_ij|.
+// It returns the first difference from the kept knowledge. checkCall
+// compares each upcast's root count alone, and a tree with no kept P_ij
+// leaf runs no scoreij upcast, so -tags matcheck builds run this after
+// every pass.
+func (st *state) checkCounts(call treeCall) error {
+	coll := st.coll
+	st.recount = congest.Grow(st.recount, st.n)
+	want, kept, field := st.recount, st.score, "score"
+	if call == callScoreij {
+		kept, field = st.scoreij, "scoreij"
+	}
+	mismatch := func(field string, i int, kept, want int64) error {
+		return fmt.Errorf("blocker: %s pass: %w", callName[call],
+			&congest.ErrChargeMismatch{Op: callOp[call], Field: field, Index: i, Charged: kept, Simulated: want})
+	}
+	size := 0
+	for i := range coll.Sources {
+		hl, base, removed := coll.HLeaves(i), int(st.leafOff[i]), coll.Removed[i]
+		paths := int32(0)
+		for k, v := range hl {
+			if !removed[v] && (call == callScore || int(st.beta[base+k]) >= st.pijLo) {
+				paths++
+				st.addPath(i, v, 1, want)
+			}
+		}
+		if call == callScoreij && paths != st.pijTree[i] {
+			return mismatch("pij-count", i, int64(st.pijTree[i]), int64(paths))
+		}
+		size += int(paths)
+	}
+	for v, w := range want {
+		if kept[v] != w {
+			return mismatch(field, v, kept[v], w)
+		}
+	}
+	if call == callScoreij && st.pijSize() != size {
+		return mismatch("pij-size", -1, int64(st.pijSize()), int64(size))
 	}
 	return nil
 }

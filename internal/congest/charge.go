@@ -102,23 +102,9 @@ func (nw *Network) ChargeFixed(bursts []Burst, live, budget int) (int, error) {
 // is called once per round, in order. The rounds are replayed as
 // ChargeSchedule replays a schedule; on success the rest of the budget is
 // charged without OnRound and ChargeRun returns budget, and an
-// interrupted run returns the rounds it completed. A run nothing observes
-// round by round (no context that can end, no fault injector, no OnRound
-// hook) cannot be interrupted, so its counters are added at once.
-// WordsByNode is the caller's to charge. The same conditions as for
-// ChargeFixed apply.
+// interrupted run returns the rounds it completed. WordsByNode is the
+// caller's to charge. The same conditions as for ChargeFixed apply.
 func (nw *Network) ChargeRun(rounds, budget int, sent func(r int) int64) (int, error) {
-	if nw.ctx == nil && nw.fault == nil && nw.OnRound == nil {
-		var total int64
-		for r := 0; r < rounds; r++ {
-			total += sent(r)
-		}
-		nw.Stats.Rounds += budget
-		nw.Stats.Messages += total
-		nw.Stats.Words += total
-		nw.roundSeq += rounds
-		return budget, nil
-	}
 	for r := 0; r < rounds; r++ {
 		if err := nw.startRound(r); err != nil {
 			return r, err

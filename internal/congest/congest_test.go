@@ -354,36 +354,3 @@ func TestOnRoundHook(t *testing.T) {
 		t.Errorf("delivered into round 1: got %d at hook[0]... %v", delivered[0], delivered)
 	}
 }
-
-// TestChargeRunUnobserved: a ChargeRun that nothing observes round by
-// round adds the same Rounds, Messages, Words and round sequence as one
-// replayed under an OnRound hook, for runs that end before their budget,
-// fill it, and send nothing.
-func TestChargeRunUnobserved(t *testing.T) {
-	for _, c := range []struct {
-		sent   []int64
-		budget int
-	}{{[]int64{3, 0, 5}, 7}, {[]int64{1, 2, 3, 4}, 4}, {[]int64{0}, 3}} {
-		sent := func(r int) int64 { return c.sent[r] }
-		seen, quiet := newTestNet(t), newTestNet(t)
-		seen.OnRound = func(int, int) {}
-		for _, nw := range []*Network{seen, quiet} {
-			if got, err := nw.ChargeRun(len(c.sent), c.budget, sent); err != nil || got != c.budget {
-				t.Fatalf("ChargeRun(%v, %d) = %d, %v", c.sent, c.budget, got, err)
-			}
-		}
-		if seen.Stats.Rounds != quiet.Stats.Rounds || seen.Stats.Messages != quiet.Stats.Messages ||
-			seen.Stats.Words != quiet.Stats.Words || seen.roundSeq != quiet.roundSeq {
-			t.Errorf("%v: replayed %+v seq %d, unobserved %+v seq %d", c.sent, seen.Stats, seen.roundSeq, quiet.Stats, quiet.roundSeq)
-		}
-	}
-}
-
-func newTestNet(t *testing.T) *Network {
-	t.Helper()
-	nw, err := NewNetwork(path3(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nw
-}
