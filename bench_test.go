@@ -9,6 +9,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -411,6 +412,35 @@ func BenchmarkBlockerCompute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		coll.ResetRemovals()
 		if _, err := blocker.Compute(nw, coll, blocker.Params{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkQSinkRun measures step 6, the q-sink delivery of Section 4,
+// with the round robin of Algorithm 9, as det43 runs it on ring-n256: Q is
+// the blocker set blocker.Compute finds on the collection
+// BenchmarkBlockerCompute builds (h = 7), and graph.BlockerDelta gives the
+// Step-5 values. One op is qsink.Run on a warm network: BuildBFS, the
+// in-CSSSP collection for Q, Case 1's Q' cover, SSSPs and all-to-all, the
+// bottleneck elimination and the Case 2 pipeline.
+func BenchmarkQSinkRun(b *testing.B) {
+	g := graph.Ring(graph.GenConfig{N: 256, Seed: 1, MaxWeight: 50})
+	coll, nw := buildColl(b, g, hopParam(g.N))
+	br, err := blocker.Compute(nw, coll, blocker.Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	Q := slices.Clone(br.Q)
+	delta := graph.BlockerDelta(g, Q)
+	par := qsink.Params{Scheduler: qsink.RoundRobin, Blocker: blocker.Params{Mode: blocker.Deterministic}}
+	if _, err := qsink.Run(nw, g, Q, delta, par); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := qsink.Run(nw, g, Q, delta, par); err != nil {
 			b.Fatal(err)
 		}
 	}

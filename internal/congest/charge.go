@@ -43,6 +43,7 @@ func (nw *Network) ChargeSchedule(s Schedule) (int, error) {
 			return r, err
 		}
 		delivered, more := s.Round(r)
+		nw.Stats.Rounds++
 		nw.endRound(delivered)
 		if !more {
 			return r + 1, nil
@@ -109,6 +110,7 @@ func (nw *Network) ChargeRun(rounds, budget int, sent func(r int) int64) (int, e
 		if err := nw.startRound(r); err != nil {
 			return r, err
 		}
+		nw.Stats.Rounds++
 		nw.endRound(sent(r))
 	}
 	nw.Stats.Rounds += budget - rounds
@@ -116,12 +118,19 @@ func (nw *Network) ChargeRun(rounds, budget int, sent func(r int) int64) (int, e
 }
 
 // startRound is what the engine does before stepping round r: the context
-// check and the fault injector's FireRound.
+// check and the fault injector's FireRound. It is a nil-check front, small
+// enough to inline, for observeRound.
 func (nw *Network) startRound(r int) error {
-	if nw.ctx != nil {
-		if err := nw.ctx.Err(); err != nil {
-			return err
-		}
+	if nw.done == nil && nw.fault == nil {
+		return nil
+	}
+	return nw.observeRound(r)
+}
+
+// observeRound is startRound with a context or a fault injector armed.
+func (nw *Network) observeRound(r int) error {
+	if err := nw.CtxErr(); err != nil {
+		return err
 	}
 	if nw.fault != nil {
 		return nw.fault.FireRound(nw.subrun, r)
@@ -129,16 +138,25 @@ func (nw *Network) startRound(r int) error {
 	return nil
 }
 
-// endRound is what the engine does after a round that delivered one-word
-// messages: the counters, then OnRound.
+// endRound is what the engine does after a counted round that delivered
+// one-word messages: the delivery counters, then OnRound, which
+// reportRound calls out of line so that endRound inlines. Its callers
+// count the round in Stats.Rounds themselves, which keeps it within the
+// inlining budget.
 func (nw *Network) endRound(delivered int64) {
-	nw.Stats.Rounds++
 	nw.Stats.Messages += delivered
 	nw.Stats.Words += delivered
 	if nw.OnRound != nil {
-		nw.OnRound(nw.roundSeq, int(delivered))
+		nw.reportRound(delivered)
 	}
 	nw.roundSeq++
+}
+
+// reportRound calls OnRound for the round endRound closes.
+//
+//go:noinline
+func (nw *Network) reportRound(delivered int64) {
+	nw.OnRound(nw.roundSeq, int(delivered))
 }
 
 // ChargesChecked is true in builds with -tags matcheck, where every

@@ -213,7 +213,7 @@ func (nw *Network) ShardRuns(count int, fn func(w *Network, i int) error) error 
 	for w := 0; w < workers; w++ {
 		cl := nw.fleet[w]
 		cl.ResetStats()
-		cl.ctx, cl.fault = nw.ctx, nw.fault
+		cl.ctx, cl.done, cl.fault = nw.ctx, nw.done, nw.fault
 		wg.Add(1)
 		go func(w int, cl *Network) {
 			defer wg.Done()
@@ -247,7 +247,7 @@ func (nw *Network) ShardRuns(count int, fn func(w *Network, i int) error) error 
 	}
 	wg.Wait()
 	for w := 0; w < workers; w++ {
-		nw.fleet[w].ctx, nw.fleet[w].fault = nil, nil
+		nw.fleet[w].ctx, nw.fleet[w].done, nw.fleet[w].fault = nil, nil, nil
 		nw.fleet[w].subrun = -1
 		nw.Stats.Add(&nw.fleet[w].Stats)
 	}
@@ -344,7 +344,7 @@ func (nw *Network) shardRunsSeq(count int, fn func(w *Network, i int) error) err
 func (nw *Network) retrySequential(retry []subFailure, fn func(w *Network, i int) error) error {
 	sort.Slice(retry, func(a, b int) bool { return retry[a].index < retry[b].index })
 	cl := nw.Clone()
-	cl.ctx, cl.fault = nw.ctx, nw.fault
+	cl.ctx, cl.done, cl.fault = nw.ctx, nw.done, nw.fault
 	for _, f := range retry {
 		if err := callSub(cl, f.index, fn); err != nil {
 			return err

@@ -193,8 +193,12 @@ type Network struct {
 	// ctx, when armed via SetContext, is observed by the engine at round
 	// granularity and by ShardRuns at sub-run granularity; the run returns
 	// ctx.Err() (context.Canceled or context.DeadlineExceeded) unwrapped.
-	// Disarmed (nil) the hot path pays one nil-check per round.
-	ctx context.Context
+	// done caches ctx.Done(): a round polls it with a non-blocking receive
+	// and calls ctx.Err() only once it is closed, since Err takes the
+	// context's mutex. Disarmed (nil) the hot path pays one nil-check per
+	// round.
+	ctx  context.Context
+	done <-chan struct{}
 
 	// fault, when armed via SetFaultInjector, is fired at the top of every
 	// engine round and at every ShardRuns sub-run start (see
@@ -233,10 +237,12 @@ type FaultInjector interface {
 // (ctx.Done() == nil, e.g. context.Background()) disarms the check
 // entirely so the steady-state round loop pays only a nil comparison.
 func (nw *Network) SetContext(ctx context.Context) {
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
+	nw.ctx, nw.done = nil, nil
+	if ctx != nil {
+		if done := ctx.Done(); done != nil {
+			nw.ctx, nw.done = ctx, done
+		}
 	}
-	nw.ctx = ctx
 }
 
 // SetFaultInjector arms (nil: disarms) the fault-injection hook on nw.
@@ -253,14 +259,16 @@ func (nw *Network) NotifyStage(stage string) {
 }
 
 // CtxErr reports the armed context's cancellation state (nil when no
-// cancelable context is armed) — the same check the engine's round loop
-// performs, exposed so the pipeline executor can observe cancellation at
-// stage boundaries too.
+// cancelable context is armed, or while it is live) — the same check the
+// engine's round loop performs, exposed so the pipeline executor can
+// observe cancellation at stage boundaries too.
 func (nw *Network) CtxErr() error {
-	if nw.ctx == nil {
+	select {
+	case <-nw.done: // a nil channel, when disarmed, is never ready
+		return nw.ctx.Err()
+	default:
 		return nil
 	}
-	return nw.ctx.Err()
 }
 
 // NewNetwork builds a network for input graph g with the given per-link
@@ -616,15 +624,8 @@ func (nw *Network) run(p Proto, start []int32, maxRounds, dropRound int) (int, e
 		// an armed context is observed at round granularity (a canceled run
 		// returns within one round of ctx.Done()), and an armed fault
 		// injector may sleep, panic, or force an error here.
-		if nw.ctx != nil {
-			if err := nw.ctx.Err(); err != nil {
-				return rounds, err
-			}
-		}
-		if nw.fault != nil {
-			if err := nw.fault.FireRound(nw.subrun, round); err != nil {
-				return rounds, err
-			}
+		if err := nw.startRound(round); err != nil {
+			return rounds, err
 		}
 
 		// Step phase: each active node steps once, in ascending id order;

@@ -43,7 +43,8 @@ func fp(res *Result) fingerprint {
 // sub-run panic, a per-round delay under a context deadline (in step 1, and
 // once in a charged broadcast of step 2), a forced round error inside a
 // charged per-tree run of step 2, inside a host-executed Bellman-Ford
-// relaxation of step 1 and inside step 8's host-executed settle wave, a
+// relaxation of step 1, inside step 6's host-executed pipeline and inside
+// step 8's host-executed settle wave, a
 // panic in step 2 outside any sharded dispatch, a pre-canceled context,
 // and a panic recovered by RetrySequential — across two columns of
 // session calls, each in both exec modes: Run for all 4 profiles, and
@@ -70,6 +71,9 @@ func TestFaultMatrix(t *testing.T) {
 		run         func(ctx context.Context, s *Session) error
 		mode        blocker.Mode
 		step2Rounds int
+		// pipeRound and pipeSkip place the qsink-round-error-step6 rule in
+		// step 6's pipeline (pipeRound 0: the profile runs no pipeline).
+		pipeRound, pipeSkip int
 	}
 	type cell struct {
 		name  string
@@ -264,6 +268,38 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("rule fired %d times, want 1", inj.Fired())
 			}
 		}},
+		{name: "qsink-round-error-step6", stage: "step6-qsink", inject: func(t *testing.T, s *Session, c call) {
+			// Step 6's Case 2 pipeline runs on the host and is charged
+			// round by round, outside any sharded dispatch, as the stage's
+			// last run. One earlier run of the stage outside sharded
+			// dispatch also reaches the rule's round (the all-to-all of
+			// the bottleneck values for Det43, Case 1's all-to-all for
+			// Rand43), so the rule skips that match and fires in the
+			// pipeline. Det32 and BroadcastStep6 broadcast their step 6
+			// and run no pipeline: no rule is armed for them.
+			if c.pipeRound == 0 {
+				return
+			}
+			inj := faultinject.New(1, faultinject.Rule{
+				Hook: faultinject.HookRound, Stage: "step6-qsink",
+				Round: c.pipeRound, SubRun: -1, Skip: c.pipeSkip, Once: true,
+			})
+			s.SetFaultInjector(inj)
+			err := c.run(context.Background(), s)
+			var ie *faultinject.InjectedError
+			if !errors.As(err, &ie) {
+				t.Fatalf("got %T (%v), want *faultinject.InjectedError", err, err)
+			}
+			if ie.Stage != "step6-qsink" || ie.SubRun != -1 || ie.Round != c.pipeRound {
+				t.Fatalf("bad tags (want stage step6-qsink, sub-run -1, round %d): %+v", c.pipeRound, ie)
+			}
+			if !strings.HasPrefix(err.Error(), "core: step6-qsink: qsink: round-robin pipeline: ") {
+				t.Fatalf("fired outside step 6's round-robin pipeline: %v", err)
+			}
+			if inj.Fired() != 1 {
+				t.Fatalf("rule fired %d times, want 1", inj.Fired())
+			}
+		}},
 		{name: "step2-panic-round0", stage: "step2-blocker", inject: func(t *testing.T, s *Session, c call) {
 			// Round 0 of step 2 is first reached outside any sharded
 			// dispatch, so the panic escapes the stage body and the
@@ -320,6 +356,8 @@ func TestFaultMatrix(t *testing.T) {
 				},
 				mode:        runConstruction[v],
 				step2Rounds: step2DelayRounds[v],
+				pipeRound:   step6PipelineRule[v][0],
+				pipeSkip:    step6PipelineRule[v][1],
 			}
 			for _, c := range cells {
 				t.Run(c.name+"/"+v.String()+"/parallel="+boolName(parallel), func(t *testing.T) {
@@ -420,6 +458,12 @@ func TestFaultMatrix(t *testing.T) {
 // delay-deadline-step2 cell interrupts the fault-matrix graph: the rounds
 // before step 2's first all-to-all, plus its gather and 21 flood rounds.
 var step2DelayRounds = map[Variant]int{Det43: 847, Det32: 986, Rand43: 566, BroadcastStep6: 847}
+
+// step6PipelineRule is, per profile that runs step 6's pipeline, the
+// round of the qsink-round-error-step6 rule and the matches it skips. On
+// the fault-matrix graph the Det43 pipeline simulates 22 rounds and the
+// Rand43 one 82.
+var step6PipelineRule = map[Variant][2]int{Det43: {15, 1}, Rand43: {60, 1}}
 
 // runConstruction is the blocker construction each profile's step 2 runs
 // (Det43 and BroadcastStep6: the zero Mode, Algorithm 2').

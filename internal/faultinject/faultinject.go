@@ -103,6 +103,11 @@ type Rule struct {
 	// Once disarms the rule after its first firing, so a recovered session
 	// can re-run clean without rebuilding the injector.
 	Once bool
+	// Skip lets the rule's first Skip matches pass without firing, so a
+	// rule can reach the k-th protocol run of a stage that passes the same
+	// (round, sub-run) point. Matches are counted in the order they occur,
+	// which is deterministic under sequential dispatch.
+	Skip int
 }
 
 // RoundAny is the wildcard Round value (any round). -1 works too; the named
@@ -145,6 +150,7 @@ func (p *InjectedPanic) String() string {
 type rule struct {
 	Rule
 	disarmed atomic.Bool
+	matched  atomic.Int64 // matches counted against Skip
 }
 
 // Injector is a set of armed rules plus the stage cursor the executor
@@ -182,11 +188,13 @@ func (in *Injector) Stage() string { return in.stage }
 // Fired returns how many rules have fired so far (test assertions).
 func (in *Injector) Fired() int64 { return in.fired.Load() }
 
-// Reset re-arms every Once rule and zeroes the fired counter, so one
-// injector can be reused across fault-matrix cells.
+// Reset re-arms every Once rule, zeroes the fired counter and restarts
+// every Skip count, so one injector can be reused across fault-matrix
+// cells.
 func (in *Injector) Reset() {
 	for _, r := range in.rules {
 		r.disarmed.Store(false)
+		r.matched.Store(0)
 	}
 	in.fired.Store(0)
 	in.stage = ""
@@ -217,6 +225,9 @@ func (in *Injector) fire(h Hook, subrun, round int) error {
 			continue
 		}
 		if r.SubRun >= 0 && r.SubRun != subrun {
+			continue
+		}
+		if r.Skip > 0 && r.matched.Add(1) <= int64(r.Skip) {
 			continue
 		}
 		if r.Prob > 0 && r.Prob < 1 && !in.draw(r.Prob) {

@@ -68,6 +68,23 @@ func TestOnceDisarmsAndResetRearms(t *testing.T) {
 	}
 }
 
+func TestSkipPassesFirstMatches(t *testing.T) {
+	in := New(1, Rule{Hook: HookRound, Round: 5, SubRun: RoundAny, Skip: 2, Once: true})
+	for i, round := range []int{5, 4, 5} {
+		if err := in.FireRound(-1, round); err != nil {
+			t.Fatalf("call %d (round %d) fired within the skipped matches: %v", i, round, err)
+		}
+	}
+	var ie *InjectedError
+	if err := in.FireRound(-1, 5); !errors.As(err, &ie) || ie.Round != 5 {
+		t.Fatalf("third match: got %v, want a forced error at round 5", err)
+	}
+	in.Reset()
+	if err := in.FireRound(-1, 5); err != nil {
+		t.Fatalf("Reset did not restart the Skip count: %v", err)
+	}
+}
+
 func TestPanicRule(t *testing.T) {
 	in := New(1, Rule{Hook: HookSubRun, Kind: Panic, SubRun: 3})
 	if err := in.FireSubRun(2); err != nil {

@@ -21,6 +21,15 @@
 //
 // Both cases produce upper bounds that are exact for the pairs they are
 // responsible for, so each blocker takes the minimum over all candidates.
+//
+// The case (ii) pipeline, under either scheduler, runs on the host from
+// per-(node, blocker) queue counts, since which value a node forwards
+// never changes where it goes or when, and is charged round by round
+// through congest.ChargeSchedule (case2.go, DESIGN.md §3): Stats,
+// WordsByNode, the OnRound stream, cancellation and fault rules are those
+// of the simulated run. In -tags matcheck builds every pipeline also runs
+// the engine protocols of reference.go on a clone and fails on any
+// difference (congest.Charged).
 package qsink
 
 import (
@@ -213,11 +222,6 @@ func Run(nw *congest.Network, g *graph.Graph, Q []int, delta *mat.Matrix, par Pa
 	for ci := range Q {
 		at.Set(ci, Q[ci], delta.At(Q[ci], ci)) // a blocker knows its own value
 	}
-	relax := func(ci, x int, val int64) {
-		if val < at.At(ci, x) {
-			at.Set(ci, x, val)
-		}
-	}
 
 	tree, err := broadcast.BuildBFS(nw, 0)
 	if err != nil {
@@ -251,7 +255,7 @@ func Run(nw *congest.Network, g *graph.Graph, Q []int, delta *mat.Matrix, par Pa
 			return nil, err
 		}
 		for _, it := range all {
-			relax(int(it.B), int(it.A), it.C)
+			relax(at, int(it.B), int(it.A), it.C)
 		}
 		st.RoundsTotal = nw.Stats.Rounds - roundsBefore
 		return &Result{AtBlocker: at.RowViews(), Stats: st}, nil
@@ -275,7 +279,7 @@ func Run(nw *congest.Network, g *graph.Graph, Q []int, delta *mat.Matrix, par Pa
 
 	// ---- Case (i): hops(x, c) > n^(2/3) (Algorithm 8) ----
 	if !par.SkipCase1 {
-		if err := runCase1(nw, g, tree, cq, Q, delta, &st, par, relax); err != nil {
+		if err := runCase1(nw, g, tree, cq, Q, delta, at, &st, par); err != nil {
 			return nil, err
 		}
 		// The blocker construction for Q' pruned CQ's trees; restore them
@@ -284,12 +288,20 @@ func Run(nw *congest.Network, g *graph.Graph, Q []int, delta *mat.Matrix, par Pa
 	}
 
 	// ---- Case (ii): hops(x, c) <= n^(2/3) (Algorithm 9) ----
-	if err := runCase2(nw, g, tree, cq, Q, delta, &st, par, relax); err != nil {
+	if err := runCase2(nw, g, tree, cq, Q, delta, at, &st, par); err != nil {
 		return nil, err
 	}
 
 	st.RoundsTotal = nw.Stats.Rounds - roundsBefore
 	return &Result{AtBlocker: at.RowViews(), Stats: st}, nil
+}
+
+// relax lowers blocker Q[ci]'s value for source x in at to val, if val is
+// smaller: each blocker keeps the minimum over all candidates.
+func relax(at *mat.Matrix, ci, x int, val int64) {
+	if val < at.At(ci, x) {
+		at.Set(ci, x, val)
+	}
 }
 
 // runCase1 implements Algorithm 8. Exactness argument (Lemma 4.1): if the
@@ -299,7 +311,7 @@ func Run(nw *congest.Network, g *graph.Graph, Q []int, delta *mat.Matrix, par Pa
 // and the blocker Q' hits the tree path below it, placing some c' in Q' on
 // a shortest x->c path.
 func runCase1(nw *congest.Network, g *graph.Graph, tree *broadcast.Tree, cq *csssp.Collection,
-	Q []int, delta *mat.Matrix, st *Stats, par Params, relax func(ci, x int, val int64)) error {
+	Q []int, delta, at *mat.Matrix, st *Stats, par Params) error {
 
 	n := g.N
 	// Step 2: second-level blocker set Q' over CQ.
@@ -355,7 +367,7 @@ func runCase1(nw *congest.Network, g *graph.Graph, tree *broadcast.Tree, cq *css
 		row := outD.Row(int(k))
 		for ci, c := range Q {
 			if row[c] < graph.Inf {
-				relax(ci, x, dxc+row[c])
+				relax(at, ci, x, dxc+row[c])
 			}
 		}
 	}

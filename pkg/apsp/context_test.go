@@ -319,6 +319,69 @@ func TestRunContextCancelInChargedLastEdge(t *testing.T) {
 	}
 }
 
+// TestRunContextCancelInChargedQSink cancels from OnRound inside step 6's
+// Case 2 pipeline, which runs on the host and is charged round by round:
+// after the pipeline's round 2 and in its middle. On this n=28 graph the
+// Deterministic43 pipeline simulates 52 rounds from sequence number 4569
+// and the Randomized43 one 100 rounds from 2905. Deterministic32
+// broadcasts its step 6 and runs no pipeline, so its cuts land in the
+// flood of that charged all-to-all, 87 rounds from 803. The run must stop
+// at the next round, as the simulated protocols did: the error names
+// step6-qsink and the completed rounds equal those the simulated runs
+// gave. An OnRound hook keeps sharded sub-runs serial, so both exec modes
+// cancel at the same round. The same Runner's next clean run must be
+// bit-identical to a cold run.
+func TestRunContextCancelInChargedQSink(t *testing.T) {
+	forceWorkers(t)
+	g := RandomGraph(GenOptions{N: 28, Seed: 9, MaxWeight: 20}, 4*28)
+	type cut struct {
+		at        int // OnRound sequence number that cancels
+		completed int
+	}
+	cases := []struct {
+		algo Algorithm
+		cuts []cut // after round 2, then mid-pipeline
+	}{
+		{Deterministic43, []cut{{4571, 5613}, {4595, 5637}}},
+		{Deterministic32, []cut{{805, 1197}, {846, 1238}}},
+		{Randomized43, []cut{{2907, 4582}, {2955, 4630}}},
+	}
+	for _, tc := range cases {
+		for _, parallel := range []bool{false, true} {
+			opt := Options{Algorithm: tc.algo, Parallel: parallel, Seed: 5}
+			cold, err := Run(g, opt)
+			if err != nil {
+				t.Fatalf("%v parallel=%v: cold run: %v", tc.algo, parallel, err)
+			}
+			r, err := NewRunner(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range tc.cuts {
+				ctx, cancel := context.WithCancel(context.Background())
+				_, err = r.RunContext(ctx, cancelAfterRounds(opt, c.at, cancel))
+				cancel()
+				var ie *InterruptError
+				if !errors.As(err, &ie) || !errors.Is(err, ErrCanceled) {
+					t.Fatalf("%v parallel=%v: got %v, want a canceled *InterruptError", tc.algo, parallel, err)
+				}
+				if ie.Stage != "step6-qsink" || ie.CompletedRounds != c.completed {
+					t.Errorf("%v parallel=%v: canceled after round %d: interrupted in %s after %d rounds, want step6-qsink after %d",
+						tc.algo, parallel, c.at, ie.Stage, ie.CompletedRounds, c.completed)
+				}
+				warm, err := r.Run(opt)
+				if err != nil {
+					t.Fatalf("%v parallel=%v: clean run after cancel: %v", tc.algo, parallel, err)
+				}
+				if !reflect.DeepEqual(warm.Dist, cold.Dist) || !reflect.DeepEqual(warm.LastHop, cold.LastHop) ||
+					!reflect.DeepEqual(stripHostCost(warm.Stats), stripHostCost(cold.Stats)) {
+					t.Fatalf("%v parallel=%v: run after a cancel at round %d diverges from cold run", tc.algo, parallel, c.at)
+				}
+			}
+		}
+	}
+}
+
 // TestRunContextDeadline pins the deadline path end to end: an
 // already-expired deadline fails with ErrDeadlineExceeded before any round
 // executes, and the Runner stays usable.

@@ -5,8 +5,9 @@
 #   BENCH_engine.json  engine-critical microbenchmarks (ns/op, allocs/op),
 #                      including the charged all-to-all broadcast, the
 #                      charged per-tree upcast, the ring-n256 blocker-set
-#                      construction and step 8's charged last-edge
-#                      resolution, one section per GOMAXPROCS in {1, 2}
+#                      construction, the ring-n256 q-sink delivery (step 6)
+#                      and step 8's charged last-edge resolution, one
+#                      section per GOMAXPROCS in {1, 2}
 #                      (a section above the host's core count is skipped)
 #   BENCH_apsp.json    full-pipeline apsp.Run wall-clock + allocs at
 #                      n in {128, 256, 512}, sequential vs source-sharded,
@@ -130,7 +131,7 @@ suite_engine() {
         continue
       fi
       GOMAXPROCS=$P go test -run '^$' \
-        -bench 'BenchmarkSimulatorRound|BenchmarkDistributedBellmanFord|BenchmarkAllToAll|BenchmarkTreeUpcast|BenchmarkBlockerCompute|BenchmarkLastEdges' \
+        -bench 'BenchmarkSimulatorRound|BenchmarkDistributedBellmanFord|BenchmarkAllToAll|BenchmarkTreeUpcast|BenchmarkBlockerCompute|BenchmarkQSinkRun|BenchmarkLastEdges' \
         -benchtime="$BENCHTIME" -benchmem . > "$RAW"
       GOMAXPROCS=$P go test -run '^$' -bench 'BenchmarkEngine' -benchtime="$BENCHTIME" \
         ./internal/congest/ >> "$RAW"
