@@ -334,8 +334,8 @@ func (s *pipeSched) runRoundRobin(st *Stats, budget int) error {
 
 // runFrames runs the stage/frame scheduler of Algorithm 10, used to
 // observe the progress measure of Section 4.3: Lemma 4.8 predicts that
-// |Q_{v,i}| shrinks geometrically with i. Each stage is charged as one
-// engine run of stageRounds+2 rounds charges the reference's.
+// |Q_{v,i}| shrinks geometrically with i. Each stage is charged as
+// Run(p, stageRounds+2) charges the reference's stage.
 func (s *pipeSched) runFrames(st *Stats, par Params, budget int) error {
 	s.frames = true
 	totalRounds := 0
